@@ -55,15 +55,16 @@ const boundaryMistrustLimit = 2
 
 // NewEngine compiles opts into a reusable Engine. Configuration errors
 // (duplicate column selections, unsorted skip lists, …) are reported
-// here, before any input is accepted.
+// here, before any input is accepted, as a *parparawerr.ConfigError
+// (errors.Is(err, ErrConfig)).
 func NewEngine(opts Options) (*Engine, error) {
 	copts, err := opts.internal(core.TrailingRecord)
 	if err != nil {
-		return nil, err
+		return nil, &parparawerr.ConfigError{Err: err}
 	}
 	plan, err := core.Compile(copts)
 	if err != nil {
-		return nil, err
+		return nil, &parparawerr.ConfigError{Err: err}
 	}
 	return &Engine{plan: plan}, nil
 }

@@ -52,6 +52,9 @@ var (
 	// pipeline invariant; the run failed cleanly (goroutines joined,
 	// arenas recycled).
 	ErrInternal = parparawerr.ErrInternal
+	// ErrConfig: NewEngine rejected the options (parparawerr.ConfigError)
+	// before any input was read.
+	ErrConfig = parparawerr.ErrConfig
 )
 
 // StatusClientClosedRequest is the non-standard HTTP status the
@@ -66,11 +69,11 @@ const StatusClientClosedRequest = 499
 // the error taxonomy. The mapping follows fault attribution: the
 // client's input (ErrInput: its upload failed or lied about its size;
 // ErrMalformed: the bytes violate the format under Validate;
-// ErrUnstreamable) is 400, resource exhaustion (ErrBudget) is 429 so
-// well-behaved clients back off and retry, cancellation is the
-// 499-style StatusClientClosedRequest, and everything else — contained
-// panics, violated pipeline invariants, unclassified errors — is a 500
-// that should page. nil maps to 200.
+// ErrUnstreamable; ErrConfig: its options) is 400, resource exhaustion
+// (ErrBudget) is 429 so well-behaved clients back off and retry,
+// cancellation is the 499-style StatusClientClosedRequest, and
+// everything else — contained panics, violated pipeline invariants,
+// unclassified errors — is a 500 that should page. nil maps to 200.
 func HTTPStatus(err error) int {
 	switch {
 	case err == nil:
@@ -79,7 +82,7 @@ func HTTPStatus(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrCanceled):
 		return StatusClientClosedRequest
-	case errors.Is(err, ErrInput), errors.Is(err, ErrMalformed), errors.Is(err, ErrUnstreamable):
+	case errors.Is(err, ErrInput), errors.Is(err, ErrMalformed), errors.Is(err, ErrUnstreamable), errors.Is(err, ErrConfig):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
@@ -87,7 +90,7 @@ func HTTPStatus(err error) int {
 }
 
 // ErrorKind names the taxonomy class of err ("input", "malformed",
-// "budget", "canceled", "internal", "unstreamable", or "error" for
+// "budget", "canceled", "internal", "unstreamable", "config", or "error" for
 // unclassified errors; "" for nil) — the stable string the daemon's
 // JSON error bodies and metrics label errors with.
 func ErrorKind(err error) string {
@@ -106,6 +109,8 @@ func ErrorKind(err error) string {
 		return "unstreamable"
 	case errors.Is(err, ErrInternal):
 		return "internal"
+	case errors.Is(err, ErrConfig):
+		return "config"
 	default:
 		return "error"
 	}

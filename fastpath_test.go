@@ -163,8 +163,10 @@ func TestPartitionPhaseNoPermutationBuffer(t *testing.T) {
 	n := int64(len(input))
 	// Measured on this workload: ~61× input with the radix permutation
 	// buffers (two 4-byte-per-symbol permutation arrays plus the extra
-	// gather passes), ~43× with the counting scatter. 50× splits the two
-	// regimes with margin for size-class rounding.
+	// gather passes), ~43× with the counting scatter over per-symbol tag
+	// buffers, ~22× with the fused tag-scatter. 50× splits the first two
+	// regimes with margin for size-class rounding; internal/core's
+	// TestFusedScatterNoPerSymbolBuffers holds the tighter bound.
 	if peak := res.Stats.DeviceBytes; peak > 50*n {
 		t.Fatalf("device peak %d = %.1f× input; permutation-buffer regression?", peak, float64(peak)/float64(n))
 	}

@@ -1,0 +1,452 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/columnar"
+	"repro/internal/convert"
+	"repro/internal/css"
+	"repro/internal/device"
+	"repro/internal/radix"
+	"repro/internal/workload"
+)
+
+// runToPartition compiles opts and runs the kernel stages on input up to
+// and including partitionScatter, returning the pipeline with the fused
+// tag-scatter's outputs, or nil when a stage finished the run early
+// (nothing to partition). The arena is reset first: a recycled arena
+// hands out dirty buffers, so an output position the move pass fails to
+// write shows up as a stale byte.
+func runToPartition(t *testing.T, arena *device.Arena, input []byte, opts Options) *pipeline {
+	t.Helper()
+	plan, err := Compile(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := plan.Options()
+	arena.Reset()
+	o.Arena = arena
+	p := &pipeline{Options: o, input: input}
+	for _, st := range kernelPipeline {
+		if st.name == "convertColumns" {
+			break
+		}
+		o.Arena.SetPhase(st.name)
+		if err := st.run(p); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if p.table != nil {
+			return nil
+		}
+	}
+	return p
+}
+
+// oracleScatter is what the fused tag-scatter must produce, computed the
+// way the paper's tag and partition phases do it.
+type oracleScatter struct {
+	syms           []byte
+	recs           []uint32
+	aux            []bool
+	hist, colStart []int64
+	kept           int
+	rejected       []bool
+}
+
+// oracleTagPartition tags every symbol of p's input with its column key
+// (the sentinel for every symbol no output column receives) and its
+// mode payload in one sequential walk — no chunks, tiles or run fills —
+// and then partitions the tags stably with the paper's LSD radix sort.
+// It reads only the stage outputs before tagging: the bitmaps, the
+// column map and record counts, and the Where drops.
+func oracleTagPartition(p *pipeline) oracleScatter {
+	n := len(p.input)
+	colTags := make([]uint32, n)
+	recTags := make([]uint32, n)
+	payload := slices.Clone(p.input) // InlineTerminated: delimiters become the terminator
+	aux := make([]bool, n)
+	var out oracleScatter
+	if p.RejectInconsistent || p.RejectMalformed {
+		out.rejected = make([]bool, p.numOutRecords)
+	}
+	skipped := make(map[int64]bool)
+	for _, r := range p.SkipRecords {
+		skipped[r] = true
+	}
+	irrelevant := func(rec int64) bool {
+		return skipped[rec] || rec >= p.numRecords || (p.pushdown && p.dropped[rec])
+	}
+	keyOf := func(rec int64, col int) uint32 {
+		if irrelevant(rec) || col >= len(p.colMap) {
+			return p.sentinel
+		}
+		return p.colMap[col]
+	}
+	checkCols := func(rec, outRec int64, col int) {
+		if p.RejectInconsistent && !irrelevant(rec) && col+1 != p.numColumns {
+			out.rejected[outRec] = true
+		}
+	}
+
+	var rec, outRec int64 // outRec counts the relevant records before rec
+	col := 0
+	for i := 0; i < n; i++ {
+		isRec, isField := p.bitmaps.record.Get(i), p.bitmaps.field.Get(i)
+		switch {
+		case isRec || isField:
+			colTags[i] = p.sentinel
+			if p.Mode != css.RecordTagged {
+				colTags[i] = keyOf(rec, col)
+				payload[i] = p.Terminator
+				aux[i] = colTags[i] != p.sentinel
+			}
+			if isField {
+				col++
+				continue
+			}
+			checkCols(rec, outRec, col)
+			if !irrelevant(rec) {
+				outRec++
+			}
+			rec++
+			col = 0
+		case p.bitmaps.control.Get(i):
+			colTags[i] = p.sentinel
+		default:
+			colTags[i] = keyOf(rec, col)
+			recTags[i] = uint32(outRec)
+		}
+	}
+	if p.trailing {
+		checkCols(rec, outRec, col)
+	}
+
+	d := device.New(device.Config{Workers: 3})
+	numKeys := int(p.sentinel) + 1
+	perm := radix.SortPermutation(d, "oracle", colTags, 0)
+	out.hist = radix.HistogramKeys(d, "oracle", colTags, numKeys)
+	out.colStart = make([]int64, numKeys)
+	for k := 1; k < numKeys; k++ {
+		out.colStart[k] = out.colStart[k-1] + out.hist[k-1]
+	}
+	out.kept = n - int(out.hist[p.sentinel])
+	gather := func(dst, src []byte) {
+		radix.Gather(d, "oracle", dst, src, perm)
+	}
+	out.syms = make([]byte, n)
+	if p.Mode == css.InlineTerminated {
+		gather(out.syms, payload)
+	} else {
+		gather(out.syms, p.input)
+	}
+	out.syms = out.syms[:out.kept]
+	switch p.Mode {
+	case css.RecordTagged:
+		out.recs = make([]uint32, n)
+		radix.Gather(d, "oracle", out.recs, recTags, perm)
+		out.recs = out.recs[:out.kept]
+	case css.VectorDelimited:
+		out.aux = make([]bool, n)
+		radix.Gather(d, "oracle", out.aux, aux, perm)
+		out.aux = out.aux[:out.kept]
+	}
+	return out
+}
+
+// fusedInput builds a CSV input whose records, quoted fields and
+// trailing record cross the 4 KiB tile boundaries: short numeric
+// fields, quoted fields holding delimiters, newlines and escaped quotes,
+// empty fields, and every few records a quoted field longer than a
+// tile. ragged draws each record's column count from 1..cols+2; the
+// tail, when longer than a tile, makes the last tile hold nothing but
+// the unterminated trailing record (or, under TrailingRemainder, nothing
+// any column receives).
+func fusedInput(rng *rand.Rand, records, cols int, ragged bool, tail int) []byte {
+	var b strings.Builder
+	field := func() {
+		switch r := rng.Intn(40); {
+		case r < 18:
+			fmt.Fprintf(&b, "%d", rng.Intn(100000))
+		case r < 28:
+			b.WriteString(`"a,b` + strings.Repeat("x", rng.Intn(40)) + "\n\"\"q\"\"\"")
+		case r < 34:
+			// empty field
+		case r < 35:
+			b.WriteString(`"` + strings.Repeat("long,\n", 700+rng.Intn(100)) + `"`)
+		default:
+			b.WriteString(strings.Repeat("t", rng.Intn(300)))
+		}
+	}
+	for r := 0; r < records; r++ {
+		n := cols
+		if ragged {
+			n = 1 + rng.Intn(cols+2)
+		}
+		for c := 0; c < n; c++ {
+			if c > 0 {
+				b.WriteByte(',')
+			}
+			field()
+		}
+		b.WriteByte('\n')
+	}
+	if tail > 0 {
+		// An unterminated record: cols fields, the last one tail bytes.
+		for c := 0; c < cols-1; c++ {
+			fmt.Fprintf(&b, "%d,", c)
+		}
+		b.WriteString(`"` + strings.Repeat("z,\n", tail/3) + `"`)
+	}
+	return []byte(b.String())
+}
+
+// TestFusedScatterMatchesOracle pins the fused tag-scatter to the
+// paper's per-symbol tagging plus stable radix partition: sortedSyms,
+// sortedRecs, sortedAux, hist, colStart, the kept and skipped symbol
+// counts and the reject vector
+// must be identical across the tagging modes, column selection, Where
+// pushdown, SkipRecords, RejectInconsistent on ragged input, chunk
+// sizes that make a tile 4096, 585, 132 and 1 chunks, and inputs whose
+// records, quoted fields and trailing record cross tile boundaries.
+func TestFusedScatterMatchesOracle(t *testing.T) {
+	const cols = 4
+	rng := rand.New(rand.NewSource(12))
+	type input struct {
+		name     string
+		data     []byte
+		ragged   bool
+		trailing TrailingMode
+	}
+	inputs := []input{
+		{"regular", fusedInput(rng, 60, cols, false, 0), false, TrailingRecord},
+		{"long-trailing", fusedInput(rng, 40, cols, false, 9000), false, TrailingRecord},
+		{"remainder-tail", fusedInput(rng, 40, cols, false, 9000), false, TrailingRemainder},
+		{"ragged", fusedInput(rng, 80, cols, true, 0), true, TrailingRecord},
+		// Thousands of one-field records: the last tiles hold record
+		// delimiters and no data at all.
+		{"blank-tail", append(fusedInput(rng, 30, cols, true, 0), strings.Repeat("\n", 9000)...), true, TrailingRecord},
+	}
+	stringSchema := make([]columnar.Field, cols)
+	for i := range stringSchema {
+		stringSchema[i] = columnar.Field{Name: fmt.Sprintf("c%d", i), Type: columnar.String}
+	}
+	type variant struct {
+		name string
+		set  func(o *Options)
+	}
+	variants := []variant{
+		{"plain", func(o *Options) {}},
+		{"select", func(o *Options) { o.SelectColumns = []int{3, 1} }},
+		{"where", func(o *Options) {
+			o.Schema = columnar.NewSchema(stringSchema...)
+			o.Where = []convert.Predicate{{Column: 0, Op: convert.PredNotNull}}
+		}},
+		{"skip", func(o *Options) { o.SkipRecords = []int64{0, 2, 3, 17, 39} }},
+		{"reject", func(o *Options) { o.RejectInconsistent = true }},
+		{"all", func(o *Options) {
+			o.Schema = columnar.NewSchema(stringSchema...)
+			o.Where = []convert.Predicate{{Column: 1, Op: convert.PredNotNull}}
+			o.SelectColumns = []int{2, 0}
+			o.SkipRecords = []int64{1, 5}
+			o.RejectInconsistent = true
+		}},
+	}
+	arena := device.NewArena()
+	for _, in := range inputs {
+		for _, mode := range []css.Mode{css.RecordTagged, css.InlineTerminated, css.VectorDelimited} {
+			if in.ragged && mode != css.RecordTagged {
+				continue // the inline and vector CSSs need a constant column count
+			}
+			for _, v := range variants {
+				for _, chunk := range []int{1, 7, 31, 4096} {
+					name := fmt.Sprintf("%s/%v/%s/chunk%d", in.name, mode, v.name, chunk)
+					opts := Options{
+						Device:    device.New(device.Config{Workers: 4}),
+						ChunkSize: chunk,
+						Mode:      mode,
+						Trailing:  in.trailing,
+					}
+					if in.ragged {
+						opts.ExpectedColumns = cols
+					}
+					v.set(&opts)
+					p := runToPartition(t, arena, in.data, opts)
+					if p == nil {
+						t.Fatalf("%s: run finished before partitioning", name)
+					}
+					compareWithOracle(t, name, p)
+				}
+			}
+		}
+	}
+}
+
+func compareWithOracle(t *testing.T, name string, p *pipeline) {
+	t.Helper()
+	want := oracleTagPartition(p)
+	if len(p.sortedSyms) != want.kept || p.stats.BytesSkipped != int64(len(p.input)-want.kept) {
+		t.Fatalf("%s: %d symbols kept, %d skipped; oracle keeps %d of %d", name, len(p.sortedSyms), p.stats.BytesSkipped, want.kept, len(p.input))
+	}
+	if !slices.Equal(p.hist, want.hist) || !slices.Equal(p.colStart, want.colStart) {
+		t.Fatalf("%s: hist %v colStart %v, oracle %v %v", name, p.hist, p.colStart, want.hist, want.colStart)
+	}
+	if !slices.Equal(p.sortedSyms, want.syms) {
+		t.Fatalf("%s: sortedSyms differ at %d", name, firstDiff(p.sortedSyms, want.syms))
+	}
+	if !slices.Equal(p.sortedRecs, want.recs) {
+		t.Fatalf("%s: sortedRecs differ at %d", name, firstDiff(p.sortedRecs, want.recs))
+	}
+	if !slices.Equal(p.sortedAux, want.aux) {
+		t.Fatalf("%s: sortedAux differ at %d", name, firstDiff(p.sortedAux, want.aux))
+	}
+	if !slices.Equal(p.rejected, want.rejected) {
+		t.Fatalf("%s: rejected differ at %d", name, firstDiff(p.rejected, want.rejected))
+	}
+}
+
+// TestFusedScatterSymsOnly pins, by hand, the payload combinations of the
+// delimiter-keeping modes: InlineTerminated moves symbols alone (each
+// field closed by the terminator), VectorDelimited symbols plus the
+// delimiter vector; neither fills sortedRecs.
+func TestFusedScatterSymsOnly(t *testing.T) {
+	input := []byte("ab,c\nde,f\n")
+	cases := []struct {
+		mode css.Mode
+		syms string
+		aux  []bool
+	}{
+		{css.InlineTerminated, "ab;de;c;f;", nil},
+		{css.VectorDelimited, "ab,de,c\nf\n", []bool{false, false, true, false, false, true, false, true, false, true}},
+	}
+	arena := device.NewArena()
+	for _, tc := range cases {
+		for _, chunk := range []int{1, 3, 4096} {
+			p := runToPartition(t, arena, input, Options{
+				Device:     device.New(device.Config{Workers: 2}),
+				ChunkSize:  chunk,
+				Mode:       tc.mode,
+				Terminator: ';',
+			})
+			if p == nil {
+				t.Fatalf("%v/chunk%d: run finished before partitioning", tc.mode, chunk)
+			}
+			if string(p.sortedSyms) != tc.syms {
+				t.Errorf("%v/chunk%d: sortedSyms %q, want %q", tc.mode, chunk, p.sortedSyms, tc.syms)
+			}
+			if !slices.Equal(p.sortedAux, tc.aux) {
+				t.Errorf("%v/chunk%d: sortedAux %v, want %v", tc.mode, chunk, p.sortedAux, tc.aux)
+			}
+			if p.sortedRecs != nil {
+				t.Errorf("%v/chunk%d: sortedRecs filled in a syms-only mode", tc.mode, chunk)
+			}
+			if !slices.Equal(p.hist, []int64{6, 4, 0}) || !slices.Equal(p.colStart, []int64{0, 6, 10}) {
+				t.Errorf("%v/chunk%d: hist %v colStart %v, want [6 4 0] [0 6 10]", tc.mode, chunk, p.hist, p.colStart)
+			}
+		}
+	}
+}
+
+// TestFusedScatterSentinelUnmoved pins the partial-move contract that
+// projection pushdown relies on: symbols of unselected columns are
+// counted under the sentinel key but never moved, the kept columns pack
+// into a dense prefix of exactly colStart[sentinel] symbols, and each
+// selected column's CSS is the one a parse without selection builds for
+// that source column.
+func TestFusedScatterSentinelUnmoved(t *testing.T) {
+	const cols = 4
+	input := fusedInput(rand.New(rand.NewSource(37)), 50, cols, false, 0)
+	for _, chunk := range []int{1, 7, 4096} {
+		opts := Options{
+			Device:    device.New(device.Config{Workers: 4}),
+			ChunkSize: chunk,
+			Mode:      css.RecordTagged,
+		}
+		full := runToPartition(t, device.NewArena(), input, opts)
+		opts.SelectColumns = []int{3, 1}
+		sel := runToPartition(t, device.NewArena(), input, opts)
+		if full == nil || sel == nil {
+			t.Fatalf("chunk%d: run finished before partitioning", chunk)
+		}
+		s := sel.sentinel
+		if int64(len(sel.sortedSyms)) != sel.colStart[s] || sel.hist[s] != int64(len(input))-sel.colStart[s] {
+			t.Fatalf("chunk%d: %d symbols moved, sentinel start %d count %d of %d", chunk, len(sel.sortedSyms), sel.colStart[s], sel.hist[s], len(input))
+		}
+		if sel.stats.BytesSkipped != sel.hist[s] {
+			t.Fatalf("chunk%d: BytesSkipped %d, sentinel count %d", chunk, sel.stats.BytesSkipped, sel.hist[s])
+		}
+		wantSkipped := full.hist[full.sentinel]
+		for c := 0; c < cols; c++ {
+			k, kf := sel.colMap[c], full.colMap[c]
+			if k == s {
+				wantSkipped += full.hist[kf]
+				continue
+			}
+			lo, hi := sel.colStart[k], sel.colStart[k]+sel.hist[k]
+			flo, fhi := full.colStart[kf], full.colStart[kf]+full.hist[kf]
+			if !slices.Equal(sel.sortedSyms[lo:hi], full.sortedSyms[flo:fhi]) || !slices.Equal(sel.sortedRecs[lo:hi], full.sortedRecs[flo:fhi]) {
+				t.Fatalf("chunk%d: column %d's CSS differs from the unselected parse's", chunk, c)
+			}
+		}
+		if sel.hist[s] != wantSkipped {
+			t.Fatalf("chunk%d: sentinel count %d, want %d (unselected columns plus structure)", chunk, sel.hist[s], wantSkipped)
+		}
+	}
+}
+
+// TestFusedScatterArenaRecycles pins the fixed footprint of the fused
+// tag-scatter: on a recycled arena, a steady-state run up to the
+// partition stage reserves no new device memory after the first run.
+func TestFusedScatterArenaRecycles(t *testing.T) {
+	input := fusedInput(rand.New(rand.NewSource(31)), 40, 4, false, 0)
+	for _, mode := range []css.Mode{css.RecordTagged, css.InlineTerminated, css.VectorDelimited} {
+		arena := device.NewArena()
+		opts := Options{Device: device.New(device.Config{Workers: 2}), Mode: mode}
+		runToPartition(t, arena, input, opts)
+		reserved := arena.ReservedBytes()
+		for i := 0; i < 3; i++ {
+			runToPartition(t, arena, input, opts)
+		}
+		if got := arena.ReservedBytes(); got != reserved {
+			t.Fatalf("%v: steady-state tag-scatter grew the arena: %d -> %d", mode, reserved, got)
+		}
+	}
+}
+
+func firstDiff[T comparable](a, b []T) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestFusedScatterNoPerSymbolBuffers is the footprint regression test of
+// the fused tag-scatter: the tag stage's arena growth on a 1 MiB
+// RecordTagged parse stays below a quarter of the input, so no O(n)
+// per-symbol tag buffer is left, and the whole parse's device peak per
+// input byte stays under a bound taken from the fused pipeline.
+func TestFusedScatterNoPerSymbolBuffers(t *testing.T) {
+	for _, spec := range []workload.Spec{workload.Yelp(), workload.Taxi()} {
+		input := spec.Generate(1<<20, 7)
+		arena := device.NewArena()
+		res, err := Parse(input, Options{Schema: spec.Schema, Arena: arena})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(len(input))
+		if grow := arena.PhasePeak("tagSymbols") - arena.PhasePeak("offsetScans"); grow >= n/4 {
+			t.Errorf("%s: tag stage grew the arena by %d bytes on a %d-byte input; per-symbol tag buffer?", spec.Name, grow, n)
+		}
+		// Measured: yelp ~18×, taxi ~22× the input (size-class rounding
+		// included); the per-symbol tag buffers alone took 8 bytes per
+		// input byte, rounded up to a power of two.
+		if per := float64(res.Stats.DeviceBytes) / float64(n); per > 28 {
+			t.Errorf("%s: device peak %.1f× input, want ≤ 28×", spec.Name, per)
+		}
+	}
+}

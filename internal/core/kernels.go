@@ -22,7 +22,6 @@ import (
 	"repro/internal/dfa"
 	"repro/internal/faultinject"
 	"repro/internal/offsets"
-	"repro/internal/radix"
 	"repro/internal/scan"
 	"repro/internal/statevec"
 	"repro/parparawerr"
@@ -37,15 +36,16 @@ type kernelStage struct {
 }
 
 // kernelPipeline is the stage sequence of §3: the two parse kernels with
-// their scans interleaved, then tagging, partitioning and conversion. A
-// stage may finish the run early by setting p.table (empty outputs).
+// their scans interleaved, then tagging, partitioning and conversion
+// (tagging and partitioning as the fused tag-scatter of tag.go). A stage
+// may finish the run early by setting p.table (empty outputs).
 var kernelPipeline = []kernelStage{
 	{"parseVectors", (*pipeline).parseVectors},
 	{"scanStates", (*pipeline).scanStates},
 	{"emitBitmaps", (*pipeline).emitBitmapsStage},
 	{"offsetScans", (*pipeline).offsetScans},
 	{"filterRows", (*pipeline).filterRows},
-	{"tagSymbols", (*pipeline).tagSymbolsStage},
+	{"tagSymbols", (*pipeline).tagSymbols},
 	{"partitionScatter", (*pipeline).partitionScatter},
 	{"convertColumns", (*pipeline).convertColumns},
 }
@@ -195,54 +195,6 @@ func (p *pipeline) offsetScans() error {
 	if p.numOutRecords > int64(^uint32(0)) {
 		return fmt.Errorf("core: %d records exceed the 32-bit record-tag space", p.numOutRecords)
 	}
-	return nil
-}
-
-// tagSymbolsStage is the tag phase (§3.2 bottom, §4.1): every symbol is
-// tagged with its output column, plus the mode-specific record
-// association.
-func (p *pipeline) tagSymbolsStage() error {
-	p.rejected = p.tagSymbols()
-	return nil
-}
-
-// partitionScatter is the partition phase (§3.3): a stable scatter of
-// the symbols (and their per-mode payloads) into per-column concatenated
-// symbol strings, with the key histogram yielding the CSS boundaries.
-// Column-tag keys span only sentinel+1 values, so instead of the
-// paper's general LSD radix sort (permutation passes + payload gathers)
-// a single-pass counting scatter moves every payload straight to its
-// final position — no permutation buffer, one data-movement pass.
-func (p *pipeline) partitionScatter() error {
-	d, n := p.Device, len(p.input)
-	numKeys := int(p.sentinel) + 1
-	kept := p.keptSyms
-	// Sentinel symbols — structural bytes, unselected columns, rows
-	// pruned by SkipRecords or a pushed-down Where — are histogrammed
-	// (the CSS boundaries need every key's count) but never moved: the
-	// sorted buffers hold only the kept symbols, and the skipped device
-	// traffic is the projection/predicate pushdown's saving.
-	p.stats.BytesSkipped = int64(n - kept)
-	pay := radix.ScatterPayloads{SymsSrc: p.input}
-	if p.Mode == css.InlineTerminated {
-		pay.SymsSrc = p.tags.rewrite
-	}
-	// The scatter is a permutation of the kept symbols: every output
-	// position of every payload stream is written exactly once, so the
-	// sorted buffers skip the recycled-memory zeroing (the memclr was
-	// ~7% of a steady-state taxi parse).
-	p.sortedSyms = device.AllocDirty[byte](p.Arena, kept)
-	pay.SymsDst = p.sortedSyms
-	if p.Mode == css.RecordTagged {
-		p.sortedRecs = device.AllocDirty[uint32](p.Arena, kept)
-		pay.RecsDst, pay.RecsSrc = p.sortedRecs, p.tags.recTags
-	}
-	if p.Mode == css.VectorDelimited {
-		p.sortedAux = device.AllocDirty[bool](p.Arena, kept)
-		pay.AuxDst, pay.AuxSrc = p.sortedAux, p.tags.aux
-	}
-	p.hist, p.colStart = radix.CountingScatterArena(d, p.Arena, "partition", p.tags.colTags, numKeys, int(p.sentinel), pay)
-	p.tags = nil // tag buffers are dead after the scatter
 	return nil
 }
 

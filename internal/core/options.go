@@ -4,11 +4,11 @@
 //	          DFA pass emitting the record/field/control bitmap indexes
 //	scan      composite exclusive scan over the vectors (start states) and
 //	          the record/column offset scans
-//	tag       writing per-symbol column tags plus, depending on the
-//	          tagging mode, record tags, inline terminators, or the
-//	          delimiter vector
-//	partition stable radix scatter of the symbols into per-column
-//	          concatenated symbol strings
+//	tag       counting, per tile of the input, the symbols each output
+//	          column receives (the count pass of the fused tag-scatter)
+//	partition moving every kept data run straight into its column's
+//	          concatenated symbol string, with the tagging mode's record
+//	          tags, inline terminators, or delimiter vector
 //	convert   CSS index construction and typed columnar materialisation
 //
 // These five phase names match the series of Figure 9 and Figure 11.

@@ -87,9 +87,13 @@ type pipeline struct {
 	dropped    []bool  // per input record: failed the Where conjunction
 	dropRank   []int64 // exclusive prefix count of dropped records (pushdown only)
 
-	tags     *tagBuffers
-	rejected []bool
-	keptSyms int // symbols with a non-sentinel column tag (set by tagSymbols)
+	// tagSymbols → partitionScatter (the fused tag-scatter of tag.go).
+	tileChunks int     // chunks per tile
+	tiles      int     // tiles covering the input
+	counts     []int64 // per-(column, tile) kept symbols, column-major
+	tileRows   []int64 // per-tile counters, then move cursors, tile-major
+	rowStride  int     // tileRows elements per tile
+	rejected   []bool
 
 	// partitionScatter → convertColumns.
 	hist       []int64

@@ -33,7 +33,8 @@ type BadRecord struct {
 // record bitmap is still alive (before the arena resets for the next
 // partition).
 //
-// The record walk mirrors tagSymbols' output-record numbering exactly:
+// The record walk mirrors the output-record numbering of the fused
+// tag-scatter's count pass (tagSymbols, walkTile in tag.go) exactly:
 // input record rec maps to output row rec - |skips below rec| - |Where
 // pushdown drops below rec|, with records beyond numRecords (the
 // carry-over remainder) out of scope because the loop is bounded by

@@ -8,6 +8,7 @@ import (
 	"repro/internal/css"
 	"repro/internal/device"
 	"repro/internal/offsets"
+	"repro/internal/scan"
 )
 
 // bitmaps are the three bit-per-symbol indexes of §3.1.
@@ -26,220 +27,302 @@ type chunkMeta struct {
 	mm       offsets.MinMax       // column counts of records fully inside the chunk
 }
 
-// tagBuffers hold the per-symbol tag outputs.
-type tagBuffers struct {
-	colTags []uint32 // sort keys; sentinel marks irrelevant symbols
-	recTags []uint32 // RecordTagged only
-	rewrite []byte   // InlineTerminated only: input with delimiters replaced
-	aux     []bool   // VectorDelimited only: delimiter marks
-}
+// tileBytes is the fused tag-scatter's target tile size. A tile is the
+// run of whole chunks covering about this many bytes: it must start on a
+// chunk boundary, because recBase and colBase give the record and column
+// context only at chunk starts.
+const tileBytes = 4096
 
-// tagSymbols is the tag phase (§3.2 bottom of Figure 4, §4.1): every
-// symbol is tagged with the output column it belongs to; data symbols of
-// kept columns carry their record tag (or the mode-specific delimiter
-// encoding); everything else gets the sentinel key and is dropped after
-// partitioning. The returned reject vector flags records whose column
-// count deviates from the expected count (when RejectInconsistent).
-func (p *pipeline) tagSymbols() []bool {
-	n := len(p.input)
-	// colTags is fully written below — every data run is bulk-filled and
-	// every structural byte hits a switch branch — so it skips the
-	// recycled-memory zeroing. recTags (written on data runs only) and
-	// rewrite (written on data runs and record/field delimiters, but NOT
-	// on plain control bytes like quotes) may keep stale bytes at their
-	// unwritten positions: those positions always carry the sentinel
-	// column tag, so the scatter moves them into the never-read sentinel
-	// bucket. aux must stay zeroed: data positions rely on the implicit
-	// false (only delimiters are marked).
-	t := &tagBuffers{colTags: device.AllocDirty[uint32](p.Arena, n)}
-	switch p.Mode {
-	case css.RecordTagged:
-		t.recTags = device.AllocDirty[uint32](p.Arena, n)
-	case css.InlineTerminated:
-		t.rewrite = device.AllocDirty[byte](p.Arena, n)
-	case css.VectorDelimited:
-		t.aux = device.Alloc[bool](p.Arena, n)
-	}
-	p.tags = t
+// The paper's tag phase (§3.2 bottom of Figure 4, §4.1) writes a column
+// tag and a record tag for every input symbol, and its partition phase
+// (§3.3) reads them back to move each symbol into its column's
+// concatenated symbol string (CSS). Within one data run — a clear run of
+// the control bitmap — the record, column, skip and drop context cannot
+// change, so the host pipeline fuses the two phases into a two-pass
+// tag-scatter over tiles instead:
+//
+//	count  (tagSymbols, timed "tag")  every tile walks structural byte to
+//	       structural byte and adds each kept data run's length to a
+//	       per-(tile, column) count; RejectInconsistent bits are set here
+//	scan   (partitionScatter, timed "partition")  one exclusive scan over
+//	       the counts in column-major order gives every tile its cursor
+//	       into every column's CSS, plus hist, colStart and the kept-symbol
+//	       count
+//	move   (partitionScatter, timed "partition")  every tile walks its
+//	       bytes again and copies each kept data run straight to its
+//	       column cursor, with the mode's payload (record tags, inline
+//	       terminators, or the delimiter vector) written alongside
+//
+// No per-symbol buffer exists between the passes. Within a column the
+// tiles' cursors are ordered by tile and each tile writes in input
+// order, so the result equals the paper's stable partition of the
+// per-symbol tags (fused_test.go holds that reference as the oracle).
+
+// tagSymbols is the count pass of the fused tag-scatter. It sizes the
+// tiles, fills p.counts in column-major layout counts[key*tiles+tile],
+// and allocates the reject vector, flagging records whose column count
+// deviates from the expected count (when RejectInconsistent).
+func (p *pipeline) tagSymbols() error {
+	keys := int(p.sentinel)
+	p.tileChunks = max(1, tileBytes/p.ChunkSize)
+	p.tiles = (p.chunks + p.tileChunks - 1) / p.tileChunks
+	p.counts = device.Alloc[int64](p.Arena, keys*p.tiles)
+	// A tile counts into (and later moves from) its own row of tileRows:
+	// walking the column-major counts directly would stride by the tile
+	// count — a power of two for power-of-two inputs, so every column's
+	// counter falls into one cache set — and would share cache lines
+	// with the neighbouring tiles another worker is walking. Rows are
+	// padded to whole 64-byte lines.
+	p.rowStride = (keys + 7) &^ 7
+	p.tileRows = device.Alloc[int64](p.Arena, p.rowStride*p.tiles)
 
 	// The reject vector escapes into the output table, so it must come
 	// from the Go heap, not the recycled device arena.
-	var rejected []bool
 	if p.RejectInconsistent || p.RejectMalformed {
-		rejected = make([]bool, p.numOutRecords)
+		p.rejected = make([]bool, p.numOutRecords)
 	}
-	inconsistent := p.RejectInconsistent
-	skip := p.SkipRecords
-	// Under predicate pushdown, records dropped by Where tag exactly like
-	// skipped records (all their symbols get the sentinel key) and the
-	// kept records renumber densely via the drop-rank prefix. On the
-	// post-hoc path dropped stays nil: rows prune from the table instead.
-	dropped := p.dropped
-	if !p.pushdown {
-		dropped = nil
-	}
-	// Per-chunk sentinel-symbol counts: summed below into keptSyms, the
-	// partition stage's output size (sentinel symbols are histogrammed but
-	// never moved).
-	sentCounts := device.Alloc[int64](p.Arena, p.chunks)
-	bm := p.bitmaps
-
-	p.Device.Launch("tag", p.chunks, func(c int) {
-		lo, hi := p.chunkBounds(c)
-		rec := p.recBase[c]
-		col := p.colBase[c].Value
-		// skipPtr is the lower bound of rec in the skip list; rec - skipPtr
-		// - dropBefore is the output record index.
-		skipPtr := sort.Search(len(skip), func(i int) bool { return skip[i] >= rec })
-		var dropBefore int64
-		if dropped != nil {
-			dropBefore = p.dropRank[rec]
-		}
-		var sent int64
-		// Every non-data symbol (record delimiter, field delimiter,
-		// control) carries the control bit, so the clear runs of the
-		// control bitmap are exactly the data runs — and within one data
-		// run the record, column, and skip context cannot change. Tagging
-		// therefore walks structural byte to structural byte — consuming
-		// the control bitmap's set bits word at a time — and fills each
-		// data run in bulk instead of re-deriving the context per byte.
-		cw := lo >> 6
-		var pend uint64
-		if lo < hi {
-			pend = bm.control.Word(cw) &^ (1<<uint(lo&63) - 1)
-		}
-		// nextStructural returns the next unconsumed set bit of the
-		// control bitmap in [lo, hi), or hi.
-		nextStructural := func() int {
-			for {
-				if pend != 0 {
-					s := cw<<6 + bits.TrailingZeros64(pend)
-					pend &= pend - 1
-					if s >= hi {
-						return hi
-					}
-					return s
-				}
-				cw++
-				if cw<<6 >= hi {
-					return hi
-				}
-				pend = bm.control.Word(cw)
-			}
-		}
-		for i := lo; i < hi; {
-			// Symbols beyond the last counted record (the remainder in
-			// TrailingRemainder mode) are irrelevant, like skipped records.
-			inSkipList := skipPtr < len(skip) && skip[skipPtr] == rec
-			recSkipped := inSkipList || rec >= p.numRecords
-			recDropped := dropped != nil && rec < p.numRecords && dropped[rec]
-			irrelevant := recSkipped || recDropped
-			outRec := rec - int64(skipPtr) - dropBefore
-
-			next := nextStructural()
-			if next > i {
-				// Data run [i, next): one key, one record tag. Sentinel
-				// runs (unselected columns, skipped/dropped records) skip
-				// the payload fills: their stale payload bytes are never
-				// moved by the partition stage, let alone read.
-				key := p.mapColumn(col, irrelevant)
-				fill32(t.colTags[i:next], key)
-				if key == p.sentinel {
-					sent += int64(next - i)
-				} else {
-					switch p.Mode {
-					case css.RecordTagged:
-						fill32(t.recTags[i:next], uint32(outRec))
-					case css.InlineTerminated:
-						copy(t.rewrite[i:next], p.input[i:next])
-					}
-				}
-				i = next
-				if i >= hi {
-					break
-				}
-			}
-
-			// Structural byte i.
-			switch {
-			case bm.record.Get(i):
-				sent += p.tagDelimiter(t, i, col, outRec, irrelevant)
-				if inconsistent && !irrelevant && col+1 != p.numColumns {
-					rejected[outRec] = true
-				}
-				rec++
-				col = 0
-				if inSkipList {
-					skipPtr++
-				}
-				if recDropped {
-					dropBefore++
-				}
-			case bm.field.Get(i):
-				sent += p.tagDelimiter(t, i, col, outRec, irrelevant)
-				col++
-			default: // control symbol that delimits nothing
-				t.colTags[i] = p.sentinel
-				sent++
-			}
-			i++
-		}
-		sentCounts[c] = sent
+	bs := p.Device.Config().BlockSize
+	p.Device.LaunchBlocks("tag", p.tiles*bs, func(t, _, _ int) {
+		p.walkTile(t, false)
 	})
-
-	var sentTotal int64
-	for _, s := range sentCounts {
-		sentTotal += s
-	}
-	p.keptSyms = n - int(sentTotal)
 
 	// The trailing record has no closing delimiter, so its column count
 	// is checked against the final column-offset state here. A skipped or
 	// pushdown-dropped trailing record is absent from the output and
 	// checks nothing.
-	if inconsistent && p.trailing {
-		lastOut := p.numOutRecords - 1
+	if p.RejectInconsistent && p.trailing {
+		skip := p.SkipRecords
 		lastSkipped := len(skip) > 0 && skip[len(skip)-1] == p.numRecords-1
-		lastDropped := dropped != nil && dropped[p.numRecords-1]
+		lastDropped := p.pushdown && p.dropped[p.numRecords-1]
 		if !lastSkipped && !lastDropped && p.colTotal.Value+1 != p.numColumns {
-			rejected[lastOut] = true
+			p.rejected[p.numOutRecords-1] = true
 		}
 	}
-	return rejected
+	return nil
 }
 
-// tagDelimiter assigns a field/record delimiter to the column of the
-// field it terminates and reports whether the symbol got the sentinel
-// key (1) or a kept key (0), for the kept-symbol count. In RecordTagged
-// mode delimiters are irrelevant (record association comes from the
-// tags); in the inline mode the delimiter byte is rewritten to the
-// terminator; in the vector mode it stays in the CSS and is marked in
-// the aux vector (§4.1, Figure 6).
-func (p *pipeline) tagDelimiter(t *tagBuffers, i int, col int, outRec int64, irrelevant bool) int64 {
+// partitionScatter is the scan and move passes of the fused tag-scatter
+// (§3.3): the scanned counts place every kept column's symbols
+// cohesively in sortedSyms, and the move pass fills it, together with
+// sortedRecs (RecordTagged) or sortedAux (VectorDelimited).
+func (p *pipeline) partitionScatter() error {
+	d, n := p.Device, len(p.input)
+	// The scan turns the counts into the move pass's cursors in place.
+	kept := int(scan.ExclusiveArena(d, p.Arena, "partition", scan.Sum[int64](), p.counts, p.counts))
+	// hist and colStart keep the sentinel key's entry (the symbols never
+	// moved) so the CSS boundaries read exactly like a stable partition
+	// of every symbol by column tag.
+	keys := int(p.sentinel)
+	p.hist = device.Alloc[int64](p.Arena, keys+1)
+	p.colStart = device.Alloc[int64](p.Arena, keys+1)
+	for k := 0; k < keys; k++ {
+		end := int64(kept)
+		if k+1 < keys {
+			end = p.counts[(k+1)*p.tiles]
+		}
+		p.colStart[k] = p.counts[k*p.tiles]
+		p.hist[k] = end - p.colStart[k]
+	}
+	p.colStart[keys] = int64(kept)
+	p.hist[keys] = int64(n - kept)
+	// Sentinel symbols — structural bytes, unselected columns, rows
+	// pruned by SkipRecords or a pushed-down Where — are never moved: the
+	// skipped device traffic is the projection/predicate pushdown's
+	// saving.
+	p.stats.BytesSkipped = int64(n - kept)
+
+	// The move pass writes every position of every sorted buffer exactly
+	// once, so they skip the recycled-memory zeroing (the memclr was ~7%
+	// of a steady-state taxi parse).
+	p.sortedSyms = device.AllocDirty[byte](p.Arena, kept)
 	switch p.Mode {
 	case css.RecordTagged:
-		t.colTags[i] = p.sentinel
-		return 1
-	case css.InlineTerminated:
-		key := p.mapColumn(col, irrelevant)
-		t.colTags[i] = key
-		if key == p.sentinel {
-			return 1
-		}
-		t.rewrite[i] = p.Terminator
+		p.sortedRecs = device.AllocDirty[uint32](p.Arena, kept)
 	case css.VectorDelimited:
-		key := p.mapColumn(col, irrelevant)
-		t.colTags[i] = key
-		t.aux[i] = key != p.sentinel
-		if key == p.sentinel {
-			return 1
-		}
+		p.sortedAux = device.AllocDirty[bool](p.Arena, kept)
 	}
-	return 0
+	bs := d.Config().BlockSize
+	d.LaunchBlocks("partition", p.tiles*bs, func(t, _, _ int) {
+		p.walkTile(t, true)
+	})
+	return nil
 }
 
-// fill32 writes v into every element of dst — the bulk tag assignment
-// for a data run.
+// walkTile is one tile of the count pass (move false) or the move pass
+// (move true). It walks the control bitmap from structural byte to
+// structural byte: every non-data symbol carries the control bit, so the
+// clear runs between set bits are exactly the data runs.
+func (p *pipeline) walkTile(t int, move bool) {
+	c := t * p.tileChunks
+	lo := c * p.ChunkSize
+	hi := min(lo+p.tileChunks*p.ChunkSize, len(p.input))
+	sentinel := p.sentinel
+	keys, tiles := int(sentinel), p.tiles
+	row := p.tileRows[t*p.rowStride : t*p.rowStride+keys]
+	if move {
+		for k := range row {
+			row[k] = p.counts[k*tiles+t]
+		}
+	}
+	syms, recs, aux := p.sortedSyms, p.sortedRecs, p.sortedAux
+	mode := p.Mode
+	// Delimiters stay in the inline (as the terminator) and vector (as
+	// themselves, marked in aux) CSSs; record tags make them redundant in
+	// RecordTagged mode (§4.1, Figure 6).
+	delimsKept := mode != css.RecordTagged
+	checkCols := !move && p.RejectInconsistent
+	skip := p.SkipRecords
+	// Under predicate pushdown, records dropped by Where are irrelevant
+	// like skipped records and the kept records renumber densely via the
+	// drop-rank prefix. On the post-hoc path dropped stays nil: rows prune
+	// from the table instead.
+	var dropped []bool
+	if p.pushdown {
+		dropped = p.dropped
+	}
+
+	rec := p.recBase[c]
+	col := p.colBase[c].Value
+	// skipPtr is the lower bound of rec in the skip list; rec - skipPtr
+	// - dropBefore is the output record index.
+	skipPtr := sort.Search(len(skip), func(i int) bool { return skip[i] >= rec })
+	var dropBefore int64
+	if dropped != nil {
+		dropBefore = p.dropRank[rec]
+	}
+	sc := newStructCursor(p.bitmaps, lo, hi)
+
+	for i := lo; i < hi; {
+		// One record (or the part of it inside this tile) per iteration.
+		// Symbols beyond the last counted record (the remainder in
+		// TrailingRemainder mode) are irrelevant, like skipped records.
+		inSkipList := skipPtr < len(skip) && skip[skipPtr] == rec
+		recDropped := dropped != nil && rec < p.numRecords && dropped[rec]
+		irrelevant := inSkipList || recDropped || rec >= p.numRecords
+		outRec := rec - int64(skipPtr) - dropBefore
+		for i < hi {
+			key := p.mapColumn(col, irrelevant)
+			// next is the next structural byte, bit its mask in sc's
+			// current word.
+			next, bit := hi, uint64(0)
+			if sc.pend != 0 || sc.advance() {
+				bit = sc.pend & -sc.pend
+				sc.pend ^= bit
+				next = sc.cw<<6 + bits.TrailingZeros64(bit)
+			}
+			if next > i && key != sentinel {
+				// Data run [i, next) of a kept column.
+				if !move {
+					row[key] += int64(next - i)
+				} else {
+					pos := row[key]
+					end := pos + int64(next-i)
+					row[key] = end
+					copy(syms[pos:end], p.input[i:next])
+					switch mode {
+					case css.RecordTagged:
+						fill32(recs[pos:end], uint32(outRec))
+					case css.VectorDelimited:
+						clear(aux[pos:end])
+					}
+				}
+			}
+			i = next
+			if i >= hi {
+				break
+			}
+
+			// Structural byte i.
+			isRec := sc.rec&bit != 0
+			if !isRec && sc.fld&bit == 0 {
+				i++ // control symbol that delimits nothing
+				continue
+			}
+			if delimsKept && key != sentinel {
+				if !move {
+					row[key]++
+				} else {
+					pos := row[key]
+					row[key] = pos + 1
+					if mode == css.InlineTerminated {
+						syms[pos] = p.Terminator
+					} else {
+						syms[pos] = p.input[i]
+						aux[pos] = true
+					}
+				}
+			}
+			i++
+			if !isRec {
+				col++
+				continue
+			}
+			if checkCols && !irrelevant && col+1 != p.numColumns {
+				p.rejected[outRec] = true
+			}
+			rec++
+			col = 0
+			if inSkipList {
+				skipPtr++
+			}
+			if recDropped {
+				dropBefore++
+			}
+			break
+		}
+	}
+	if !move {
+		for k, v := range row {
+			p.counts[k*tiles+t] = v
+		}
+	}
+}
+
+// structCursor holds the structural-byte walk's position: the control
+// bitmap is consumed a word at a time, with the record and field words
+// of the current word at hand to classify each set bit. The walk pops
+// bits off pend inline and calls advance only when a word runs dry.
+type structCursor struct {
+	bm       *bitmaps
+	hi       int
+	cw       int    // current word index
+	pend     uint64 // unconsumed control bits of word cw below hi
+	rec, fld uint64 // record and field bits of word cw
+}
+
+func newStructCursor(bm *bitmaps, lo, hi int) structCursor {
+	s := structCursor{bm: bm, hi: hi, cw: lo >> 6}
+	if lo < hi {
+		s.load()
+		s.pend &^= 1<<uint(lo&63) - 1
+	}
+	return s
+}
+
+func (s *structCursor) load() {
+	s.pend = s.bm.control.Word(s.cw)
+	if rem := s.hi - s.cw<<6; rem < 64 {
+		s.pend &= 1<<uint(rem) - 1
+	}
+	s.rec = s.bm.record.Word(s.cw)
+	s.fld = s.bm.field.Word(s.cw)
+}
+
+// advance loads the next word holding a control bit below hi, reporting
+// false when there is none.
+func (s *structCursor) advance() bool {
+	for s.pend == 0 {
+		s.cw++
+		if s.cw<<6 >= s.hi {
+			return false
+		}
+		s.load()
+	}
+	return true
+}
+
+// fill32 writes v into every element of dst — the record tags of one
+// data run in the move pass.
 func fill32(dst []uint32, v uint32) {
 	for i := range dst {
 		dst[i] = v

@@ -8,6 +8,12 @@
 // Each pass performs the paper's three sub-steps: (1) per-tile histogram
 // over the digit, (2) exclusive prefix sum over the histogram counts in
 // bucket-major order (making the pass stable across tiles), (3) scatter.
+//
+// The pipeline itself no longer sorts: internal/core fuses tagging and
+// partitioning into a tag-scatter that never materialises per-symbol
+// tags. This package is the paper's partition as written, and the core
+// tests use it as the stable-partition oracle the fused scatter must
+// equal.
 package radix
 
 import (
@@ -115,147 +121,6 @@ func pass(d *device.Device, a *device.Arena, phase string, keys []uint32, src, d
 			off[b]++
 		}
 	})
-}
-
-// ScatterPayloads names the value streams a counting scatter moves along
-// with the sort key: the symbols themselves plus the tagging mode's
-// optional per-symbol payload (record tags or the delimiter vector).
-// A nil Dst/Src pair is simply not moved.
-type ScatterPayloads struct {
-	SymsDst, SymsSrc []byte
-	RecsDst, RecsSrc []uint32
-	AuxDst, AuxSrc   []bool
-}
-
-// CountingScatterArena partitions the payloads by their keys in a single
-// stable pass: per-tile key histogram, one exclusive prefix sum in
-// bucket-major order, then a fused gather-scatter that moves every
-// payload stream directly to its final position. It replaces the LSD
-// radix sort + permutation-gather sequence for the small key domains of
-// the partition phase (output column tags span sentinel+1 ≤ ~dozens of
-// values): same stable result, one data-movement pass instead of
-// two-plus, and no O(n) permutation buffer — the dominant device-memory
-// consumer of the partition phase.
-//
-// Returned hist[k] is the number of elements with key k and starts[k]
-// the first output index of key k (both arena-owned). Keys must lie in
-// [0, numKeys).
-//
-// Keys in [moveKeys, numKeys) are histogrammed but not moved: their
-// counts and starts come out like everyone else's, but the scatter pass
-// never touches their payloads and the Dst buffers need only cover the
-// moved keys' output positions. The partition stage passes its sentinel
-// key (always the largest, so the moved keys pack into a dense prefix)
-// here, which is how symbols of unselected columns and pruned rows cost
-// a histogram increment instead of a payload move. moveKeys >= numKeys
-// moves everything.
-func CountingScatterArena(d *device.Device, a *device.Arena, phase string, keys []uint32, numKeys, moveKeys int, pay ScatterPayloads) (hist, starts []int64) {
-	n := len(keys)
-	hist = device.Alloc[int64](a, numKeys)
-	starts = device.Alloc[int64](a, numKeys)
-	if n == 0 {
-		return hist, starts
-	}
-	tiles := (n + tileSize - 1) / tileSize
-	bs := d.Config().BlockSize
-
-	// (1) Per-tile histogram in bucket-major layout, exactly like one
-	// radix pass but over the full (small) key domain. Each tile counts
-	// into its own pre-carved scratch row (numKeys is dynamic, so the
-	// counters cannot live on the goroutine stack) and transposes into
-	// the bucket-major buffer the scan consumes.
-	partial := device.Alloc[int64](a, tiles*numKeys)
-	scratch := device.Alloc[int64](a, tiles*numKeys)
-	d.LaunchBlocks(phase, tiles*bs, func(t, _, _ int) {
-		lo, hi := tileBounds(t, n)
-		h := scratch[t*numKeys : (t+1)*numKeys]
-		for i := lo; i < hi; i++ {
-			h[keys[i]]++
-		}
-		for k := 0; k < numKeys; k++ {
-			partial[k*tiles+t] = h[k]
-		}
-	})
-
-	// (2) One exclusive prefix sum yields, for bucket k and tile t, the
-	// tile's first output offset — and, read at t=0, the bucket starts.
-	offs := device.Alloc[int64](a, tiles*numKeys)
-	total := scan.ExclusiveArena(d, a, phase, scan.Sum[int64](), partial, offs)
-	if total != int64(n) {
-		panic(fmt.Sprintf("radix: counting-scatter histogram mismatch: %d of %d", total, n))
-	}
-	for k := 0; k < numKeys; k++ {
-		starts[k] = offs[k*tiles]
-		end := int64(n)
-		if k+1 < numKeys {
-			end = offs[(k+1)*tiles]
-		}
-		hist[k] = end - starts[k]
-	}
-
-	// (3) Fused gather-scatter, stable within each tile. The per-tile
-	// cursors come from the arena, not the goroutine stack: numKeys is
-	// dynamic. Unmoved keys (>= moveKeys) skip the loop body entirely —
-	// their cursors are initialised but never advanced.
-	mk := uint32(moveKeys)
-	if moveKeys > numKeys {
-		mk = uint32(numKeys)
-	}
-	cursors := device.Alloc[int64](a, tiles*numKeys)
-	d.LaunchBlocks(phase, tiles*bs, func(t, _, _ int) {
-		lo, hi := tileBounds(t, n)
-		cur := cursors[t*numKeys : (t+1)*numKeys]
-		for k := 0; k < numKeys; k++ {
-			cur[k] = offs[k*tiles+t]
-		}
-		switch {
-		case pay.RecsDst != nil && pay.AuxDst != nil:
-			for i := lo; i < hi; i++ {
-				k := keys[i]
-				if k >= mk {
-					continue
-				}
-				pos := cur[k]
-				cur[k] = pos + 1
-				pay.SymsDst[pos] = pay.SymsSrc[i]
-				pay.RecsDst[pos] = pay.RecsSrc[i]
-				pay.AuxDst[pos] = pay.AuxSrc[i]
-			}
-		case pay.RecsDst != nil:
-			for i := lo; i < hi; i++ {
-				k := keys[i]
-				if k >= mk {
-					continue
-				}
-				pos := cur[k]
-				cur[k] = pos + 1
-				pay.SymsDst[pos] = pay.SymsSrc[i]
-				pay.RecsDst[pos] = pay.RecsSrc[i]
-			}
-		case pay.AuxDst != nil:
-			for i := lo; i < hi; i++ {
-				k := keys[i]
-				if k >= mk {
-					continue
-				}
-				pos := cur[k]
-				cur[k] = pos + 1
-				pay.SymsDst[pos] = pay.SymsSrc[i]
-				pay.AuxDst[pos] = pay.AuxSrc[i]
-			}
-		default:
-			for i := lo; i < hi; i++ {
-				k := keys[i]
-				if k >= mk {
-					continue
-				}
-				pos := cur[k]
-				cur[k] = pos + 1
-				pay.SymsDst[pos] = pay.SymsSrc[i]
-			}
-		}
-	})
-	return hist, starts
 }
 
 // Gather permutes src into dst by perm: dst[i] = src[perm[i]]. It is the

@@ -174,152 +174,3 @@ func BenchmarkSortPermutation(b *testing.B) {
 		SortPermutation(d, "bench", keys, 5)
 	}
 }
-
-// TestCountingScatterMatchesSortGather checks the single-pass counting
-// scatter against the reference it replaced: stable sort permutation +
-// per-payload gather, plus the key histogram and bucket starts.
-func TestCountingScatterMatchesSortGather(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	d := device.New(device.Config{Workers: 4})
-	sizes := []int{0, 1, 2, 100, tileSize, tileSize + 1, 3*tileSize + 777}
-	for _, n := range sizes {
-		for _, numKeys := range []int{1, 2, 18, 64} {
-			keys := make([]uint32, n)
-			syms := make([]byte, n)
-			recs := make([]uint32, n)
-			aux := make([]bool, n)
-			for i := range keys {
-				keys[i] = uint32(rng.Intn(numKeys))
-				syms[i] = byte(rng.Intn(256))
-				recs[i] = uint32(i) // position payload: proves stability
-				aux[i] = rng.Intn(2) == 0
-			}
-			perm := refStablePermutation(keys)
-			wantSyms := make([]byte, n)
-			wantRecs := make([]uint32, n)
-			wantAux := make([]bool, n)
-			for i, p := range perm {
-				wantSyms[i] = syms[p]
-				wantRecs[i] = recs[p]
-				wantAux[i] = aux[p]
-			}
-
-			gotSyms := make([]byte, n)
-			gotRecs := make([]uint32, n)
-			gotAux := make([]bool, n)
-			hist, starts := CountingScatterArena(d, nil, "t", keys, numKeys, numKeys, ScatterPayloads{
-				SymsDst: gotSyms, SymsSrc: syms,
-				RecsDst: gotRecs, RecsSrc: recs,
-				AuxDst: gotAux, AuxSrc: aux,
-			})
-			for i := 0; i < n; i++ {
-				if gotSyms[i] != wantSyms[i] || gotRecs[i] != wantRecs[i] || gotAux[i] != wantAux[i] {
-					t.Fatalf("n=%d numKeys=%d: element %d = (%d,%d,%v), want (%d,%d,%v)",
-						n, numKeys, i, gotSyms[i], gotRecs[i], gotAux[i], wantSyms[i], wantRecs[i], wantAux[i])
-				}
-			}
-			var total int64
-			for k := 0; k < numKeys; k++ {
-				count := int64(0)
-				for _, key := range keys {
-					if key == uint32(k) {
-						count++
-					}
-				}
-				if hist[k] != count {
-					t.Fatalf("n=%d numKeys=%d: hist[%d] = %d, want %d", n, numKeys, k, hist[k], count)
-				}
-				if starts[k] != total {
-					t.Fatalf("n=%d numKeys=%d: starts[%d] = %d, want %d", n, numKeys, k, starts[k], total)
-				}
-				total += count
-			}
-		}
-	}
-}
-
-// TestCountingScatterSymsOnly covers the payload combinations the
-// tagging modes actually use (symbols alone, symbols+aux).
-func TestCountingScatterSymsOnly(t *testing.T) {
-	d := device.New(device.Config{Workers: 2})
-	keys := []uint32{2, 0, 1, 0, 2, 1, 0}
-	syms := []byte("abcdefg")
-	dst := make([]byte, len(syms))
-	hist, starts := CountingScatterArena(d, nil, "t", keys, 3, 3, ScatterPayloads{SymsDst: dst, SymsSrc: syms})
-	if string(dst) != "bdgcfae" {
-		t.Fatalf("scattered %q", dst)
-	}
-	if hist[0] != 3 || hist[1] != 2 || hist[2] != 2 {
-		t.Fatalf("hist %v", hist)
-	}
-	if starts[0] != 0 || starts[1] != 3 || starts[2] != 5 {
-		t.Fatalf("starts %v", starts)
-	}
-}
-
-// TestCountingScatterMoveKeys pins the partial-move contract the
-// partition stage relies on for pushdown: keys >= moveKeys are counted
-// in hist/starts but their payloads never move, and the moved keys pack
-// into a dense prefix of exactly starts[moveKeys] output positions.
-func TestCountingScatterMoveKeys(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	d := device.New(device.Config{Workers: 4})
-	for _, n := range []int{1, 7, 100, tileSize + 5} {
-		const numKeys, moveKeys = 5, 3
-		keys := make([]uint32, n)
-		syms := make([]byte, n)
-		recs := make([]uint32, n)
-		for i := range keys {
-			keys[i] = uint32(rng.Intn(numKeys))
-			syms[i] = byte(rng.Intn(256))
-			recs[i] = uint32(i)
-		}
-		full := make([]byte, n)
-		fullRecs := make([]uint32, n)
-		wantHist, wantStarts := CountingScatterArena(d, nil, "t", keys, numKeys, numKeys,
-			ScatterPayloads{SymsDst: full, SymsSrc: syms, RecsDst: fullRecs, RecsSrc: recs})
-
-		movedLen := int(wantStarts[moveKeys])
-		dst := make([]byte, movedLen)
-		dstRecs := make([]uint32, movedLen)
-		hist, starts := CountingScatterArena(d, nil, "t", keys, numKeys, moveKeys,
-			ScatterPayloads{SymsDst: dst, SymsSrc: syms, RecsDst: dstRecs, RecsSrc: recs})
-		for k := 0; k < numKeys; k++ {
-			if hist[k] != wantHist[k] || starts[k] != wantStarts[k] {
-				t.Fatalf("n=%d: key %d hist/starts (%d,%d), want (%d,%d)", n, k, hist[k], starts[k], wantHist[k], wantStarts[k])
-			}
-		}
-		for i := 0; i < movedLen; i++ {
-			if dst[i] != full[i] || dstRecs[i] != fullRecs[i] {
-				t.Fatalf("n=%d: moved element %d = (%d,%d), want (%d,%d)", n, i, dst[i], dstRecs[i], full[i], fullRecs[i])
-			}
-		}
-	}
-}
-
-// TestCountingScatterArenaRecycles pins the no-permutation-buffer
-// property: with an arena, a steady-state scatter reserves no new
-// device memory after the first run.
-func TestCountingScatterArenaRecycles(t *testing.T) {
-	d := device.New(device.Config{Workers: 2})
-	a := device.NewArena()
-	rng := rand.New(rand.NewSource(31))
-	n := 2*tileSize + 123
-	keys := make([]uint32, n)
-	syms := make([]byte, n)
-	for i := range keys {
-		keys[i] = uint32(rng.Intn(9))
-		syms[i] = byte(i)
-	}
-	dst := make([]byte, n)
-	CountingScatterArena(d, a, "t", keys, 9, 9, ScatterPayloads{SymsDst: dst, SymsSrc: syms})
-	a.Reset()
-	reserved := a.ReservedBytes()
-	for i := 0; i < 3; i++ {
-		CountingScatterArena(d, a, "t", keys, 9, 9, ScatterPayloads{SymsDst: dst, SymsSrc: syms})
-		a.Reset()
-	}
-	if a.ReservedBytes() != reserved {
-		t.Fatalf("steady-state scatter grew the arena: %d -> %d", reserved, a.ReservedBytes())
-	}
-}

@@ -188,9 +188,15 @@ func TestStreamingScheduleOverlap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short mode")
 	}
-	// Real (unscaled) bus: 15ms per partition per direction.
-	bus := pcie.New(pcie.Config{BandwidthHtoD: 1e9, BandwidthDtoH: 1e9, Latency: -1, TimeScale: 1})
-	const partSize = 15_000_000 // 15ms at 1 GB/s
+	// Real (unscaled) bus: 15ms per partition per direction. The bus is
+	// slow and the partitions small because the serial baseline below
+	// only sleeps, while Run also copies every partition (source fill,
+	// carry-over assembly): at 15 MB partitions those copies took tens
+	// of milliseconds on a 2-core host busy with other test packages,
+	// enough to erase the overlap margin. At 1.5 MB they stay well under
+	// a millisecond, so both runs time the same modelled schedule.
+	bus := pcie.New(pcie.Config{BandwidthHtoD: 1e8, BandwidthDtoH: 1e8, Latency: -1, TimeScale: 1})
+	const partSize = 1_500_000 // 15ms at 100 MB/s
 	const partitions = 5
 	input := make([]byte, partitions*partSize)
 	for i := range input {

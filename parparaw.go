@@ -8,10 +8,11 @@
 // sequential pass over the input. Each chunk simulates one DFA instance
 // per possible starting state, producing a state-transition vector; an
 // exclusive prefix scan under vector composition then yields every
-// chunk's true starting state. Subsequent data-parallel passes tag
-// symbols with their record and column, partition them into per-column
-// concatenated symbol strings with a stable radix sort, and convert
-// field strings into typed, Arrow-style columnar output.
+// chunk's true starting state. Subsequent data-parallel passes work out
+// each symbol's record and column, partition the symbols into per-column
+// concatenated symbol strings (the paper's tag and stable radix
+// partition, fused here into a count pass and a move pass over tiles),
+// and convert field strings into typed, Arrow-style columnar output.
 //
 // The paper's substrate is a CUDA GPU; this implementation executes the
 // same kernels on a simulated massively parallel device scheduled across

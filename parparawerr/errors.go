@@ -23,6 +23,9 @@
 //	              pipeline invariant violation (boundary pre-scan /
 //	              parse disagreement); InternalError carries the
 //	              partition, the recovered value, and the stack.
+//	ErrConfig     the options were rejected before any input was read
+//	              (a negative or duplicate selected column, a predicate
+//	              outside the schema); ConfigError carries the reason.
 //
 // The package is deliberately tiny and dependency-free so that both the
 // public parparaw package and the internal pipeline layers can share one
@@ -42,6 +45,7 @@ var (
 	ErrBudget    = errors.New("parparaw: device budget exhausted")
 	ErrCanceled  = errors.New("parparaw: canceled")
 	ErrInternal  = errors.New("parparaw: internal failure")
+	ErrConfig    = errors.New("parparaw: invalid configuration")
 )
 
 // NoPartition marks errors raised outside any particular partition
@@ -155,6 +159,19 @@ func (e *InternalError) Error() string {
 }
 
 func (e *InternalError) Is(target error) bool { return target == ErrInternal }
+
+// ConfigError reports options that were rejected when an engine was
+// built, before any input was read. Its message is the reason itself.
+type ConfigError struct {
+	// Err is the validation failure.
+	Err error
+}
+
+func (e *ConfigError) Error() string { return e.Err.Error() }
+
+func (e *ConfigError) Unwrap() error { return e.Err }
+
+func (e *ConfigError) Is(target error) bool { return target == ErrConfig }
 
 // Canceled wraps a context error for the given partition.
 func Canceled(partition int, ctxErr error) *CanceledError {

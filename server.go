@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sort"
@@ -851,7 +852,8 @@ func splitRangeSpec(s string) (lo, hi string, ok bool) {
 
 // ParseSizeSpec parses a byte-size spec with optional B/KB/MB/GB
 // suffix ("32MB", "65536") — the grammar of the CLI's -partition-size
-// flag and the daemon's partition query parameter.
+// flag and the daemon's partition query parameter. Sizes that are not
+// positive or do not fit an int are rejected.
 func ParseSizeSpec(s string) (int, error) {
 	u := strings.ToUpper(strings.TrimSpace(s))
 	mult := 1
@@ -866,7 +868,9 @@ func ParseSizeSpec(s string) (int, error) {
 		u = strings.TrimSuffix(u, "B")
 	}
 	n, err := strconv.Atoi(strings.TrimSpace(u))
-	if err != nil || n <= 0 {
+	// n*mult must not wrap: a wrapped size would slip under the daemon's
+	// partition cap as a negative or zero partition.
+	if err != nil || n <= 0 || n > math.MaxInt/mult {
 		return 0, fmt.Errorf("parparaw: invalid size %q", s)
 	}
 	return n * mult, nil

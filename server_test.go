@@ -269,6 +269,10 @@ func TestServerBadRequests(t *testing.T) {
 		{"bad-schema", "/ingest?schema=nocolon"},
 		{"bad-schema-type", "/ingest?schema=a:varchar"},
 		{"bad-partition", "/ingest?partition=-3MB"},
+		// Sizes whose byte count overflows an int: they would otherwise
+		// wrap to a negative or zero partition under the cap.
+		{"partition-wraps-negative", "/ingest?partition=8589934592GB"},
+		{"partition-wraps-zero", "/ingest?partition=17179869184GB"},
 		{"bad-output", "/ingest?output=parquet"},
 	}
 	for _, tc := range cases {
@@ -572,6 +576,7 @@ func TestServerErrorsAreTyped(t *testing.T) {
 		{ErrBudget, http.StatusTooManyRequests, "budget"},
 		{ErrCanceled, StatusClientClosedRequest, "canceled"},
 		{ErrInternal, http.StatusInternalServerError, "internal"},
+		{ErrConfig, http.StatusBadRequest, "config"},
 		{errors.New("mystery"), http.StatusInternalServerError, "error"},
 		{fmt.Errorf("wrapped: %w", ErrBudget), http.StatusTooManyRequests, "budget"},
 	}
