@@ -168,37 +168,75 @@ func TestParseSteadyStateArenaFixed(t *testing.T) {
 	}
 }
 
+// steadyStateParser is a bare stream.Parser over one compiled plan: the
+// plan's own boundary pre-scan finalises every carry, so every
+// partition is dispatched to the ring's worker. reserved records the
+// arena's reserved bytes after each partition's parse.
+type steadyStateParser struct {
+	plan     *core.Plan
+	reserved []int64
+}
+
+func (p *steadyStateParser) Boundary(input []byte) (int, bool) {
+	return p.plan.ScanRemainder(input), true
+}
+
+func (p *steadyStateParser) ParseInFlight(arena *device.Arena, part stream.Partition) (stream.PartitionResult, error) {
+	exec := p.plan.BaseExec(arena)
+	exec.Trailing = core.TrailingRemainder
+	if part.Final {
+		exec.Trailing = core.TrailingRecord
+	}
+	res, err := p.plan.Execute(part.Input, exec)
+	if err != nil {
+		return stream.PartitionResult{}, err
+	}
+	p.reserved = append(p.reserved, arena.ReservedBytes())
+	return stream.PartitionResult{Table: res.Table, CompleteBytes: len(part.Input) - res.Remainder}, nil
+}
+
+// countingArenas is a stream.ArenaPool over fresh arenas that keeps
+// every arena it hands out.
+type countingArenas struct{ drawn []*device.Arena }
+
+func (p *countingArenas) Get() *device.Arena {
+	a := device.NewArena()
+	p.drawn = append(p.drawn, a)
+	return a
+}
+
+func (p *countingArenas) Put(*device.Arena) {}
+
 // TestStreamSteadyStateNoLargeAllocs drives the real streaming pipeline
-// (internal/stream.Run with a shared arena, exactly as the public
-// Stream does) over many partitions and checks that no partition after
-// the first acquires a large (>= 1 MiB) device buffer: the §4.4
-// fixed-footprint property.
+// (internal/stream.Run at depth 1, as the public Stream runs with
+// InFlight 1) over many partitions and checks that the run draws
+// exactly one arena and that no partition after the first acquires a
+// large (>= 1 MiB) device buffer: the §4.4 fixed-footprint property.
 func TestStreamSteadyStateNoLargeAllocs(t *testing.T) {
 	input := bytes.Repeat([]byte("123,abcdefgh,4.5,true\n"), 400_000) // ~8.8 MB -> 8 partitions
-	arena := device.NewArena()
-	var afterFirst int64
-	first := true
-	parser := stream.ParserFunc(func(part stream.Partition) (stream.PartitionResult, error) {
-		trailing := core.TrailingRemainder
-		if part.Final {
-			trailing = core.TrailingRecord
-		}
-		res, err := core.Parse(part.Input, core.Options{Arena: arena, Trailing: trailing})
-		if err != nil {
-			return stream.PartitionResult{}, err
-		}
-		if first {
-			afterFirst = arena.ReservedBytes()
-			first = false
-		}
-		return stream.PartitionResult{Table: res.Table, CompleteBytes: len(part.Input) - res.Remainder}, nil
-	})
-	res, err := stream.Run(stream.Config{PartitionSize: 1 << 20, Arena: arena}, parser, stream.BytesSource(input))
+	plan, err := core.Compile(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parser := &steadyStateParser{plan: plan}
+	pool := &countingArenas{}
+	res, err := stream.Run(stream.Config{PartitionSize: 1 << 20, InFlight: 1, Arenas: pool},
+		parser, stream.BytesSource(input))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Partitions < 4 {
 		t.Fatalf("partitions = %d, want several", res.Stats.Partitions)
+	}
+	if len(pool.drawn) != 1 {
+		t.Fatalf("depth 1 drew %d arenas, want exactly one", len(pool.drawn))
+	}
+	arena := pool.drawn[0]
+	afterFirst := parser.reserved[0]
+	for i := 1; i < len(parser.reserved); i++ {
+		if grew := parser.reserved[i] - parser.reserved[i-1]; grew >= largeAlloc {
+			t.Errorf("partition %d reserved %d new device bytes (limit %d)", i, grew, largeAlloc)
+		}
 	}
 	growth := arena.ReservedBytes() - afterFirst
 	if growth >= largeAlloc {

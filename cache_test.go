@@ -9,10 +9,12 @@ package parparaw
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/convert"
 	"repro/internal/testleak"
 )
 
@@ -175,6 +177,91 @@ func TestFingerprintEquivalences(t *testing.T) {
 	}
 	if Fingerprint(Options{HasHeader: true}) != Fingerprint(Options{HasHeader: true}) {
 		t.Error("fingerprint is not deterministic")
+	}
+}
+
+// TestFingerprintCoversEveryField: every field of Options, ScanOptions,
+// Schema, Field and the wrapped convert.Predicate must reach the key.
+// The table perturbs one field at a time away from a base configuration
+// and requires Fingerprint to change; the reflection check requires the
+// table to name every field, so a field added without its Fingerprint
+// line fails here instead of silently serving a stale plan.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	tsv, err := FormatByName("tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := func() Options {
+		return Options{
+			Schema: NewSchema(Field{Name: "a", Type: Int64}),
+			Scan: ScanOptions{Where: []Predicate{{p: convert.Predicate{
+				Column: 0, Op: convert.PredEq, Value: []byte("x")}}}},
+		}
+	}
+	perturb := map[string]func(o *Options){
+		"parparaw.Options.Format":             func(o *Options) { o.Format = tsv },
+		"parparaw.Options.Schema":             func(o *Options) { o.Schema = nil },
+		"parparaw.Options.HasHeader":          func(o *Options) { o.HasHeader = true },
+		"parparaw.Options.Mode":               func(o *Options) { o.Mode = InlineTerminated },
+		"parparaw.Options.ChunkSize":          func(o *Options) { o.ChunkSize = 64 },
+		"parparaw.Options.Workers":            func(o *Options) { o.Workers = 3 },
+		"parparaw.Options.VirtualWorkers":     func(o *Options) { o.VirtualWorkers = 5 },
+		"parparaw.Options.ConvertWorkers":     func(o *Options) { o.ConvertWorkers = 2 },
+		"parparaw.Options.InFlight":           func(o *Options) { o.InFlight = 3 },
+		"parparaw.Options.SkipRows":           func(o *Options) { o.SkipRows = 1 },
+		"parparaw.Options.SelectColumns":      func(o *Options) { o.SelectColumns = []int{0} },
+		"parparaw.Options.SkipRecords":        func(o *Options) { o.SkipRecords = []int64{0} },
+		"parparaw.Options.Scan":               func(o *Options) { o.Scan = ScanOptions{} },
+		"parparaw.Options.ExpectedColumns":    func(o *Options) { o.ExpectedColumns = 2 },
+		"parparaw.Options.RejectInconsistent": func(o *Options) { o.RejectInconsistent = true },
+		"parparaw.Options.RejectMalformed":    func(o *Options) { o.RejectMalformed = true },
+		"parparaw.Options.DefaultValues":      func(o *Options) { o.DefaultValues = map[int]string{0: "z"} },
+		"parparaw.Options.Validate":           func(o *Options) { o.Validate = true },
+		"parparaw.Options.Encoding":           func(o *Options) { o.Encoding = UTF8 },
+		"parparaw.Options.DetectEncoding":     func(o *Options) { o.DetectEncoding = true },
+		"parparaw.Options.SplitTables":        func(o *Options) { o.SplitTables = true },
+		"parparaw.Options.NoSkipAhead":        func(o *Options) { o.NoSkipAhead = true },
+		"parparaw.Options.NoSWARConvert":      func(o *Options) { o.NoSWARConvert = true },
+		"parparaw.ScanOptions.Select":         func(o *Options) { o.Scan.Select = []int{0} },
+		"parparaw.ScanOptions.Where":          func(o *Options) { o.Scan.Where = nil },
+		"parparaw.ScanOptions.NoPushdown":     func(o *Options) { o.Scan.NoPushdown = true },
+		"parparaw.Schema.Fields":              func(o *Options) { o.Schema.Fields = append(o.Schema.Fields, Field{Name: "b"}) },
+		"parparaw.Field.Name":                 func(o *Options) { o.Schema.Fields[0].Name = "b" },
+		"parparaw.Field.Type":                 func(o *Options) { o.Schema.Fields[0].Type = Float64 },
+		"convert.Predicate.Column":            func(o *Options) { o.Scan.Where[0].p.Column = 1 },
+		"convert.Predicate.Op":                func(o *Options) { o.Scan.Where[0].p.Op = convert.PredNe },
+		"convert.Predicate.Value":             func(o *Options) { o.Scan.Where[0].p.Value = []byte("y") },
+		"convert.Predicate.IntLo":             func(o *Options) { o.Scan.Where[0].p.IntLo = 1 },
+		"convert.Predicate.IntHi":             func(o *Options) { o.Scan.Where[0].p.IntHi = 1 },
+		"convert.Predicate.FloatLo":           func(o *Options) { o.Scan.Where[0].p.FloatLo = 1 },
+		"convert.Predicate.FloatHi":           func(o *Options) { o.Scan.Where[0].p.FloatHi = 1 },
+	}
+
+	fields := map[string]bool{}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(Options{}), reflect.TypeOf(ScanOptions{}), reflect.TypeOf(Schema{}),
+		reflect.TypeOf(Field{}), reflect.TypeOf(convert.Predicate{}),
+	} {
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.String() + "." + typ.Field(i).Name
+			fields[name] = true
+			if perturb[name] == nil {
+				t.Errorf("%s has no perturbation here (and maybe no Fingerprint line)", name)
+			}
+		}
+	}
+
+	want := Fingerprint(base())
+	for name, f := range perturb {
+		if !fields[name] {
+			t.Errorf("perturbation %s names no field", name)
+			continue
+		}
+		o := base()
+		f(&o)
+		if Fingerprint(o) == want {
+			t.Errorf("perturbing %s leaves the fingerprint unchanged", name)
+		}
 	}
 }
 

@@ -73,7 +73,7 @@ func main() {
 	streamFlag := flag.Bool("stream", false, "use the end-to-end streaming pipeline")
 	partition := flag.String("partition-size", "32MB", "streaming partition size")
 	flag.StringVar(partition, "partition", *partition, "alias for -partition-size")
-	inFlight := flag.Int("inflight", 0, "streaming partitions in flight (0 = GOMAXPROCS-derived, 1 = serial)")
+	inFlight := flag.Int("inflight", 0, "streaming partitions in flight (0 = GOMAXPROCS-derived, 1 = one at a time)")
 	verbose := flag.Bool("v", false, "print per-stage busy times and pushdown pruning counters")
 	selectSpec := flag.String("select", "", "comma-separated column indices to keep (projection pushdown)")
 	whereSpec := flag.String("where", "", "semicolon-separated row predicates (predicate pushdown); see package doc")
@@ -248,7 +248,7 @@ func run(ctx context.Context, formatName string, header bool, delim, comment str
 			s := res.Stats
 			stats += fmt.Sprintf("\nstage busy over %v wall: read %v, boundary pre-scan %v, parse %v, emit %v",
 				s.Duration, s.ReadBusy, s.BoundaryBusy, s.ParseBusy, s.EmitBusy)
-			if idle := s.Duration - s.ReadBusy - s.BoundaryBusy - s.EmitBusy; idle > 0 && s.InFlight > 1 {
+			if idle := s.Duration - s.ReadBusy - s.BoundaryBusy - s.EmitBusy; idle > 0 {
 				stats += fmt.Sprintf(" (spine idle %v)", idle)
 			}
 			if s.SerialFallbacks > 0 {

@@ -235,7 +235,7 @@ func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, 
 
 // StreamConfig holds the per-run knobs of an Engine streaming call: the
 // partition size (Figure 12's x-axis), the simulated interconnect, and
-// the cross-partition ring's depth, ordering, and memory budget. Zero
+// the streaming ring's depth, ordering, and memory budget. Zero
 // values select DefaultPartitionSize, a PCIe 3.0 x16 model, and the
 // engine's compiled Options.InFlight.
 type StreamConfig struct {
@@ -243,7 +243,7 @@ type StreamConfig struct {
 	Bus           *Bus
 	// InFlight overrides the engine's Options.InFlight for this run
 	// (0 keeps it): the number of partitions concurrently in flight in
-	// the cross-partition ring, 1 forcing the serial pipeline.
+	// the ring, 1 parsing one partition at a time on one recycled arena.
 	InFlight int
 	// Unordered emits each partition's table as soon as its parse
 	// completes instead of buffering for input order;
@@ -268,7 +268,9 @@ type StreamConfig struct {
 	// concurrent calls when InFlight > 1.
 	OnBadRecord func(BadRecord)
 	// SkipBadPartitions quarantines failing partitions instead of
-	// failing the run (see StreamOptions.SkipBadPartitions).
+	// failing the run (see StreamOptions.SkipBadPartitions): only a
+	// serial-carry fallback partition (an unsettled first partition, or
+	// UTF-16 input) may take the head of the next record with it.
 	SkipBadPartitions bool
 }
 
@@ -384,27 +386,15 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 			MaxDelay:    cfg.Retry.MaxDelay,
 			Retryable:   cfg.Retry.Retryable,
 		},
-	}
-	if inFlight > 1 {
 		// The ring draws one arena per in-flight partition from the
-		// engine's pool. Divide the plan's convert-worker budget across
-		// the ring so InFlight × per-partition workers stays at the
-		// host's parallelism instead of oversubscribing it.
-		scfg.Arenas = enginePool{e}
-		if cw := opts.ConvertWorkers / inFlight; cw < opts.ConvertWorkers {
-			if cw < 1 {
-				cw = 1
-			}
-			rp.convertWorkers = cw
-		}
-	} else {
-		// Serial pipeline: one arena for the whole run, reset between
-		// partitions, so consecutive partitions parse inside the same
-		// device allocations instead of growing the heap per partition.
-		arena := e.checkout()
-		defer e.release(arena)
-		rp.serial = arena
-		scfg.Arena = arena
+		// engine's pool.
+		Arenas: enginePool{e},
+	}
+	// Divide the plan's convert-worker budget across the ring so
+	// InFlight × per-partition workers stays at the host's parallelism
+	// instead of oversubscribing it.
+	if cw := opts.ConvertWorkers / inFlight; cw < opts.ConvertWorkers {
+		rp.convertWorkers = max(cw, 1)
 	}
 
 	res, err := stream.Run(scfg, rp, stream.NewSource(r))
@@ -459,19 +449,17 @@ func streamResultFrom(rp *ringParser, res *stream.Result) *StreamResult {
 	return out
 }
 
-// enginePool adapts the engine's recycled-arena pool to the ring
-// scheduler's ArenaPool.
+// enginePool adapts the engine's recycled-arena pool to the streaming
+// pipeline's ArenaPool.
 type enginePool struct{ e *Engine }
 
 func (p enginePool) Get() *device.Arena  { return p.e.checkout() }
 func (p enginePool) Put(a *device.Arena) { p.e.release(a) }
 
 // ringParser adapts the engine's compiled plan to the streaming
-// pipeline's Parser and RingParser contracts. One value serves a whole
-// run: the serial pipeline calls ParsePartition on the run's single
-// recycled arena, the ring scheduler calls Boundary to finalise each
-// next partition's input and ParseInFlight to parse partitions
-// concurrently on their own arenas.
+// pipeline's Parser contract. One value serves a whole run: the ring
+// calls Boundary to finalise each next partition's input and
+// ParseInFlight to parse partitions on their slots' arenas.
 type ringParser struct {
 	plan *core.Plan
 	base core.Exec
@@ -479,9 +467,6 @@ type ringParser struct {
 	// stage (Exec.ConvertWorkers) so the ring's aggregate worker count
 	// matches the plan's budget.
 	convertWorkers int
-	// serial is the serial pipeline's single recycled arena (nil under
-	// the ring).
-	serial *device.Arena
 	// ctx cancels partition parses between kernel stages.
 	ctx context.Context
 	// mistrust points at the engine's boundary-disagreement counter:
@@ -504,17 +489,6 @@ type ringParser struct {
 	header []string
 }
 
-// ParsePartition is the serial pipeline's entry point.
-func (p *ringParser) ParsePartition(part stream.Partition) (stream.PartitionResult, error) {
-	return p.parse(p.serial, part)
-}
-
-// ParseInFlight parses one partition on its own arena, concurrently
-// with other partitions.
-func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (stream.PartitionResult, error) {
-	return p.parse(arena, part)
-}
-
 // Boundary pre-scans part's record boundary: a single sequential DFA
 // walk yielding exactly the carry-over a TrailingRemainder parse would
 // report, which is what lets the ring dispatch the partition without
@@ -535,7 +509,9 @@ func (p *ringParser) Boundary(part []byte) (int, bool) {
 	return p.plan.ScanRemainder(part), true
 }
 
-func (p *ringParser) parse(arena *device.Arena, part stream.Partition) (stream.PartitionResult, error) {
+// ParseInFlight parses one partition on its own arena, concurrently
+// with other partitions.
+func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (stream.PartitionResult, error) {
 	exec := p.base
 	exec.Arena = arena
 	exec.Trailing = core.TrailingRemainder

@@ -209,10 +209,9 @@ func TestFaultRingPanicTyped(t *testing.T) {
 
 // TestFaultRingPanicQuarantine: the same injected panic under
 // SkipBadPartitions must quarantine the one partition and finish the
-// stream. On the ring's pre-scanned path the surviving partitions are
-// byte-identical to the fault-free run's; the serial carry path drops
-// the pending carry with the partition (documented head-clipping), so
-// there the assertions are on counts, not bytes.
+// stream. Partition 2's boundary is pre-scanned at every depth, so the
+// carry chain is intact and the surviving partitions are byte-identical
+// to the fault-free run's.
 func TestFaultRingPanicQuarantine(t *testing.T) {
 	input := chaosInput(3000)
 	base := testleak.Count()
@@ -242,24 +241,17 @@ func TestFaultRingPanicQuarantine(t *testing.T) {
 			if res.Stats.QuarantinedPartitions != 1 {
 				t.Fatalf("quarantined partitions = %d, want 1", res.Stats.QuarantinedPartitions)
 			}
-			if inFlight > 1 {
-				// Pre-scanned boundary: the carry chain is intact, so the
-				// output is exactly the fault-free run minus partition 2.
-				if len(res.Tables) != len(want.Tables)-1 {
-					t.Fatalf("%d tables, want %d (reference minus the quarantined one)",
-						len(res.Tables), len(want.Tables)-1)
+			// The output is exactly the fault-free run minus partition 2.
+			if len(res.Tables) != len(want.Tables)-1 {
+				t.Fatalf("%d tables, want %d (reference minus the quarantined one)",
+					len(res.Tables), len(want.Tables)-1)
+			}
+			for i, tbl := range res.Tables {
+				ref := i
+				if i >= 2 {
+					ref = i + 1
 				}
-				for i, tbl := range res.Tables {
-					ref := i
-					if i >= 2 {
-						ref = i + 1
-					}
-					assertTablesIdentical(t, fmt.Sprintf("surviving partition %d", ref), tbl, want.Tables[ref])
-				}
-			} else {
-				if res.NumRows() >= want.NumRows() {
-					t.Errorf("rows = %d, want < %d (a partition was dropped)", res.NumRows(), want.NumRows())
-				}
+				assertTablesIdentical(t, fmt.Sprintf("surviving partition %d", ref), tbl, want.Tables[ref])
 			}
 		})
 	}
@@ -327,9 +319,10 @@ func TestFaultConvertPanic(t *testing.T) {
 }
 
 // TestFaultBudgetPressure: the arena-pressure hook inflates every
-// partition's footprint estimate past the budget. Strict mode must fail
-// with a typed ErrBudget; lenient mode must still complete with output
-// identical to the unpressured run (one partition always admitted).
+// partition's footprint estimate past the budget. At every ring depth,
+// depth 1 included, strict mode must fail with a typed ErrBudget;
+// lenient mode must still complete with output identical to the
+// unpressured run (one partition always admitted).
 func TestFaultBudgetPressure(t *testing.T) {
 	input := chaosInput(3000)
 	base := testleak.Count()
@@ -344,36 +337,40 @@ func TestFaultBudgetPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Strict: the inflated estimate alone exceeds the budget -> typed failure.
-	_, err = eng.Stream(input, StreamConfig{
-		PartitionSize: 4 << 10,
-		Bus:           chaosBus(),
-		InFlight:      4,
-		DeviceBudget:  1 << 20,
-		StrictBudget:  true,
-	})
-	if !errors.Is(err, parparawerr.ErrBudget) {
-		t.Fatalf("strict: err = %v, want ErrBudget", err)
-	}
-	var be *parparawerr.BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("strict: no *BudgetError in chain: %v", err)
-	}
-	if be.Estimate <= be.Budget {
-		t.Errorf("strict: Estimate %d <= Budget %d", be.Estimate, be.Budget)
-	}
+	for _, inFlight := range chaosDepths() {
+		t.Run(fmt.Sprintf("inflight=%d", inFlight), func(t *testing.T) {
+			// Strict: the inflated estimate alone exceeds the budget -> typed failure.
+			_, err := eng.Stream(input, StreamConfig{
+				PartitionSize: 4 << 10,
+				Bus:           chaosBus(),
+				InFlight:      inFlight,
+				DeviceBudget:  1 << 20,
+				StrictBudget:  true,
+			})
+			if !errors.Is(err, parparawerr.ErrBudget) {
+				t.Fatalf("strict: err = %v, want ErrBudget", err)
+			}
+			var be *parparawerr.BudgetError
+			if !errors.As(err, &be) {
+				t.Fatalf("strict: no *BudgetError in chain: %v", err)
+			}
+			if be.Estimate <= be.Budget {
+				t.Errorf("strict: Estimate %d <= Budget %d", be.Estimate, be.Budget)
+			}
 
-	// Lenient: throttled to one partition at a time, but complete and identical.
-	got, err := eng.Stream(input, StreamConfig{
-		PartitionSize: 4 << 10,
-		Bus:           chaosBus(),
-		InFlight:      4,
-		DeviceBudget:  1 << 20,
-	})
-	if err != nil {
-		t.Fatalf("lenient: %v", err)
+			// Lenient: throttled to one partition at a time, but complete and identical.
+			got, err := eng.Stream(input, StreamConfig{
+				PartitionSize: 4 << 10,
+				Bus:           chaosBus(),
+				InFlight:      inFlight,
+				DeviceBudget:  1 << 20,
+			})
+			if err != nil {
+				t.Fatalf("lenient: %v", err)
+			}
+			assertStreamsIdentical(t, "budget-pressure lenient", got, want)
+		})
 	}
-	assertStreamsIdentical(t, "budget-pressure lenient", got, want)
 	testleak.After(t, base)
 }
 

@@ -20,7 +20,7 @@ func convertWorkersFromFuzz(raw uint8) int {
 }
 
 // inFlightFromFuzz maps a fuzzed byte onto the ring depths worth
-// exercising: the serial pipeline, the smallest real ring, a typical
+// exercising: depth 1, the smallest overlapping ring, a typical
 // depth, and one wider than most fuzzed inputs have partitions.
 func inFlightFromFuzz(raw uint8) int {
 	return []int{1, 2, 4, 7}[raw%4]

@@ -1,8 +1,8 @@
 package parparaw
 
-// In-flight ring parity: the cross-partition pipeline (Options.InFlight
-// > 1) must be invisible in the output. Every test here compares a ring
-// run against the serial streaming pipeline (InFlight=1) byte for byte —
+// In-flight ring parity: the ring depth (Options.InFlight) must be
+// invisible in the output. Every test here compares a deeper ring run
+// against depth 1 (one slot, one arena) byte for byte —
 // ordered emit, the unordered permutation, the boundary pre-scan's
 // serial fallback (UTF-16, first-partition trimming), tiny partitions,
 // and engine-level concurrency stacked on the ring. Run with -race.
@@ -20,8 +20,8 @@ import (
 )
 
 // inFlightCounts mirrors convertWorkerCounts for the ring depth axis:
-// serial, the smallest real ring, whatever this host would default to,
-// and a deliberately odd depth.
+// depth 1, the smallest overlapping ring, whatever this host would
+// default to, and a deliberately odd depth.
 func inFlightCounts() []int {
 	return dedupWorkerCounts(1, 2, runtime.GOMAXPROCS(0), 7)
 }
@@ -248,7 +248,7 @@ func TestInFlightConcurrentEngine(t *testing.T) {
 
 // TestInFlightValidation pins the configuration guards: negative depths
 // are rejected at compile time, oversubscribed depths clamp to
-// core.MaxInFlight, and modelled-time devices force the serial pipeline
+// core.MaxInFlight, and modelled-time devices force depth 1
 // (wall-clock concurrency would corrupt the virtual-time model).
 func TestInFlightValidation(t *testing.T) {
 	if _, err := NewEngine(Options{InFlight: -1}); err == nil {

@@ -138,14 +138,15 @@ type Options struct {
 	// (Config.VirtualWorkers) the convert stage always runs its columns
 	// sequentially, matching the paper's serialised kernel launches.
 	ConvertWorkers int
-	// InFlight is the number of streaming partitions the cross-partition
-	// ring keeps in flight at once (§4.4 extended across partitions):
-	// each in-flight partition runs the whole kernel pipeline on its own
-	// arena while the ring's emit stage releases tables in input order.
-	// 0 means a GOMAXPROCS-derived default (capped at MaxInFlight); 1 is
-	// the serial pipeline. In modelled-time mode (device VirtualWorkers)
-	// the ring is forced to 1 so the modelled schedule stays the paper's
-	// serialised one. Output is byte-identical at every setting.
+	// InFlight is the number of streaming partitions the ring keeps in
+	// flight at once (§4.4 extended across partitions): each in-flight
+	// partition runs the whole kernel pipeline on its own arena while
+	// the ring's emit stage releases tables in input order. 0 means a
+	// GOMAXPROCS-derived default (capped at MaxInFlight); 1 is one slot
+	// on one recycled arena. In modelled-time mode (device
+	// VirtualWorkers) the ring is forced to 1 so the modelled schedule
+	// stays the paper's serialised one. Output is byte-identical at
+	// every setting.
 	InFlight int
 	// Trailing controls what happens to input after the last record
 	// delimiter. TrailingRecord (default) parses it as one final record;

@@ -18,11 +18,6 @@ type slowRingParser struct {
 	delay time.Duration
 }
 
-func (p *slowRingParser) ParsePartition(part Partition) (PartitionResult, error) {
-	time.Sleep(p.delay)
-	return p.ringLineParser.ParsePartition(part)
-}
-
 func (p *slowRingParser) ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error) {
 	time.Sleep(p.delay)
 	return p.ringLineParser.ParseInFlight(arena, part)

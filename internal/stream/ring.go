@@ -1,21 +1,25 @@
-// ring.go is the cross-partition pipeline: where the serial scheduler
-// of stream.go overlaps only the *stages* (transfer/parse/return) of
-// consecutive partitions, the ring overlaps the partitions themselves —
-// up to Config.InFlight full kernel pipelines run concurrently, each on
-// its own arena, with an emit stage releasing tables in input order.
+// ring.go is the streaming pipeline: a scheduler reads each partition
+// and assembles carry + fresh bytes in a slot's arena, up to
+// Config.InFlight full kernel pipelines run concurrently on worker
+// goroutines, and an emit stage releases tables in input order.
 //
-// The enabler is breaking the carry-over dependency: serially, partition
-// i+1's input cannot be assembled until partition i's parse reports how
-// many of its bytes belong to complete records. The ring instead runs a
-// record-boundary pre-scan (RingParser.Boundary — a sequential walk of
-// the parsing DFA over the partition) that yields the same carry length
-// at a fraction of the parse's cost, so the scheduler finalises
-// partition i+1's input and dispatches partition i to a worker without
-// waiting. Whenever the boundary is not determinable without the full
-// parse (first-partition header/skip trimming still unsettled, input
-// needing transcoding before record boundaries exist), the partition
-// falls back to the serial carry path: it parses inline on the
-// scheduler, exactly as the serial pipeline would.
+// The enabler is breaking the carry-over dependency: partition i+1's
+// input cannot be assembled until it is known how many of partition i's
+// bytes belong to complete records. The scheduler runs a record-boundary
+// pre-scan (Parser.Boundary — a sequential walk of the parsing DFA over
+// the partition) that yields the same carry length at a fraction of the
+// parse's cost, so it finalises partition i+1's input and dispatches
+// partition i to a worker without waiting. Whenever the boundary is not
+// determinable without the full parse (first-partition header/skip
+// trimming still unsettled, input needing transcoding before record
+// boundaries exist), the partition falls back to the serial carry path:
+// it parses inline on the scheduler, and partition i+1 waits for it.
+//
+// At depth 1 the ring is Figure 7's double buffer, the schedule
+// Simulate models: the scheduler's read of partition i+1 (host buffer)
+// overlaps the parse of partition i (the slot's arena), so the read of
+// i+2 waits on parse i; the emit stage's return of partition i overlaps
+// the parse of partition i+1, so parse i+2 waits on return i.
 //
 // Memory stays bounded at ring depth × partition footprint: at most
 // InFlight partitions hold an arena at once (arenas recycle through a
@@ -34,6 +38,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -60,6 +65,38 @@ type parsedPart struct {
 	// skipped marks a partition already quarantined by the scheduler
 	// (inline serial-carry path); the emit stage only counts it.
 	skipped bool
+}
+
+// job is one partition dispatched to a worker. want is the complete-byte
+// count of the boundary pre-scan, which the parse must reproduce (unused
+// for the final partition, which has no successor).
+type job struct {
+	part  Partition
+	arena *device.Arena
+	est   int64 // device-budget charge taken at dispatch
+	want  int
+}
+
+// parseJob runs one dispatched parse and cross-checks it against the
+// pre-scan. The partition's successor was assembled without waiting for
+// this parse (or, for the final partition, does not exist), so a failure
+// here cannot corrupt the carry chain: the result is a quarantine
+// candidate.
+func parseJob(parser Parser, j job) parsedPart {
+	ps := time.Now()
+	res, err := safeParse(parser, j.arena, j.part)
+	dur := time.Since(ps)
+	idx := j.part.Index
+	if err == nil && !j.part.Final && res.CompleteBytes != j.want {
+		// The pre-scan and the parse must agree by construction; a
+		// mismatch means corrupt output, so fail loudly instead.
+		err = fmt.Errorf("boundary pre-scan found %d complete bytes, parse found %d: %w",
+			j.want, res.CompleteBytes, &parparawerr.InternalError{Partition: idx, Stage: "boundary"})
+	}
+	if err != nil {
+		err = fmt.Errorf("stream: partition %d: %w", idx, err)
+	}
+	return parsedPart{idx: idx, res: res, arena: j.arena, est: j.est, dur: dur, err: err, boundaryKnown: true}
 }
 
 // deviceBudget gates partition admission on estimated in-flight device
@@ -145,13 +182,29 @@ func (b *deviceBudget) refund(est, arenaPeak int64) {
 	b.mu.Unlock()
 }
 
-// runRing streams the source through the bounded in-flight partition
-// ring. Results are byte-identical to the serial pipeline: the carry
-// chain is the same (the pre-scan computes the very remainder the parse
-// would report, and dispatched parses are cross-checked against it),
-// every partition parses the same input bytes, and ordered emit
-// preserves input order.
-func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
+// Run streams the source through the ring. It returns the per-partition
+// tables in input order (unless Config.Unordered). On failure the
+// returned Result, when non-nil, holds the tables emitted and the
+// statistics accumulated before the failure — partial progress a caller
+// can still report.
+//
+// Output does not depend on the depth: the carry chain is the same at
+// every depth (the pre-scan computes the very remainder the parse would
+// report, and dispatched parses are cross-checked against it), every
+// partition parses the same input bytes, and ordered emit preserves
+// input order. Each partition's parse input is carry + fresh bytes
+// sized to PartitionSize (NextFresh), so the recycled arenas stay in
+// one size class; only a carry of PartitionSize or more (one record
+// larger than a partition) grows the parse buffer beyond it.
+func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
+	if cfg.PartitionSize <= 0 {
+		return nil, errors.New("stream: partition size must be positive")
+	}
+	src.SetRetry(cfg.Retry)
+	pool := cfg.Arenas
+	if pool == nil {
+		pool = freshArenas{}
+	}
 	bus := cfg.Bus
 	if bus == nil {
 		bus = pcie.Default()
@@ -159,7 +212,7 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 	ctx := cfg.ctx()
 	start := time.Now()
 
-	inFlight := cfg.InFlight
+	inFlight := max(cfg.InFlight, 1)
 	// slots bounds the partitions concurrently holding an arena; a slot
 	// is taken before a partition's input is assembled and released when
 	// its result reaches the emit stage.
@@ -177,10 +230,10 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 	// Cancellation watcher: a canceled context must unblock the
 	// scheduler wherever it waits — the slot select (quit) and the
 	// budget's admission wait (budget.cancel). The watcher itself is
-	// joined before runRing returns.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
+	// joined before Run returns.
 	if ctx.Done() != nil {
+		watchDone := make(chan struct{})
+		defer close(watchDone)
 		go func() {
 			select {
 			case <-ctx.Done():
@@ -192,108 +245,32 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 	}
 
 	stats := Stats{InFlight: inFlight}
-	var tables []*columnar.Table
-	var order []int
-	var arenas []*device.Arena // every arena drawn from cfg.Arenas
-	done := make(chan error, 1)
+	var arenas []*device.Arena // every arena drawn from pool
 
-	// Emit stage: retires partitions as they arrive — recycling their
-	// arena and slot immediately, since tables live on the host heap —
-	// and releases tables in input order (or arrival order when
-	// Unordered, recording the permutation). Quarantine decisions for
-	// dispatched partitions are made here, where the typed error is
-	// first seen.
-	go func() {
-		var firstErr error
-		errIdx := -1
-		pending := make(map[int]parsedPart)
-		next := 0
-		emit := func(p parsedPart) {
-			if p.skipped {
-				return
-			}
-			outBytes := p.res.OutputBytes
-			if outBytes <= 0 && p.res.Table != nil {
-				outBytes = p.res.Table.DataBytes()
-			}
-			eb := time.Now()
-			bus.Transfer(pcie.DeviceToHost, outBytes)
-			stats.EmitBusy += time.Since(eb)
-			stats.OutputBytes += outBytes
-			if p.res.Table != nil {
-				tables = append(tables, p.res.Table)
-				if cfg.Unordered {
-					order = append(order, p.idx)
-				}
-			}
+	// Workers: one per slot, started once so that dispatching a
+	// partition allocates nothing. A job is sent only after its slot is
+	// taken, so a worker is always about to receive it.
+	jobs := make(chan job)
+	var wg sync.WaitGroup
+	wg.Add(inFlight)
+	worker := func() {
+		defer wg.Done()
+		for j := range jobs {
+			results <- parseJob(parser, j)
 		}
-		for p := range results {
-			if p.arena != nil {
-				// Slot and arena travel together: results without an
-				// arena (source read errors) never took a slot.
-				budget.refund(p.est, p.arena.PeakBytes())
-				arenaFree <- p.arena
-				slots <- struct{}{}
-			}
-			stats.ParseBusy += p.dur
-			if p.err != nil {
-				if cfg.SkipBadPartitions && p.boundaryKnown && quarantinable(p.err) {
-					// The carry chain was finalised before this parse
-					// ran, so dropping the partition affects no
-					// neighbour; the skipped branch below counts it.
-					p.err = nil
-					p.res = PartitionResult{}
-					p.skipped = true
-				} else {
-					if firstErr == nil || p.idx < errIdx {
-						firstErr, errIdx = p.err, p.idx
-					}
-					stop()
-					continue
-				}
-			}
-			if p.skipped {
-				// Covers both quarantine paths: dispatched failures
-				// converted above, and inline serial-carry failures the
-				// scheduler already converted. Counting here keeps the
-				// counter single-writer.
-				stats.QuarantinedPartitions++
-			}
-			if p.res.Invalid {
-				stats.InvalidInput = true
-			}
-			stats.RowsPruned += p.res.RowsPruned
-			stats.BytesSkipped += p.res.BytesSkipped
-			stats.QuarantinedRecords += p.res.BadRecords
-			if firstErr != nil {
-				continue
-			}
-			if cfg.Unordered {
-				emit(p)
-				continue
-			}
-			pending[p.idx] = p
-			for {
-				q, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				emit(q)
-				next++
-			}
-		}
-		done <- firstErr
-	}()
+	}
+	for w := 0; w < inFlight; w++ {
+		go worker()
+	}
 
 	// Scheduler: the single sequential spine. It reads each partition's
 	// fresh bytes, assembles carry + fresh in a per-partition arena
 	// buffer, pre-scans the record boundary to finalise the next
 	// partition's carry, and hands the parse to a worker — falling back
 	// to parsing inline when the boundary is ambiguous.
-	var wg sync.WaitGroup
 	go func() {
 		defer func() {
+			close(jobs)
 			wg.Wait()
 			close(results)
 		}()
@@ -345,7 +322,7 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 			select {
 			case arena = <-arenaFree:
 			default:
-				arena = cfg.Arenas.Get()
+				arena = pool.Get()
 				arenas = append(arenas, arena)
 			}
 			// The retired partition that released this arena is fully on
@@ -370,46 +347,24 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 					if len(carry) > stats.MaxCarryOver {
 						stats.MaxCarryOver = len(carry)
 					}
-					wantComplete := len(buf) - rem
-					nextBase = base + int64(wantComplete)
+					want := len(buf) - rem
+					nextBase = base + int64(want)
 					est, err := budget.charge(i, len(buf))
 					if err != nil {
 						results <- parsedPart{idx: i, arena: arena,
 							err: fmt.Errorf("stream: partition %d: %w", i, err)}
 						return
 					}
-					wg.Add(1)
-					go func(idx int, arena *device.Arena, part Partition, est, wantComplete int64) {
-						defer wg.Done()
-						ps := time.Now()
-						res, err := safeParse(func() (PartitionResult, error) {
-							return parser.ParseInFlight(arena, part)
-						}, idx)
-						dur := time.Since(ps)
-						if err == nil && int64(res.CompleteBytes) != wantComplete {
-							// The pre-scan and the parse must agree by
-							// construction; a mismatch means corrupt
-							// output, so fail loudly instead.
-							err = fmt.Errorf("boundary pre-scan found %d complete bytes, parse found %d: %w",
-								wantComplete, res.CompleteBytes,
-								&parparawerr.InternalError{Partition: idx, Stage: "boundary"})
-						}
-						if err != nil {
-							err = fmt.Errorf("stream: partition %d: %w", idx, err)
-						}
-						results <- parsedPart{idx: idx, res: res, arena: arena, est: est, dur: dur,
-							err: err, boundaryKnown: true}
-					}(i, arena, Partition{Index: i, Base: base, Input: buf}, est, int64(wantComplete))
+					jobs <- job{part: Partition{Index: i, Base: base, Input: buf}, arena: arena, est: est, want: want}
 					dispatched = true
 				} else {
 					stats.SerialFallbacks++
 				}
 			}
 			if !dispatched {
-				// Serial carry path: the boundary needs the full parse (or
-				// this is the final partition, which the ring still parses
-				// here when it could not be dispatched). Identical to the
-				// serial pipeline's stage 2.
+				// Serial carry path: the boundary needs the full parse, or
+				// this is the final partition, which has no successor to
+				// assemble and goes straight to a worker.
 				est, err := budget.charge(i, len(buf))
 				if err != nil {
 					results <- parsedPart{idx: i, arena: arena,
@@ -417,30 +372,11 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 					return
 				}
 				if final {
-					wg.Add(1)
-					go func(idx int, arena *device.Arena, part Partition, est int64) {
-						defer wg.Done()
-						ps := time.Now()
-						res, err := safeParse(func() (PartitionResult, error) {
-							return parser.ParseInFlight(arena, part)
-						}, idx)
-						dur := time.Since(ps)
-						if err != nil {
-							err = fmt.Errorf("stream: partition %d: %w", idx, err)
-						}
-						// The final partition has no successor: its carry
-						// boundary is vacuously known, so it remains a
-						// quarantine candidate.
-						results <- parsedPart{idx: idx, res: res, arena: arena, est: est, dur: dur,
-							err: err, boundaryKnown: true}
-					}(i, arena, Partition{Index: i, Base: base, Input: buf, Final: true}, est)
+					jobs <- job{part: Partition{Index: i, Base: base, Input: buf, Final: true}, arena: arena, est: est}
 					return
 				}
 				ps := time.Now()
-				part := Partition{Index: i, Base: base, Input: buf}
-				res, err := safeParse(func() (PartitionResult, error) {
-					return parser.ParseInFlight(arena, part)
-				}, i)
+				res, err := safeParse(parser, arena, Partition{Index: i, Base: base, Input: buf})
 				dur := time.Since(ps)
 				if err == nil && (res.CompleteBytes < 0 || res.CompleteBytes > len(buf)) {
 					err = fmt.Errorf("complete bytes %d outside [0,%d]: %w", res.CompleteBytes, len(buf),
@@ -475,16 +411,104 @@ func runRing(cfg Config, parser RingParser, src *Source) (*Result, error) {
 		}
 	}()
 
-	err := <-done
+	// Emit stage, on the caller's goroutine: retires partitions as they
+	// arrive — recycling their arena and slot immediately, since tables
+	// live on the host heap — and releases tables in input order (or
+	// arrival order when Unordered, recording the permutation).
+	// Quarantine decisions for dispatched partitions are made here, where
+	// the typed error is first seen. results closes once the scheduler
+	// and every worker have finished.
+	var tables []*columnar.Table
+	var order []int
+	var firstErr error
+	errIdx := -1
+	pending := make(map[int]parsedPart)
+	next := 0
+	emit := func(p parsedPart) {
+		if p.skipped {
+			return
+		}
+		var outBytes int64
+		if p.res.Table != nil {
+			outBytes = p.res.Table.DataBytes()
+		}
+		eb := time.Now()
+		bus.Transfer(pcie.DeviceToHost, outBytes)
+		stats.EmitBusy += time.Since(eb)
+		stats.OutputBytes += outBytes
+		if p.res.Table != nil {
+			tables = append(tables, p.res.Table)
+			if cfg.Unordered {
+				order = append(order, p.idx)
+			}
+		}
+	}
+	for p := range results {
+		if p.arena != nil {
+			// Slot and arena travel together: results without an
+			// arena (source read errors) never took a slot.
+			budget.refund(p.est, p.arena.PeakBytes())
+			arenaFree <- p.arena
+			slots <- struct{}{}
+		}
+		stats.ParseBusy += p.dur
+		if p.err != nil {
+			if cfg.SkipBadPartitions && p.boundaryKnown && quarantinable(p.err) {
+				// The carry chain was finalised before this parse
+				// ran, so dropping the partition affects no
+				// neighbour; the skipped branch below counts it.
+				p.err = nil
+				p.res = PartitionResult{}
+				p.skipped = true
+			} else {
+				if firstErr == nil || p.idx < errIdx {
+					firstErr, errIdx = p.err, p.idx
+				}
+				stop()
+				continue
+			}
+		}
+		if p.skipped {
+			// Covers both quarantine paths: dispatched failures
+			// converted above, and inline serial-carry failures the
+			// scheduler already converted. Counting here keeps the
+			// counter single-writer.
+			stats.QuarantinedPartitions++
+		}
+		if p.res.Invalid {
+			stats.InvalidInput = true
+		}
+		stats.RowsPruned += p.res.RowsPruned
+		stats.BytesSkipped += p.res.BytesSkipped
+		stats.QuarantinedRecords += p.res.BadRecords
+		if firstErr != nil {
+			continue
+		}
+		if cfg.Unordered {
+			emit(p)
+			continue
+		}
+		pending[p.idx] = p
+		for {
+			q, ok := pending[next]
+			if !ok {
+				break
+			}
+			delete(pending, next)
+			emit(q)
+			next++
+		}
+	}
+
 	for _, a := range arenas {
 		stats.DeviceBytes += a.PeakBytes()
-		cfg.Arenas.Put(a)
+		pool.Put(a)
 	}
 	stats.Duration = time.Since(start)
 	stats.Retries, stats.RetriedBytes = src.RetryStats()
 	res := &Result{Tables: tables, Order: order, Stats: stats}
-	if err != nil {
-		return res, err
+	if firstErr != nil {
+		return res, firstErr
 	}
 	return res, nil
 }

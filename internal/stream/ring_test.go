@@ -34,16 +34,18 @@ func (p *testArenaPool) Put(a *device.Arena) {
 	p.mu.Unlock()
 }
 
-// ringLineParser is the ring-capable toy parser: '\n'-terminated
-// records, one string column, with a boundary pre-scan that mirrors the
-// parse's complete-prefix rule. ambiguous forces the serial fallback;
-// failAt injects an error on a chosen partition index.
+// ringLineParser is the toy parser: '\n'-terminated records, one string
+// column, with a boundary pre-scan that mirrors the parse's
+// complete-prefix rule. ambiguous forces the serial fallback; failAt
+// injects an error on a chosen parse; inputs records every parse's
+// input (carry included) in parse order.
 type ringLineParser struct {
 	ambiguous bool
 	failAt    int // -1 disables
 
 	mu     sync.Mutex
 	parses int
+	inputs [][]byte
 }
 
 func newRingLineParser() *ringLineParser { return &ringLineParser{failAt: -1} }
@@ -52,6 +54,7 @@ func (p *ringLineParser) parse(input []byte, final bool) (PartitionResult, error
 	p.mu.Lock()
 	n := p.parses
 	p.parses++
+	p.inputs = append(p.inputs, append([]byte(nil), input...))
 	p.mu.Unlock()
 	if p.failAt >= 0 && n == p.failAt {
 		return PartitionResult{}, errors.New("injected parse failure")
@@ -73,10 +76,6 @@ func (p *ringLineParser) parse(input []byte, final bool) (PartitionResult, error
 		return PartitionResult{}, err
 	}
 	return PartitionResult{Table: tbl, CompleteBytes: complete}, nil
-}
-
-func (p *ringLineParser) ParsePartition(part Partition) (PartitionResult, error) {
-	return p.parse(part.Input, part.Final)
 }
 
 func (p *ringLineParser) ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error) {
@@ -116,8 +115,8 @@ func collectLines(tables []*columnar.Table) []string {
 }
 
 // TestRingMatchesSerialOrdered runs the ring at several depths and
-// partition sizes against the serial pipeline: identical records in
-// identical order, identical partition/carry statistics.
+// partition sizes against depth 1: identical records in identical
+// order, identical partition/carry statistics.
 func TestRingMatchesSerialOrdered(t *testing.T) {
 	input, want := ringTestInput(200)
 	for _, partSize := range []int{7, 16, 64, 100, len(input), len(input) * 2} {
@@ -318,10 +317,6 @@ func TestRingBoundaryParseDisagreement(t *testing.T) {
 
 type lyingBoundaryParser struct{ inner *ringLineParser }
 
-func (p *lyingBoundaryParser) ParsePartition(part Partition) (PartitionResult, error) {
-	return p.inner.ParsePartition(part)
-}
-
 func (p *lyingBoundaryParser) ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error) {
 	return p.inner.ParseInFlight(arena, part)
 }
@@ -331,7 +326,7 @@ func (p *lyingBoundaryParser) Boundary(input []byte) (int, bool) {
 	return rem + 1, true // off by one: the parse will disagree
 }
 
-// TestRingEmptyInput mirrors the serial degenerate case: one empty
+// TestRingEmptyInput mirrors the depth-1 degenerate case: one empty
 // final partition.
 func TestRingEmptyInput(t *testing.T) {
 	res, err := Run(Config{

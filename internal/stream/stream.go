@@ -1,18 +1,23 @@
-// Package stream implements the end-to-end streaming extension of §4.4 /
-// Figure 7: raw input is pulled from a Source in fixed-size chunks; each
-// partition is transferred to the device, parsed, and its columnar data
-// returned — with the three stages of consecutive partitions overlapped,
-// exploiting the bus's full-duplex capability. A double buffer bounds
-// both host and device memory: chunk i is read into host buffer i%2, and
-// the read of chunk i+2 must wait until the parse that consumed chunk i
-// has released its buffer (including the carry-over copy, the "copy c/o"
-// dependency in Figure 7). Peak host buffering is therefore
-// O(PartitionSize + carry-over), independent of the input's total size —
-// the property that lets the system ingest inputs larger than memory.
+// Package stream implements the end-to-end streaming pipeline of §4.4 /
+// Figure 7: raw input is pulled from a Source one partition at a time;
+// each partition is transferred to the device, parsed, and its columnar
+// data returned — with the stages of consecutive partitions overlapped,
+// exploiting the bus's full-duplex capability. Peak host buffering is
+// O(PartitionSize + carry-over), independent of the input's total size
+// — the property that lets the system ingest inputs larger than memory.
 //
 // The carry-over handles records straddling partition boundaries: the
-// parse of partition i reports how many of its bytes belong to complete
-// records; the incomplete tail is prepended to partition i+1's input.
+// incomplete tail of partition i is prepended to partition i+1's input.
+// A record-boundary pre-scan (Parser.Boundary) yields that tail without
+// the full parse, so partition i+1's input is known before partition i
+// has parsed.
+//
+// Run is one pipeline at every depth: a bounded ring of Config.InFlight
+// slots, each holding one partition and its device arena (ring.go).
+// At depth 1 — one slot, one recycled arena — the ring keeps Figure 7's
+// double-buffered schedule: the scheduler reads partition i+1 while a
+// worker parses partition i, and the emit stage returns partition i
+// while partition i+1 parses. Deeper rings also overlap the parses.
 //
 // Failure model (PR 8): every failure class surfaces as a typed
 // parparawerr error — reader failures (after the Source's RetryPolicy is
@@ -85,10 +90,6 @@ type PartitionResult struct {
 	// any prepended carry-over) covered by complete records; the rest is
 	// carried over to the next partition.
 	CompleteBytes int
-	// OutputBytes, when positive, overrides the device-to-host transfer
-	// size (defaults to Table.DataBytes()). Lets experiments model the
-	// return volume independently of host-side materialisation.
-	OutputBytes int64
 	// Invalid reports that this partition's parse saw invalid input
 	// without failing (the parser's non-erroring validation signal); the
 	// pipeline ORs it into Stats.InvalidInput.
@@ -106,17 +107,21 @@ type PartitionResult struct {
 	BadRecords int64
 }
 
-// Parser parses one partition on the device.
+// Parser is the pipeline's parser contract: it must (a) pre-scan a
+// partition's record boundary so the next partition's input can be
+// finalised without waiting for the full parse, and (b) parse on a
+// caller-supplied arena so partitions can be in flight at once.
+// ParseInFlight must be safe for concurrent calls on distinct arenas
+// whenever Boundary reported ok for the partitions involved.
 type Parser interface {
-	ParsePartition(part Partition) (PartitionResult, error)
-}
-
-// ParserFunc adapts a function to the Parser interface.
-type ParserFunc func(part Partition) (PartitionResult, error)
-
-// ParsePartition calls f.
-func (f ParserFunc) ParsePartition(part Partition) (PartitionResult, error) {
-	return f(part)
+	// Boundary returns the carry-over tail length a parse of input
+	// would report, when that is determinable without a full parse
+	// (ok=false falls the partition back to the serial carry path —
+	// e.g. while first-partition trimming is unsettled or the input
+	// needs transcoding before record boundaries exist).
+	Boundary(input []byte) (remainder int, ok bool)
+	// ParseInFlight parses one partition on the given arena.
+	ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error)
 }
 
 // Config describes the streaming pipeline.
@@ -136,18 +141,10 @@ type Config struct {
 	// Retry is the source's transient-failure policy (see RetryPolicy).
 	// The zero value disables retrying.
 	Retry RetryPolicy
-	// Arena, when non-nil, is the device memory shared by every
-	// partition: the pipeline resets it before assembling each
-	// partition's input, so partition i+1 re-parses inside partition i's
-	// allocations — the paper's fixed device footprint (§4.4). The same
-	// arena must be given to the Parser's per-partition parse options.
-	// The serial pipeline uses it; the ring scheduler draws per-partition
-	// arenas from Arenas instead.
-	Arena *device.Arena
-	// InFlight is the number of partitions the cross-partition ring
-	// keeps in flight at once. Values above 1 select the ring scheduler,
-	// which additionally requires Arenas and a RingParser; otherwise the
-	// serial pipeline runs.
+	// InFlight is the number of partitions the ring keeps in flight at
+	// once; values below 1 mean 1. Depth 1 is one slot whose arena is
+	// reset and reused by every partition — the paper's fixed device
+	// footprint (§4.4).
 	InFlight int
 	// Unordered emits each partition's table as soon as its parse
 	// completes instead of buffering for input order; Result.Order then
@@ -160,22 +157,22 @@ type Config struct {
 	DeviceBudget int64
 	// StrictBudget fails the run with a typed parparawerr.ErrBudget
 	// when a single partition's estimated footprint alone exceeds
-	// DeviceBudget, instead of admitting it anyway. Only meaningful for
-	// the ring scheduler with a positive DeviceBudget.
+	// DeviceBudget, instead of admitting it anyway. Only meaningful
+	// with a positive DeviceBudget.
 	StrictBudget bool
 	// SkipBadPartitions quarantines parse-side failures (contained
 	// panics, validation errors) instead of failing the run: the
 	// partition's output is dropped, Stats.QuarantinedPartitions
 	// counts it, and the stream continues. When the failed partition's
-	// record boundary was pre-scanned (the ring's dispatched path) the
-	// carry chain is intact and no neighbouring record is affected;
-	// when it was not (serial carry path), the pending carry is dropped
-	// with the partition, so a record straddling into it may also lose
-	// its head. Reader failures and cancellation are never quarantined.
+	// record boundary was pre-scanned the carry chain is intact and no
+	// neighbouring record is affected. Only a serial-carry fallback
+	// partition (Boundary declined) drops the pending carry with it, so
+	// a record straddling into it may also lose its head. Reader
+	// failures and cancellation are never quarantined.
 	SkipBadPartitions bool
-	// Arenas supplies the ring scheduler's per-in-flight-partition
-	// arenas. Every arena acquired during the run is returned before Run
-	// returns.
+	// Arenas supplies the ring's per-slot arenas. Every arena acquired
+	// during the run is returned before Run returns. Nil draws a fresh
+	// arena per slot.
 	Arenas ArenaPool
 }
 
@@ -186,32 +183,19 @@ func (c Config) ctx() context.Context {
 	return context.Background()
 }
 
-// ArenaPool supplies device arenas to the ring scheduler, one per
-// in-flight partition. The public Engine's sync.Pool of recycled arenas
-// is the motivating implementation.
+// ArenaPool supplies device arenas to the ring, one per slot. The
+// public Engine's pool of recycled arenas is the motivating
+// implementation.
 type ArenaPool interface {
 	Get() *device.Arena
 	Put(*device.Arena)
 }
 
-// RingParser is the parser contract of the cross-partition ring: beyond
-// the serial Parser it must (a) pre-scan a partition's record boundary
-// so the next partition's input can be finalised without waiting for
-// the full parse, and (b) parse on a caller-supplied arena so several
-// partitions can be in flight at once. ParseInFlight must be safe for
-// concurrent calls on distinct arenas whenever Boundary reported ok for
-// the partitions involved.
-type RingParser interface {
-	Parser
-	// Boundary returns the carry-over tail length a parse of input
-	// would report, when that is determinable without a full parse
-	// (ok=false falls the partition back to the serial carry path —
-	// e.g. while first-partition trimming is unsettled or the input
-	// needs transcoding before record boundaries exist).
-	Boundary(input []byte) (remainder int, ok bool)
-	// ParseInFlight parses one partition on the given arena.
-	ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error)
-}
+// freshArenas is the ArenaPool of a run without Config.Arenas.
+type freshArenas struct{}
+
+func (freshArenas) Get() *device.Arena { return device.NewArena() }
+func (freshArenas) Put(*device.Arena)  {}
 
 // Stats summarises one streaming run.
 type Stats struct {
@@ -227,13 +211,11 @@ type Stats struct {
 	ParseBusy time.Duration
 	// MaxCarryOver is the largest carry-over observed (bytes).
 	MaxCarryOver int
-	// DeviceBytes is the peak arena footprint across all partitions
-	// (zero when the run had no arena). Under the ring scheduler it sums
-	// the per-arena peaks of every arena the run drew — the memory cost
-	// of depth: InFlight × one partition's footprint.
+	// DeviceBytes sums the per-arena peaks of every arena the run drew
+	// — the memory cost of depth: InFlight × one partition's footprint.
+	// At depth 1 it is the one recycled arena's peak.
 	DeviceBytes int64
-	// InFlight is the ring depth the run actually used (1 for the
-	// serial pipeline).
+	// InFlight is the ring depth the run actually used.
 	InFlight int
 	// SerialFallbacks counts the non-final partitions whose record
 	// boundary could not be pre-scanned and that therefore parsed
@@ -263,8 +245,8 @@ type Stats struct {
 	// source and charging host-to-device transfers; BoundaryBusy is the
 	// time spent in record-boundary pre-scans; EmitBusy is the time the
 	// emit stage spent charging device-to-host transfers. With ParseBusy
-	// (which sums concurrent parses and so can exceed Duration under the
-	// ring) these expose each stage's busy share of the run.
+	// (which sums concurrent parses and so can exceed Duration when
+	// InFlight > 1) these expose each stage's busy share of the run.
 	ReadBusy     time.Duration
 	BoundaryBusy time.Duration
 	EmitBusy     time.Duration
@@ -301,7 +283,7 @@ func quarantinable(err error) bool {
 // carrying the partition index and the stack, so the pipeline fails (or
 // quarantines) cleanly instead of killing the process. The
 // fault-injection ring hook fires here, on every parse path.
-func safeParse(parse func() (PartitionResult, error), idx int) (res PartitionResult, err error) {
+func safeParse(parser Parser, arena *device.Arena, part Partition) (res PartitionResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			stage, val := "ring", r
@@ -311,12 +293,12 @@ func safeParse(parse func() (PartitionResult, error), idx int) (res PartitionRes
 			} else {
 				stack = debug.Stack()
 			}
-			err = &parparawerr.InternalError{Partition: idx, Stage: stage, Value: val, Stack: stack}
+			err = &parparawerr.InternalError{Partition: part.Index, Stage: stage, Value: val, Stack: stack}
 			res = PartitionResult{}
 		}
 	}()
-	faultinject.RingParse(idx)
-	return parse()
+	faultinject.RingParse(part.Index)
+	return parser.ParseInFlight(arena, part)
 }
 
 // tagInputError stamps the failing partition's index into a typed
@@ -327,284 +309,4 @@ func tagInputError(err error, idx int) error {
 		ie.Partition = idx
 	}
 	return fmt.Errorf("stream: reading input: %w", err)
-}
-
-// chunk is one fixed-size host buffer's worth of raw input on its way
-// from the Source to a partition parse.
-type chunk struct {
-	buf  int    // index of the double buffer holding the bytes
-	data []byte // the chunk's bytes (a prefix of the buffer)
-	last bool   // the source is exhausted after this chunk
-	err  error  // source read error (data/last are then meaningless)
-}
-
-// Run streams the source through the pipeline. It returns the
-// per-partition tables in input order. On failure the returned Result,
-// when non-nil, holds the tables emitted and the statistics accumulated
-// before the failure — partial progress a caller can still report.
-//
-// Stage 1 pulls PartitionSize-byte chunks from the source into two
-// recycled host buffers (the Figure 7 raw-input double buffer) and
-// charges each to the host-to-device bus direction. Stage 2 assembles
-// each partition's parse input — a fixed-size device buffer holding the
-// carry-over followed by fresh chunk bytes (the "copy c/o" step), sized
-// so the total stays at PartitionSize — and parses it; a chunk's host
-// buffer is recycled only after the parse that consumed its final byte
-// completes, preserving the figure's "transfer i+2 waits on parse i"
-// dependency. Fixed-size parse inputs keep every device buffer in the
-// same arena size class across partitions — the paper's
-// allocate-once-reuse-per-partition footprint. Only a carry-over of
-// PartitionSize or more (one record larger than a partition) grows the
-// parse buffer beyond PartitionSize.
-func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
-	if cfg.PartitionSize <= 0 {
-		return nil, errors.New("stream: partition size must be positive")
-	}
-	src.SetRetry(cfg.Retry)
-	if cfg.InFlight > 1 && cfg.Arenas != nil {
-		if rp, ok := parser.(RingParser); ok {
-			return runRing(cfg, rp, src)
-		}
-	}
-	bus := cfg.Bus
-	if bus == nil {
-		bus = pcie.Default()
-	}
-	ctx := cfg.ctx()
-
-	start := time.Now()
-
-	type parsed struct {
-		idx   int
-		table *columnar.Table
-		bytes int64
-		err   error
-	}
-
-	// Double-buffer tokens: values are buffer indexes. The read two
-	// chunks ahead waits until the parse consuming chunk i releases its
-	// buffer (input side); the parse two partitions ahead waits for the
-	// return of partition i (data side).
-	inputTokens := make(chan int, 2)
-	dataTokens := make(chan struct{}, 2)
-	inputTokens <- 0
-	inputTokens <- 1
-	dataTokens <- struct{}{}
-	dataTokens <- struct{}{}
-
-	chunks := make(chan chunk, 2)    // filled chunks awaiting consumption
-	toReturn := make(chan parsed, 1) // parsed partitions awaiting DtoH
-	done := make(chan error, 1)
-	quit := make(chan struct{}) // closed on error so stage 1 exits
-
-	// Stage 1: pull fixed-size chunks from the source and transfer them
-	// host→device. The two chunk buffers here are the run's entire
-	// host-side input footprint; they grow geometrically toward
-	// PartitionSize (Source.Fill), so a source smaller than a partition
-	// never pays for full-size buffers.
-	go func() {
-		defer close(chunks)
-		var bufs [2][]byte
-		for {
-			var idx int
-			select {
-			case idx = <-inputTokens:
-			case <-quit:
-				return
-			}
-			data, last, err := src.Fill(bufs[idx], cfg.PartitionSize)
-			bufs[idx] = data
-			if err == nil {
-				bus.Transfer(pcie.HostToDevice, int64(len(data)))
-			}
-			select {
-			case chunks <- chunk{buf: idx, data: data, last: last, err: err}:
-			case <-quit:
-				return
-			}
-			if last || err != nil {
-				return
-			}
-		}
-	}()
-
-	stats := Stats{InFlight: 1}
-	var tables []*columnar.Table
-
-	// Stage 2: parse (serial across partitions — the device is one
-	// resource — but internally parallel).
-	go func() {
-		fail := func(idx int, err error) {
-			close(quit)
-			toReturn <- parsed{idx: idx, err: err}
-			close(toReturn)
-		}
-		var carry []byte
-		var base int64 // stream offset of the current carry/partition start
-		var cur chunk  // current chunk being consumed
-		curOff := 0    // bytes of cur already consumed
-		haveChunk := false
-		exhausted := false // the source's last chunk has been fully consumed
-		var spent []int    // buffers drained by this partition, recycled after its parse
-		var segs [][]byte  // fresh chunk segments of the partition being assembled
-		for i := 0; ; i++ {
-			if err := ctx.Err(); err != nil {
-				fail(i, fmt.Errorf("stream: %w", parparawerr.Canceled(i, err)))
-				return
-			}
-			// The carry-over displaces fresh input so carry + fresh fills
-			// one fixed PartitionSize buffer; a carry of a full partition
-			// or more (one record larger than a partition) still makes
-			// PartitionSize bytes of progress.
-			need := cfg.PartitionSize - len(carry)
-			if need <= 0 {
-				need = cfg.PartitionSize
-			}
-
-			// Gather the partition's fresh bytes as segments of the chunk
-			// buffers first (they stay stable until the post-parse token
-			// release below), so the device buffer can be allocated at
-			// its exact final size.
-			segs = segs[:0]
-			got := 0
-			for got < need && !exhausted {
-				if !haveChunk {
-					c, ok := <-chunks
-					if !ok {
-						// Stage 1 exited without a last marker: only
-						// possible after quit; this goroutine is already
-						// failing elsewhere.
-						return
-					}
-					if c.err != nil {
-						fail(i, tagInputError(c.err, i))
-						return
-					}
-					stats.InputBytes += int64(len(c.data))
-					cur, curOff, haveChunk = c, 0, true
-				}
-				take := need - got
-				if avail := len(cur.data) - curOff; take > avail {
-					take = avail
-				}
-				if take > 0 {
-					segs = append(segs, cur.data[curOff:curOff+take])
-				}
-				got += take
-				curOff += take
-				if curOff == len(cur.data) {
-					haveChunk = false
-					spent = append(spent, cur.buf)
-					if cur.last {
-						exhausted = true
-					}
-				}
-			}
-			final := exhausted && !haveChunk
-
-			// Recycle the previous partition's device buffers: nothing
-			// transient outlives a partition parse (tables and the carry
-			// copy live on the host heap), so from here on this partition
-			// reuses its predecessor's allocations.
-			cfg.Arena.Reset()
-			// Assemble carry-over + fresh chunk bytes (the "copy c/o"
-			// step) in the partition's device input buffer.
-			buf := device.Alloc[byte](cfg.Arena, len(carry)+got)[:0]
-			buf = append(buf, carry...)
-			for _, seg := range segs {
-				buf = append(buf, seg...)
-			}
-
-			<-dataTokens
-			parseStart := time.Now()
-			part := Partition{Index: i, Base: base, Input: buf, Final: final}
-			res, err := safeParse(func() (PartitionResult, error) {
-				return parser.ParsePartition(part)
-			}, i)
-			stats.ParseBusy += time.Since(parseStart)
-			stats.Partitions++
-			if err == nil && !final && (res.CompleteBytes < 0 || res.CompleteBytes > len(buf)) {
-				err = fmt.Errorf("complete bytes %d outside [0,%d]: %w", res.CompleteBytes, len(buf),
-					&parparawerr.InternalError{Partition: i, Stage: "ring"})
-			}
-			if err != nil {
-				if cfg.SkipBadPartitions && quarantinable(err) {
-					// Quarantine: drop the partition (and the pending
-					// carry — its boundary is unknown) and continue.
-					stats.QuarantinedPartitions++
-					base += int64(len(buf))
-					carry = carry[:0]
-					for _, b := range spent {
-						inputTokens <- b
-					}
-					spent = spent[:0]
-					dataTokens <- struct{}{}
-					if final {
-						break
-					}
-					continue
-				}
-				fail(i, fmt.Errorf("stream: partition %d: %w", i, err))
-				return
-			}
-			if res.Invalid {
-				stats.InvalidInput = true
-			}
-			stats.RowsPruned += res.RowsPruned
-			stats.BytesSkipped += res.BytesSkipped
-			stats.QuarantinedRecords += res.BadRecords
-			if final {
-				base += int64(len(buf))
-			} else {
-				base += int64(res.CompleteBytes)
-				carry = append(carry[:0], buf[res.CompleteBytes:]...)
-				if len(carry) > stats.MaxCarryOver {
-					stats.MaxCarryOver = len(carry)
-				}
-			}
-			// The drained chunks free host input capacity now that the
-			// parse consuming them is over (their bytes live on in the
-			// device buffer and the carry copy only).
-			for _, b := range spent {
-				inputTokens <- b
-			}
-			spent = spent[:0]
-			outBytes := res.OutputBytes
-			if outBytes <= 0 && res.Table != nil {
-				outBytes = res.Table.DataBytes()
-			}
-			toReturn <- parsed{idx: i, table: res.Table, bytes: outBytes}
-			if final {
-				break
-			}
-		}
-		close(toReturn)
-	}()
-
-	// Stage 3: return parsed data device→host.
-	go func() {
-		for p := range toReturn {
-			if p.err != nil {
-				done <- p.err
-				return
-			}
-			bus.Transfer(pcie.DeviceToHost, p.bytes)
-			stats.OutputBytes += p.bytes
-			dataTokens <- struct{}{}
-			if p.table != nil {
-				tables = append(tables, p.table)
-			}
-		}
-		done <- nil
-	}()
-
-	err := <-done
-	stats.Duration = time.Since(start)
-	stats.DeviceBytes = cfg.Arena.PeakBytes()
-	stats.Retries, stats.RetriedBytes = src.RetryStats()
-	res := &Result{Tables: tables, Stats: stats}
-	if err != nil {
-		return res, err
-	}
-	return res, nil
 }

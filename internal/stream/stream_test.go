@@ -1,13 +1,12 @@
 package stream
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/columnar"
+	"repro/internal/device"
 	"repro/internal/pcie"
 )
 
@@ -15,33 +14,14 @@ func testBus() *pcie.Bus {
 	return pcie.New(pcie.Config{BandwidthHtoD: 1e9, BandwidthDtoH: 1e9, Latency: -1, TimeScale: 1e6})
 }
 
-// lineParser is a toy record-aware parser: records are '\n'-terminated
-// lines; it emits a single string column and reports the complete-record
-// prefix, exercising the carry-over machinery.
-type lineParser struct {
-	partitions [][]byte // inputs as seen per partition (with carry)
-}
+// parseFunc adapts a function to Parser. Its Boundary declines, so
+// every partition parses on the serial carry path.
+type parseFunc func(part Partition) (PartitionResult, error)
 
-func (p *lineParser) ParsePartition(part Partition) (PartitionResult, error) {
-	input := part.Input
-	p.partitions = append(p.partitions, append([]byte(nil), input...))
-	complete := bytes.LastIndexByte(input, '\n') + 1
-	if part.Final {
-		complete = len(input)
-	}
-	var lines []string
-	for _, l := range bytes.Split(input[:complete], []byte{'\n'}) {
-		if len(l) > 0 {
-			lines = append(lines, string(l))
-		}
-	}
-	col := columnar.FromStrings("line", lines)
-	tbl, err := columnar.NewTable(columnar.NewSchema(columnar.Field{Name: "line", Type: columnar.String}),
-		[]*columnar.Column{col}, nil)
-	if err != nil {
-		return PartitionResult{}, err
-	}
-	return PartitionResult{Table: tbl, CompleteBytes: complete}, nil
+func (f parseFunc) Boundary([]byte) (int, bool) { return 0, false }
+
+func (f parseFunc) ParseInFlight(_ *device.Arena, part Partition) (PartitionResult, error) {
+	return f(part)
 }
 
 func TestRunReassemblesRecordsAcrossPartitions(t *testing.T) {
@@ -56,7 +36,7 @@ func TestRunReassemblesRecordsAcrossPartitions(t *testing.T) {
 	input := []byte(sb.String())
 
 	for _, partSize := range []int{7, 16, 64, 100, len(input), len(input) * 2} {
-		p := &lineParser{}
+		p := newRingLineParser()
 		res, err := Run(Config{PartitionSize: partSize, Bus: testBus()}, p, BytesSource(input))
 		if err != nil {
 			t.Fatalf("partSize=%d: %v", partSize, err)
@@ -96,19 +76,19 @@ func TestRunCarryOverContent(t *testing.T) {
 	// Partition size 10 splits "abcdefgh\nijklmnop\n" mid-record; the
 	// parser must see the carried bytes prepended.
 	input := []byte("abcdefgh\nijklmnop\n")
-	p := &lineParser{}
+	p := newRingLineParser()
 	_, err := Run(Config{PartitionSize: 10, Bus: testBus()}, p, BytesSource(input))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.partitions) != 2 {
-		t.Fatalf("parser saw %d partitions", len(p.partitions))
+	if len(p.inputs) != 2 {
+		t.Fatalf("parser saw %d partitions", len(p.inputs))
 	}
-	if string(p.partitions[0]) != "abcdefgh\ni" {
-		t.Errorf("partition 0 input = %q", p.partitions[0])
+	if string(p.inputs[0]) != "abcdefgh\ni" {
+		t.Errorf("partition 0 input = %q", p.inputs[0])
 	}
-	if string(p.partitions[1]) != "ijklmnop\n" {
-		t.Errorf("partition 1 input = %q (carry-over not prepended)", p.partitions[1])
+	if string(p.inputs[1]) != "ijklmnop\n" {
+		t.Errorf("partition 1 input = %q (carry-over not prepended)", p.inputs[1])
 	}
 }
 
@@ -117,7 +97,7 @@ func TestRunGiantRecordSpanningPartitions(t *testing.T) {
 	// growing until the delimiter arrives.
 	record := strings.Repeat("y", 350)
 	input := []byte(record + "\nz\n")
-	p := &lineParser{}
+	p := newRingLineParser()
 	res, err := Run(Config{PartitionSize: 100, Bus: testBus()}, p, BytesSource(input))
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +118,7 @@ func TestRunGiantRecordSpanningPartitions(t *testing.T) {
 }
 
 func TestRunEmptyInput(t *testing.T) {
-	p := &lineParser{}
+	p := newRingLineParser()
 	res, err := Run(Config{PartitionSize: 10, Bus: testBus()}, p, BytesSource(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +130,7 @@ func TestRunEmptyInput(t *testing.T) {
 
 func TestRunParserError(t *testing.T) {
 	boom := errors.New("boom")
-	parser := ParserFunc(func(part Partition) (PartitionResult, error) {
+	parser := parseFunc(func(part Partition) (PartitionResult, error) {
 		return PartitionResult{}, boom
 	})
 	_, err := Run(Config{PartitionSize: 4, Bus: testBus()}, parser, BytesSource([]byte("abcdefgh")))
@@ -160,7 +140,7 @@ func TestRunParserError(t *testing.T) {
 }
 
 func TestRunBadCompleteBytes(t *testing.T) {
-	parser := ParserFunc(func(part Partition) (PartitionResult, error) {
+	parser := parseFunc(func(part Partition) (PartitionResult, error) {
 		return PartitionResult{CompleteBytes: len(part.Input) + 5}, nil
 	})
 	if _, err := Run(Config{PartitionSize: 4, Bus: testBus()}, parser, BytesSource([]byte("abcdefgh"))); err == nil {
@@ -169,18 +149,19 @@ func TestRunBadCompleteBytes(t *testing.T) {
 }
 
 func TestRunConfigValidation(t *testing.T) {
-	if _, err := Run(Config{PartitionSize: 0}, ParserFunc(nil), BytesSource(nil)); err == nil {
+	if _, err := Run(Config{PartitionSize: 0}, parseFunc(nil), BytesSource(nil)); err == nil {
 		t.Error("want error for zero partition size")
 	}
 }
 
 // TestStreamingScheduleOverlap is the Figure 7 behaviour test: with a bus
-// whose transfers are slow, total pipeline time must be well below a
-// *measured* serial execution of the same stages, proving the three
-// stages of consecutive partitions overlap. Comparing against a serial
-// run performed under the same machine load (rather than against the
-// nominal sum of sleep durations) keeps the test stable when timers are
-// inflated by a busy CI host — the inflation applies to both runs.
+// whose transfers are slow, total pipeline time at depth 1 (one slot,
+// one arena) must be well below a *measured* serial execution of the
+// same stages, proving the three stages of consecutive partitions
+// overlap. Comparing against a serial run performed under the same
+// machine load (rather than against the nominal sum of sleep durations)
+// keeps the test stable when timers are inflated by a busy CI host —
+// the inflation applies to both runs.
 func TestStreamingScheduleOverlap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing-sensitive; race instrumentation distorts the schedule")
@@ -205,16 +186,9 @@ func TestStreamingScheduleOverlap(t *testing.T) {
 			input[i] = '\n'
 		}
 	}
+	// Each parse sleeps 15ms; its line table (data plus offsets) holds
+	// at least a partition's bytes, so each return takes >= 15ms too.
 	parseDelay := 15 * time.Millisecond
-	parser := ParserFunc(func(part Partition) (PartitionResult, error) {
-		in := part.Input
-		time.Sleep(parseDelay)
-		complete := bytes.LastIndexByte(in, '\n') + 1
-		if part.Final {
-			complete = len(in)
-		}
-		return PartitionResult{CompleteBytes: complete, OutputBytes: partSize}, nil
-	})
 
 	// Nominal: serial 5 × 45ms = 225ms, pipelined ~(15 + 5×15 + 15)ms =
 	// 105ms. A loaded single-core CI host can inflate either run
@@ -230,7 +204,8 @@ func TestStreamingScheduleOverlap(t *testing.T) {
 		}
 		serial := time.Since(serialStart)
 
-		res, err := Run(Config{PartitionSize: partSize, Bus: bus}, parser, BytesSource(input))
+		res, err := Run(Config{PartitionSize: partSize, Bus: bus, InFlight: 1},
+			&slowRingParser{newRingLineParser(), parseDelay}, BytesSource(input))
 		if err != nil {
 			t.Fatal(err)
 		}

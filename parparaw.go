@@ -111,17 +111,18 @@ type Options struct {
 	// modelled-time mode (VirtualWorkers) the convert phase always runs
 	// sequentially, matching the paper's serialised kernel launches.
 	ConvertWorkers int
-	// InFlight is the number of streaming partitions processed
-	// concurrently by the cross-partition ring (§4.4 extended across
-	// partitions): each in-flight partition runs the whole kernel
-	// pipeline on its own device arena, a record-boundary pre-scan
-	// finalises partition i+1's input without waiting for partition i's
-	// parse, and an emit stage releases tables in input order. 0 uses a
-	// GOMAXPROCS-derived default; 1 forces the serial partition-at-a-time
-	// pipeline. Output is byte-identical at every setting; only Parse
-	// paths that stream (Stream, StreamReader, large ParseReader inputs)
-	// are affected. In modelled-time mode (VirtualWorkers) the ring is
-	// forced to 1, matching the paper's serialised schedule.
+	// InFlight is the depth of the streaming ring (§4.4 extended across
+	// partitions): the number of partitions parsed concurrently, each
+	// running the whole kernel pipeline on its own device arena, while a
+	// record-boundary pre-scan finalises partition i+1's input without
+	// waiting for partition i's parse and an emit stage releases tables
+	// in input order. 0 uses a GOMAXPROCS-derived default; 1 parses one
+	// partition at a time on one recycled arena, still overlapping its
+	// transfers with the neighbouring parses (Figure 7). Output is
+	// byte-identical at every setting; only Parse paths that stream
+	// (Stream, StreamReader, large ParseReader inputs) are affected. In
+	// modelled-time mode (VirtualWorkers) the ring is forced to 1,
+	// matching the paper's serialised schedule.
 	InFlight int
 	// SkipRows prunes the first n raw lines before parsing (§4.3).
 	SkipRows int

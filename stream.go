@@ -94,9 +94,9 @@ type StreamOptions struct {
 	// Bus is the simulated interconnect; nil uses a PCIe 3.0 x16 model.
 	Bus *Bus
 	// Unordered emits each partition's table as soon as its parse
-	// completes instead of buffering for input order (only meaningful
-	// with Options.InFlight > 1); StreamResult.Order then records the
-	// input index of each emitted table.
+	// completes instead of buffering for input order; StreamResult.Order
+	// then records the input index of each emitted table. Only
+	// Options.InFlight > 1 can complete partitions out of order.
 	Unordered bool
 	// DeviceBudget, when positive, bounds the estimated device bytes of
 	// the partitions concurrently in flight: the ring stops admitting
@@ -123,10 +123,11 @@ type StreamOptions struct {
 	// contained panic or a validation error, instead of failing the run:
 	// the partition's output is dropped, counted in
 	// StreamStats.QuarantinedPartitions, and the stream continues. When
-	// the failed partition's record boundary was pre-scanned the carry
-	// chain is intact and no neighbouring record is affected; on the
-	// serial carry path the pending carry is dropped with the partition,
-	// so a record straddling into it may also lose its head. Reader
+	// the failed partition's record boundary was pre-scanned (at any
+	// depth) the carry chain is intact and no neighbouring record is
+	// affected. Only a serial-carry fallback partition — an unsettled
+	// first partition, or UTF-16 input — drops the pending carry with
+	// it, so a record straddling into it may also lose its head. Reader
 	// failures and cancellation are never quarantined.
 	SkipBadPartitions bool
 }
@@ -159,29 +160,29 @@ type StreamStats struct {
 	// or predicate pushdown made irrelevant) — the streaming counterpart
 	// of Stats.BytesSkipped.
 	BytesSkipped int64
-	// DeviceBytes is the peak device-memory footprint across all
-	// partitions. With InFlight=1 all partitions share one recycled
-	// arena (§4.4), so in steady state this is roughly the footprint of
-	// the largest single partition — the Figure-12 memory/throughput
-	// trade-off's memory axis. Under the cross-partition ring it sums
-	// the per-arena peaks of the InFlight arenas the run drew: the
-	// memory cost of depth is InFlight × one partition's footprint.
+	// DeviceBytes sums the per-arena peaks of the arenas the run drew,
+	// one per ring slot: the memory cost of depth is InFlight × one
+	// partition's footprint. With InFlight=1 all partitions share one
+	// recycled arena (§4.4), so in steady state this is roughly the
+	// footprint of the largest single partition — the Figure-12
+	// memory/throughput trade-off's memory axis.
 	DeviceBytes int64
 	// InFlight is the ring depth the run actually used: the number of
-	// partitions processed concurrently (1 = the serial pipeline).
+	// partitions processed concurrently (1 = one slot, one arena).
 	InFlight int
 	// SerialFallbacks counts the non-final partitions whose record
 	// boundary could not be pre-scanned (first-partition trimming
-	// unsettled, UTF-16 input) and that therefore parsed on the serial
-	// carry path inside the ring.
+	// unsettled, UTF-16 input) and that therefore parsed inline on the
+	// ring's scheduler, the serial carry path. It is counted at every
+	// depth, 1 included.
 	SerialFallbacks int
 	// ReadBusy, BoundaryBusy, and EmitBusy are the time the ring's
 	// sequential spine spent pulling input (including host-to-device
 	// transfer charges), pre-scanning record boundaries, and charging
-	// device-to-host transfers, respectively. Together with ParseBusy —
-	// which sums concurrent partition parses and so may exceed Duration
-	// when InFlight > 1 — they expose each stage's busy share of the
-	// run (the -v output of cmd/parparaw).
+	// device-to-host transfers, respectively, at every depth. Together
+	// with ParseBusy — which sums concurrent partition parses and so may
+	// exceed Duration when InFlight > 1 — they expose each stage's busy
+	// share of the run (the -v output of cmd/parparaw).
 	ReadBusy     time.Duration
 	BoundaryBusy time.Duration
 	EmitBusy     time.Duration
