@@ -726,24 +726,27 @@ func BenchmarkAblationScan(b *testing.B) {
 	})
 }
 
-// BenchmarkStateVectorScan measures the composite exclusive scan over
+// BenchmarkStateVectorScan measures the start-state scan over packed
 // state-transition vectors — the step that makes context inference
-// parallel (§3.1, Figure 3).
+// parallel (§3.1, Figure 3) — over 2^16 chunk words as parseVectors
+// writes them.
 func BenchmarkStateVectorScan(b *testing.B) {
 	m := dfa.RFC4180()
 	const chunks = 1 << 16
 	input := benchSpecs[0].Generate(chunks*31, 42)
-	vectors := make([]statevec.Vector, chunks)
-	for c := 0; c < chunks; c++ {
+	words := make([]statevec.Word, chunks)
+	for c := range words {
 		lo := c * 31
 		hi := min(lo+31, len(input))
-		vectors[c] = m.ChunkVector(input[lo:hi])
+		words[c] = m.ChunkWord(input[lo:hi])
 	}
-	dst := make([]statevec.Vector, chunks)
+	starts := make([]uint8, chunks)
 	d := device.Default()
+	arena := device.NewArena()
 	b.SetBytes(chunks * 31)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		statevec.ExclusiveScan(d, "bench", m.NumStates(), vectors, dst)
+		arena.Reset()
+		statevec.StartStates(d, arena, "bench", m.NumStates(), words, m.Start(), starts)
 	}
 }

@@ -32,9 +32,9 @@ import (
 // kernel launches. The two concurrency layers compose: a run's convert
 // stage may itself fan out over Options.ConvertWorkers goroutines, each
 // working on a shard of that run's checked-out arena, while other calls
-// run on their own arenas. Stats.Phases of overlapping calls share the
-// device's timers, so per-phase durations under concurrency describe
-// the device, not one call.
+// run on their own arenas. Each call also times its kernel launches on
+// a private timer, so Stats.Phases of overlapping calls describe each
+// call alone.
 type Engine struct {
 	plan   *core.Plan
 	arenas arenaPool

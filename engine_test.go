@@ -11,6 +11,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/workload"
 )
 
 func engineTestInput(records int) []byte {
@@ -51,6 +54,52 @@ func TestEngineParseMatchesParse(t *testing.T) {
 			if g[r] != w[r] {
 				t.Fatalf("call %d row %d: %q, want %q", i, r, g[r], w[r])
 			}
+		}
+	}
+}
+
+// TestEngineConcurrentPhasesPerRun pins Stats.Phases to the call that
+// reports it. The four calls share the process-wide default device (no
+// Workers or VirtualWorkers) and overlap; with one convert worker each
+// call launches its kernels one after another, so its phases must sum
+// to at most its own wall time. Timing every call on the device's one
+// timer would add the other calls' launches to each call's phases.
+func TestEngineConcurrentPhasesPerRun(t *testing.T) {
+	input := workload.Yelp().Generate(2<<20, 7)
+	e, err := NewEngine(Options{ConvertWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 4
+	stats := make([]Stats, calls)
+	errs := make([]error, calls)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, err := e.Parse(input)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			stats[i] = res.Stats
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, s := range stats {
+		if errs[i] != nil {
+			t.Fatalf("call %d: %v", i, errs[i])
+		}
+		var sum time.Duration
+		for _, d := range s.Phases {
+			sum += d
+		}
+		if sum > s.Duration {
+			t.Errorf("call %d: phases sum to %v, more than its own duration %v: %v", i, sum, s.Duration, s.Phases)
 		}
 	}
 }

@@ -85,39 +85,33 @@ func (p *pipeline) run() (*columnar.Table, error) {
 
 // parseVectors is the first parse kernel (§3.1, Figure 3): one simulated
 // DFA instance per possible start state per chunk, producing each
-// chunk's state-transition vector. The vectors live in one flat device
-// buffer, one row per chunk.
+// chunk's state-transition vector packed into one 64-bit word (§4.5) —
+// eight bytes of device memory per chunk.
 func (p *pipeline) parseVectors() error {
 	n := len(p.input)
 	p.stats.InputBytes = int64(n)
 	p.chunks = (n + p.ChunkSize - 1) / p.ChunkSize
 	p.stats.Chunks = p.chunks
 	m := p.Machine
-	p.vectors = statevec.AllocVectors(p.Arena, p.chunks, m.NumStates())
+	p.words = device.AllocDirty[statevec.Word](p.Arena, p.chunks)
 	p.Device.Launch("parse", p.chunks, func(c int) {
 		lo, hi := p.chunkBounds(c)
-		m.ChunkVectorInto(p.vectors[c], p.input[lo:hi])
+		p.words[c] = m.ChunkWord(p.input[lo:hi])
 	})
 	return nil
 }
 
-// scanStates resolves every chunk's true start state with the composite
-// exclusive scan over the state-transition vectors (§3.1) and validates
-// the input's end state.
+// scanStates resolves every chunk's true start state from the packed
+// transition vectors (§3.1) and validates the input's end state. The
+// pipeline reads each chunk's scanned vector only at the machine's
+// start state, so statevec.StartStates carries that one state through
+// the chunks instead of composing whole vectors.
 func (p *pipeline) scanStates() error {
 	n := len(p.input)
-	d, m := p.Device, p.Machine
-	scanned := device.Alloc[statevec.Vector](p.Arena, p.chunks)
-	total := statevec.ExclusiveScanArena(d, p.Arena, "scan", m.NumStates(), p.vectors, scanned)
-	p.startState = device.Alloc[uint8](p.Arena, p.chunks)
-	d.Launch("scan", p.chunks, func(c int) {
-		p.startState[c] = scanned[c][m.Start()]
-	})
-	p.vectors = nil // dead: the scan results are fully extracted below
-	p.endState = total[m.Start()]
-	if n == 0 {
-		p.endState = m.Start()
-	}
+	m := p.Machine
+	p.startState = device.AllocDirty[uint8](p.Arena, p.chunks)
+	p.endState = statevec.StartStates(p.Device, p.Arena, "scan", m.NumStates(), p.words, m.Start(), p.startState)
+	p.words = nil // dead: every start state is resolved
 	// In remainder mode a non-accepting end state is expected (the tail
 	// will be re-parsed with the next partition); only the invalid sink
 	// is a hard failure.
@@ -154,21 +148,14 @@ func (p *pipeline) emitBitmapsStage() error {
 	return nil
 }
 
-// offsetScans runs the record and column offset scans (§3.2, Figure 4),
+// offsetScans runs the record and column offset scans (§3.2, Figure 4)
+// in place over the per-chunk counts and offsets the emit kernel wrote,
 // resolves the column count and selection, and finishes early with an
 // empty table when there is nothing to partition.
 func (p *pipeline) offsetScans() error {
 	d := p.Device
-	recCounts := device.Alloc[int64](p.Arena, p.chunks)
-	colOffs := device.Alloc[offsets.ColumnOffset](p.Arena, p.chunks)
-	for c, cm := range p.meta {
-		recCounts[c] = cm.recCount
-		colOffs[c] = cm.colOff
-	}
-	p.recBase = device.Alloc[int64](p.Arena, p.chunks)
-	totalRecs := scan.ExclusiveArena(d, p.Arena, "scan", scan.Sum[int64](), recCounts, p.recBase)
-	p.colBase = device.Alloc[offsets.ColumnOffset](p.Arena, p.chunks)
-	p.colTotal = offsets.ExclusiveColumnScanArena(d, p.Arena, "scan", colOffs, p.colBase)
+	totalRecs := scan.ExclusiveArena(d, p.Arena, "scan", scan.Sum[int64](), p.recBase, p.recBase)
+	p.colTotal = offsets.ExclusiveColumnScanArena(d, p.Arena, "scan", p.colBase, p.colBase)
 
 	p.numRecords = totalRecs
 	if p.trailing {
@@ -395,8 +382,10 @@ func (p *pipeline) convertColumnsParallel(workers int, outFields []columnar.Fiel
 // record counts and rel/abs column offsets (§3.2) are collected in the
 // same sweep (the paper derives them from the bitmaps with popc;
 // counting during emission is arithmetically identical and saves a
-// pass). The bitmap words and chunk metadata are arena-backed; the
-// per-chunk staging words live on the kernel goroutine's stack.
+// pass) and written straight into recBase and colBase, which
+// offsetScans then scans in place. The bitmap words, chunk metadata and
+// offset arrays are arena-backed; the per-chunk staging words live on
+// the kernel goroutine's stack.
 //
 // On the fused fast path each byte costs one fused-table load, and the
 // skip-ahead scanners jump over runs of data-emitting self-loops (field
@@ -410,7 +399,10 @@ func (p *pipeline) emitBitmaps() {
 		field:   bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(n)), n),
 		control: bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(n)), n),
 	}
-	p.meta = device.Alloc[chunkMeta](p.Arena, p.chunks)
+	// The kernel writes every chunk's entry of these three arrays.
+	p.meta = device.AllocDirty[chunkMeta](p.Arena, p.chunks)
+	p.recBase = device.AllocDirty[int64](p.Arena, p.chunks)
+	p.colBase = device.AllocDirty[offsets.ColumnOffset](p.Arena, p.chunks)
 	fused := m.Fused()
 	skip := m.SkipScanners()
 	p.Device.Launch("parse", p.chunks, func(c int) {
@@ -434,6 +426,7 @@ func (p *pipeline) emitBitmaps() {
 		}
 		s := p.startState[c]
 		cm := chunkMeta{}
+		var recs int64
 		relCol := 0
 		for i := lo; i < hi; {
 			if skip != nil {
@@ -458,7 +451,7 @@ func (p *pipeline) emitBitmaps() {
 			case e.IsRecordDelim():
 				recW[j] |= mask
 				ctlW[j] |= mask
-				cm.recCount++
+				recs++
 				if !cm.sawRec {
 					cm.sawRec = true
 					cm.relFirst = relCol
@@ -478,11 +471,12 @@ func (p *pipeline) emitBitmaps() {
 		p.bitmaps.record.MergeWords(loWord, recW[:stageWords])
 		p.bitmaps.field.MergeWords(loWord, fldW[:stageWords])
 		p.bitmaps.control.MergeWords(loWord, ctlW[:stageWords])
+		kind := offsets.Rel
 		if cm.sawRec {
-			cm.colOff = offsets.ColumnOffset{Kind: offsets.Abs, Value: relCol}
-		} else {
-			cm.colOff = offsets.ColumnOffset{Kind: offsets.Rel, Value: relCol}
+			kind = offsets.Abs
 		}
+		p.recBase[c] = recs
+		p.colBase[c] = offsets.ColumnOffset{Kind: kind, Value: relCol}
 		p.meta[c] = cm
 	})
 }

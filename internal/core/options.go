@@ -1,9 +1,11 @@
 // Package core orchestrates ParPaRaw's full parsing pipeline (§3):
 //
-//	parse     multi-DFA state-transition vectors per chunk, then a single
-//	          DFA pass emitting the record/field/control bitmap indexes
-//	scan      composite exclusive scan over the vectors (start states) and
-//	          the record/column offset scans
+//	parse     multi-DFA state-transition vectors per chunk, packed into
+//	          one 64-bit word each, then a single DFA pass emitting the
+//	          record/field/control bitmap indexes
+//	scan      start-state scan over the packed vectors, carrying the one
+//	          true start state through tiles of chunks, and the in-place
+//	          record/column offset scans
 //	tag       counting, per tile of the input, the symbols each output
 //	          column receives (the count pass of the fused tag-scatter)
 //	partition moving every kept data run straight into its column's
@@ -264,7 +266,10 @@ type Stats struct {
 	// Exec.OnBadRecord (0 when no callback was installed).
 	BadRecords int64
 	// Phases holds the per-phase device time of this run (Figure 9's
-	// breakdown): parse, scan, tag, partition, convert.
+	// breakdown): parse, scan, tag, partition, convert. Plan.Execute
+	// times the run on a fresh device of the same configuration, so
+	// concurrent runs sharing a device never count each other's
+	// launches.
 	Phases map[string]time.Duration
 	// DeviceBytes is the peak arena footprint — the simulated device's
 	// memory high-water mark. With a shared arena (streaming) it covers

@@ -30,15 +30,14 @@ func Parse(input []byte, opts Options) (*Result, error) {
 	return plan.Execute(input, plan.BaseExec(opts.Arena))
 }
 
-func phaseDelta(before, after map[string]time.Duration) map[string]time.Duration {
-	out := make(map[string]time.Duration, len(PhaseNames))
+// phaseTimes returns a run's per-phase device time from its private
+// timer: every core phase, zero when it did not run, plus the optional
+// phases (e.g. "transcode") that did.
+func phaseTimes(t *device.EventTimer) map[string]time.Duration {
+	out := t.Snapshot()
 	for _, p := range PhaseNames {
-		out[p] = after[p] - before[p]
-	}
-	// Optional phases (e.g. "transcode") appear only when they ran.
-	for p, d := range after {
-		if _, core := out[p]; !core && d > before[p] {
-			out[p] = d - before[p]
+		if _, ok := out[p]; !ok {
+			out[p] = 0
 		}
 	}
 	return out
@@ -61,7 +60,7 @@ type pipeline struct {
 	onBadRecord func(BadRecord)
 
 	chunks     int
-	vectors    []statevec.Vector // parseVectors → scanStates
+	words      []statevec.Word // parseVectors → scanStates
 	startState []uint8
 	endState   uint8
 	trailing   bool
@@ -70,6 +69,9 @@ type pipeline struct {
 	bitmaps *bitmaps
 	meta    []chunkMeta
 
+	// Per-chunk record counts and rel/abs column offsets as emitBitmaps
+	// writes them; offsetScans scans both in place into every chunk's
+	// first record index and starting column.
 	recBase  []int64
 	colBase  []offsets.ColumnOffset
 	colTotal offsets.ColumnOffset
@@ -119,7 +121,8 @@ func (p *pipeline) chunkBounds(c int) (lo, hi int) {
 // offsets, plus the trailing record.
 func (p *pipeline) resolveColumns() error {
 	var mm offsets.MinMax
-	for c, cm := range p.meta {
+	for c := range p.meta {
+		cm := &p.meta[c]
 		if cm.sawRec {
 			mm.Observe(p.colBase[c].Value + cm.relFirst + 1)
 		}

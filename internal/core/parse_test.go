@@ -12,6 +12,7 @@ import (
 	"repro/internal/css"
 	"repro/internal/device"
 	"repro/internal/dfa"
+	"repro/internal/statevec"
 )
 
 func testOpts() Options {
@@ -561,24 +562,60 @@ func TestParseChunkSizeInvariance(t *testing.T) {
 }
 
 // TestParseWorkerInvariance: results must be identical for any worker
-// count.
+// count, in modelled time too, and equal to encoding/csv's. The input
+// spans more than three start-state scan tiles at ChunkSize 7, and an
+// enclosed field holding ',' and '\n' straddles every tile boundary, so
+// a tile that started in the wrong state would split records there.
+// Types are inferred, so every device also runs the int and float
+// convert kernels and must infer the same schema.
 func TestParseWorkerInvariance(t *testing.T) {
-	in := strings.Repeat("q,\"w,e\",17,2.5\n", 500)
-	var ref [][]string
-	for _, workers := range []int{1, 2, 8} {
+	const chunkSize = 7
+	tileBytes := statevec.TileChunks * chunkSize
+	var sb strings.Builder
+	for b := 1; b <= 3; b++ {
+		for sb.Len() < b*tileBytes-40 {
+			sb.WriteString("q,\"w,e\",17,2.5\n")
+		}
+		sb.WriteString("z,\"")
+		for sb.Len() < b*tileBytes+20 {
+			sb.WriteString("a,\nb")
+		}
+		sb.WriteString("\",1,0.5\n")
+	}
+	for sb.Len() < 3*tileBytes+tileBytes/2 {
+		sb.WriteString("q,\"w,e\",17,2.5\n")
+	}
+	in := sb.String()
+	want := referenceParse(t, in)
+	wantTypes := []columnar.Type{columnar.String, columnar.String, columnar.Int64, columnar.Float64}
+	devices := map[string]*device.Device{
+		"workers=1": device.New(device.Config{Workers: 1}),
+		"workers=2": device.New(device.Config{Workers: 2}),
+		"workers=8": device.New(device.Config{Workers: 8}),
+		"modelled":  device.New(device.Config{Workers: 2, VirtualWorkers: 64}),
+	}
+	for name, d := range devices {
 		opts := testOpts()
-		opts.Device = device.New(device.Config{Workers: workers})
+		opts.Device = d
+		opts.ChunkSize = chunkSize
 		res, err := Parse([]byte(in), opts)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		got := tableStrings(res.Table)
-		if ref == nil {
-			ref = got
-			continue
+		fields := res.Table.Schema().Fields
+		if len(fields) != len(wantTypes) {
+			t.Fatalf("%s: %d columns, want %d", name, len(fields), len(wantTypes))
 		}
-		if fmt.Sprint(got) != fmt.Sprint(ref) {
-			t.Fatalf("workers=%d: results differ", workers)
+		for i, f := range fields {
+			if f.Type != wantTypes[i] {
+				t.Errorf("%s: column %d inferred as %v, want %v", name, i, f.Type, wantTypes[i])
+			}
+		}
+		if res.Stats.Chunks <= 3*statevec.TileChunks {
+			t.Fatalf("%s: %d chunks do not span three scan tiles", name, res.Stats.Chunks)
+		}
+		if got := tableStrings(res.Table); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: %d rows differ from encoding/csv's %d", name, len(got), len(want))
 		}
 	}
 }

@@ -198,7 +198,10 @@ func (p *Plan) Execute(input []byte, exec Exec) (*Result, error) {
 	}
 
 	start := time.Now()
-	before := o.Device.Timers().Snapshot()
+	// The run times itself on a fresh device of the same configuration:
+	// the timers of a device shared by concurrent runs would attribute
+	// their launches to each other's phases.
+	o.Device = device.New(o.Device.Config())
 
 	var header []string
 	body := input
@@ -279,7 +282,7 @@ func (p *Plan) Execute(input []byte, exec Exec) (*Result, error) {
 	// partition, hence here rather than lazily.
 	stats.BadRecords = pl.reportBadRecords()
 	stats.Duration = time.Since(start)
-	stats.Phases = phaseDelta(before, o.Device.Timers().Snapshot())
+	stats.Phases = phaseTimes(o.Device.Timers())
 	stats.DeviceBytes = o.Arena.PeakBytes()
 	return &Result{Table: table, Header: header, Remainder: remainder, Stats: stats}, nil
 }

@@ -18,13 +18,13 @@ type bitmaps struct {
 	control *bitmap.Bitmap // symbol is not part of any field value
 }
 
-// chunkMeta is the per-chunk metadata collected by the emission pass.
+// chunkMeta is the per-chunk column-count metadata collected by the
+// emission pass. The chunk's record count and rel/abs column offset go
+// straight into the offset scans' arrays (pipeline.recBase, colBase).
 type chunkMeta struct {
-	recCount int64                // record delimiters in the chunk
-	colOff   offsets.ColumnOffset // rel/abs column offset handed to the successor
-	relFirst int                  // field delimiters before the chunk's first record delimiter
-	sawRec   bool                 // chunk contains at least one record delimiter
-	mm       offsets.MinMax       // column counts of records fully inside the chunk
+	relFirst int            // field delimiters before the chunk's first record delimiter
+	sawRec   bool           // chunk contains at least one record delimiter
+	mm       offsets.MinMax // column counts of records fully inside the chunk
 }
 
 // tileBytes is the fused tag-scatter's target tile size. A tile is the

@@ -231,17 +231,18 @@ func (m *Machine) ChunkVector(chunk []byte) statevec.Vector {
 	return v
 }
 
-// ChunkVectorInto is ChunkVector writing into the caller-provided vector
-// (which must have length NumStates), so per-chunk kernels can target
-// pre-allocated device memory instead of allocating.
-func (m *Machine) ChunkVectorInto(v statevec.Vector, chunk []byte) {
-	if len(v) != m.numStates {
-		panic(fmt.Sprintf("dfa: vector length %d for %d states", len(v), m.numStates))
-	}
+// ChunkWord is ChunkVector packed into one statevec.Word — the parse
+// kernel's entry point. The |S| DFA instances run over a stack array
+// through the same fused or split loop as ChunkVector, and the result
+// is packed once, so a chunk costs eight bytes of device memory and no
+// allocation.
+func (m *Machine) ChunkWord(chunk []byte) statevec.Word {
+	var v [statevec.MaxStates]uint8
 	for i := range v {
 		v[i] = uint8(i)
 	}
-	m.advanceVector(v, chunk)
+	m.advanceVector(v[:m.numStates], chunk)
+	return statevec.Pack(v[:m.numStates])
 }
 
 func (m *Machine) advanceVector(v statevec.Vector, chunk []byte) {

@@ -222,23 +222,27 @@ func TestRecordRemainderMatchesReferenceWalk(t *testing.T) {
 	}
 }
 
-// TestChunkVectorIntoFusedParity covers the arena-backed vector entry
-// point the parse kernel actually calls.
-func TestChunkVectorIntoFusedParity(t *testing.T) {
-	m := RFC4180()
-	split := m.SetFastPath(false, false)
-	in := []byte(`"text with, delims",123,"more` + "\n" + `text"` + "\n")
-	got := make(statevec.Vector, m.NumStates())
-	want := make(statevec.Vector, m.NumStates())
-	for lo := 0; lo < len(in); lo += 7 {
-		hi := lo + 7
-		if hi > len(in) {
-			hi = len(in)
+// TestChunkWordFusedParity checks the packed entry point the parse
+// kernel calls against the packed reference vector, for every machine
+// on the fused+skip, fused and split paths.
+func TestChunkWordFusedParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	inputs := fusedTestInputs(rng)
+	for name, m := range fusedTestMachines() {
+		split := m.SetFastPath(false, false)
+		paths := map[string]*Machine{
+			"fused+skip": m,
+			"fused":      m.SetFastPath(true, false),
+			"split":      split,
 		}
-		m.ChunkVectorInto(got, in[lo:hi])
-		split.ChunkVectorInto(want, in[lo:hi])
-		if !got.Equal(want) {
-			t.Fatalf("chunk [%d,%d): fused %v vs split %v", lo, hi, got, want)
+		for _, in := range inputs {
+			want := statevec.Pack(split.ChunkVector(in))
+			for path, pm := range paths {
+				if got := pm.ChunkWord(in); got != want {
+					t.Fatalf("%s %s: ChunkWord(%q) = %#x, packed ChunkVector = %#x",
+						name, path, in, uint64(got), uint64(want))
+				}
+			}
 		}
 	}
 }

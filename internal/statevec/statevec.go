@@ -8,15 +8,19 @@
 // but not commutative, so an exclusive parallel scan (seeded with the
 // identity vector) over all chunk vectors yields, for every chunk, the
 // function from the input's true start state to that chunk's start state.
+//
+// The pipeline keeps each chunk's vector packed into one 64-bit Word and
+// resolves start states with StartStates, which carries the single true
+// start state through the chunks instead of scanning whole vectors.
+// Vector and Compose remain the reference the packed path is tested
+// against.
 package statevec
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/device"
-	"repro/internal/scan"
 )
 
 // MaxStates bounds the number of DFA states a vector can hold. The bound
@@ -103,74 +107,125 @@ func (v Vector) String() string {
 	return b.String()
 }
 
-// Op returns the scan operator over vectors of the given state count,
-// with the identity vector as neutral element. Combine allocates the
-// result so scan tiles can retain values safely.
-func Op(states int) scan.Op[Vector] {
-	return scan.Op[Vector]{
-		Identity: Identity(states),
-		Combine: func(a, b Vector) Vector {
-			return Composed(a, b)
-		},
+// Word is a state-transition vector packed into one 64-bit register,
+// four bits per state (§4.5, Figure 8): lane i, bits 4i..4i+3, holds
+// the state reached from start state i. MaxStates lanes fit exactly.
+// Lanes at and above a machine's state count hold the identity. The
+// parse kernel writes one Word per chunk.
+type Word uint64
+
+// identityWord maps every one of the MaxStates lanes to itself.
+const identityWord Word = 0xFEDCBA9876543210
+
+// Pack packs v, which must hold at most MaxStates states, into a Word.
+func Pack(v Vector) Word {
+	if len(v) > MaxStates {
+		panic(fmt.Sprintf("statevec: %d states exceed the %d lanes of a Word", len(v), MaxStates))
 	}
+	w := identityWord &^ (Word(1)<<(4*uint(len(v))) - 1)
+	for i, s := range v {
+		w |= Word(s) << (4 * uint(i))
+	}
+	return w
 }
 
-// ExclusiveScan runs the parallel exclusive composite scan over the chunk
-// vectors in place of dst (which may alias vectors): after the call,
-// dst[c][s] is the state chunk c starts in, given the whole input started
-// in state s. Returns the composite of all vectors (the end state map of
-// the entire input).
-func ExclusiveScan(d *device.Device, phase string, states int, vectors []Vector, dst []Vector) Vector {
-	return scan.Exclusive(d, phase, Op(states), vectors, dst)
+// At returns lane s: the state reached from start state s.
+func (w Word) At(s uint8) uint8 {
+	return uint8(w>>(4*uint(s&15))) & 15
 }
 
-// ExclusiveScanArena is ExclusiveScan with every intermediate vector the
-// scan composes carved out of arena-backed slabs instead of individually
-// allocated — the combine count is linear in the chunk count, so this is
-// one of the pipeline's hottest allocation sites.
-func ExclusiveScanArena(d *device.Device, a *device.Arena, phase string, states int, vectors []Vector, dst []Vector) Vector {
-	if a == nil {
-		return ExclusiveScan(d, phase, states, vectors, dst)
+// TileChunks is the number of chunk words one StartStates tile covers.
+const TileChunks = 2048
+
+// StartStates resolves every chunk's start state for an input whose
+// first chunk starts in state start: dst[c] is the state chunk c starts
+// in, and the return value is the state the last chunk ends in (start
+// for no chunks). words[c] is chunk c's packed transition vector and
+// states the machine's state count.
+//
+// The full composite exclusive scan (§3.1) would give every chunk the
+// map from every possible global start state to its own start state,
+// but a parse only ever reads that map at one entry: the machine's
+// start state. So the scan carries that one state through the chunks,
+// in three steps over tiles of TileChunks words:
+//
+//  1. every tile composes its words into one aggregate word (a device
+//     launch, one tile per block);
+//  2. the launching goroutine walks the tile aggregates from start,
+//     giving every tile its start state and the input its end state;
+//  3. every tile walks its own chunks with one lane lookup per chunk
+//     (a second launch) and writes dst.
+//
+// Both launches are attributed to phase. Nothing is shared between
+// tiles inside a launch, so the scan needs no look-back, no lock and no
+// per-combine memory; the tile aggregates and start states come from
+// the arena. A single tile, or a single-worker device outside modelled
+// time, runs step 3's walk over the whole input instead.
+func StartStates(d *device.Device, a *device.Arena, phase string, states int, words []Word, start uint8, dst []uint8) uint8 {
+	n := len(words)
+	if len(dst) < n {
+		panic("statevec: dst shorter than words")
 	}
-	return scan.ExclusiveArena(d, a, phase, pooledOp(a, states), vectors, dst)
+	if n == 0 {
+		return start
+	}
+	tiles := (n + TileChunks - 1) / TileChunks
+	if tiles == 1 || (d.Workers() == 1 && !d.ModelledTime()) {
+		stop := d.Timers().Start(phase)
+		defer stop()
+		return walk(words, start, dst)
+	}
+	bs := d.Config().BlockSize
+	aggregates := device.Alloc[Word](a, tiles)
+	d.LaunchBlocks(phase, tiles*bs, func(t, _, _ int) {
+		lo, hi := tileBounds(t, n)
+		aggregates[t] = compose(words[lo:hi], states)
+	})
+	tileStart := device.Alloc[uint8](a, tiles)
+	s := start
+	for t, agg := range aggregates {
+		tileStart[t] = s
+		s = agg.At(s)
+	}
+	d.LaunchBlocks(phase, tiles*bs, func(t, _, _ int) {
+		lo, hi := tileBounds(t, n)
+		walk(words[lo:hi], tileStart[t], dst[lo:hi])
+	})
+	return s
 }
 
-// slabVectors is the number of combine results carved from one arena
-// slab by pooledOp.
-const slabVectors = 4096
-
-// pooledOp returns the composite operator with combine results bump-
-// allocated from arena slabs. Results are stable until the arena is
-// reset, matching the retention contract scan tiles rely on.
-func pooledOp(a *device.Arena, states int) scan.Op[Vector] {
-	var mu sync.Mutex
-	var slab []uint8
-	return scan.Op[Vector]{
-		Identity: Identity(states),
-		Combine: func(x, y Vector) Vector {
-			mu.Lock()
-			if len(slab) < states {
-				slab = device.Alloc[uint8](a, slabVectors*states)
-			}
-			v := Vector(slab[:states:states])
-			slab = slab[states:]
-			mu.Unlock()
-			Compose(v, x, y)
-			return v
-		},
+// compose returns the composite w0∘w1∘… of words over the low states
+// lanes (§3.1: lane i of a∘b is b's lane a[i]). It walks every lane
+// through the words as a byte, so each word costs |S| independent lane
+// lookups and no repacking.
+func compose(words []Word, states int) Word {
+	var buf [MaxStates]uint8
+	lanes := buf[:states]
+	for i := range lanes {
+		lanes[i] = uint8(i)
 	}
+	for _, w := range words {
+		for i, s := range lanes {
+			lanes[i] = w.At(s)
+		}
+	}
+	return Pack(lanes)
 }
 
-// AllocVectors returns count vectors of the given state count backed by
-// one flat arena buffer — the device-memory layout of the multi-DFA
-// parse kernel's output (one vector per chunk, §3.1).
-func AllocVectors(a *device.Arena, count, states int) []Vector {
-	vectors := device.Alloc[Vector](a, count)
-	flat := device.Alloc[uint8](a, count*states)
-	for i := range vectors {
-		vectors[i] = Vector(flat[i*states : (i+1)*states : (i+1)*states])
+// walk writes the state each chunk starts in, beginning in state s, and
+// returns the state after the last chunk.
+func walk(words []Word, s uint8, dst []uint8) uint8 {
+	dst = dst[:len(words)]
+	for c, w := range words {
+		dst[c] = s
+		s = w.At(s)
 	}
-	return vectors
+	return s
+}
+
+func tileBounds(t, n int) (lo, hi int) {
+	lo = t * TileChunks
+	return lo, min(lo+TileChunks, n)
 }
 
 // Packed is a Vector stored in a multi-fragment in-register array

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/device"
+	"repro/internal/scan"
 )
 
 func randVector(rng *rand.Rand, states int) Vector {
@@ -100,37 +101,125 @@ func TestComposeLengthMismatchPanics(t *testing.T) {
 	Compose(make(Vector, 2), Vector{0, 1}, Vector{0, 1, 2})
 }
 
+// Op is the composite scan operator over vectors of the given state
+// count, with the identity vector as neutral element. Combine allocates
+// the result so scan tiles can retain values safely.
+func Op(states int) scan.Op[Vector] {
+	return scan.Op[Vector]{
+		Identity: Identity(states),
+		Combine: func(a, b Vector) Vector {
+			return Composed(a, b)
+		},
+	}
+}
+
+// ExclusiveScan is the full parallel exclusive composite scan of §3.1
+// over the chunk vectors: after the call, dst[c][s] is the state chunk c
+// starts in, given the whole input started in state s. It returns the
+// composite of all vectors (the end-state map of the entire input). It
+// is the reference StartStates is checked against.
+func ExclusiveScan(d *device.Device, phase string, states int, vectors []Vector, dst []Vector) Vector {
+	return scan.Exclusive(d, phase, Op(states), vectors, dst)
+}
+
+// scanDevices are the device shapes the scans must agree on: the serial
+// shortcut, real parallel tiles, and modelled time (always tiled).
+func scanDevices() map[string]*device.Device {
+	return map[string]*device.Device{
+		"workers=1": device.New(device.Config{Workers: 1}),
+		"workers=4": device.New(device.Config{Workers: 4}),
+		"virtual":   device.New(device.Config{Workers: 2, VirtualWorkers: 64}),
+	}
+}
+
 // TestExclusiveScanMatchesSequentialSimulation builds a random "input"
-// of per-chunk vectors and verifies that the exclusive composite scan
-// gives every chunk the same start state a sequential DFA walk would.
+// of per-chunk vectors and verifies that the full composite scan and the
+// packed start-state scan give every chunk the same start state a
+// sequential DFA walk would, from every global start state. The chunk
+// counts straddle StartStates' tile boundaries, and the state counts
+// reach MaxStates so the top lane of a Word is used.
 func TestExclusiveScanMatchesSequentialSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	d := device.New(device.Config{Workers: 4})
-	for _, chunks := range []int{1, 2, 7, 100, 5000} {
-		states := 2 + rng.Intn(6)
-		vectors := make([]Vector, chunks)
-		for i := range vectors {
-			vectors[i] = randVector(rng, states)
-		}
-		dst := make([]Vector, chunks)
-		total := ExclusiveScan(d, "t", states, vectors, dst)
-
-		// Sequential reference: walk chunk by chunk from every possible
-		// global start state.
-		for start := 0; start < states; start++ {
-			state := uint8(start)
-			for c := 0; c < chunks; c++ {
-				if got := dst[c][start]; got != state {
-					t.Fatalf("chunks=%d states=%d start=%d chunk=%d: scan says %d, walk says %d",
-						chunks, states, start, c, got, state)
-				}
-				state = vectors[c][state]
+	for _, chunks := range []int{0, 1, 2, 7, 100, TileChunks - 1, TileChunks, TileChunks + 1, 3*TileChunks + 5} {
+		for _, states := range []int{2, 2 + rng.Intn(MaxStates-2), MaxStates} {
+			vectors := make([]Vector, chunks)
+			words := make([]Word, chunks)
+			for i := range vectors {
+				vectors[i] = randVector(rng, states)
+				words[i] = Pack(vectors[i])
 			}
-			if total[start] != state {
-				t.Fatalf("total[%d] = %d, walk says %d", start, total[start], state)
+			for name, d := range scanDevices() {
+				dst := make([]Vector, chunks)
+				total := ExclusiveScan(d, "t", states, vectors, dst)
+				starts := make([]uint8, chunks)
+				for start := 0; start < states; start++ {
+					arena := device.NewArena()
+					end := StartStates(d, arena, "t", states, words, uint8(start), starts)
+					// Sequential reference: walk chunk by chunk.
+					state := uint8(start)
+					for c := 0; c < chunks; c++ {
+						if got := dst[c][start]; got != state {
+							t.Fatalf("%s chunks=%d states=%d start=%d chunk=%d: scan says %d, walk says %d",
+								name, chunks, states, start, c, got, state)
+						}
+						if got := starts[c]; got != state {
+							t.Fatalf("%s chunks=%d states=%d start=%d chunk=%d: packed scan says %d, walk says %d",
+								name, chunks, states, start, c, got, state)
+						}
+						state = vectors[c][state]
+					}
+					if chunks > 0 && total[start] != state {
+						t.Fatalf("%s: total[%d] = %d, walk says %d", name, start, total[start], state)
+					}
+					if end != state {
+						t.Fatalf("%s chunks=%d states=%d: packed end state from %d = %d, walk says %d",
+							name, chunks, states, start, end, state)
+					}
+				}
 			}
 		}
 	}
+}
+
+// TestWordMatchesVector pins the packed representation to the reference
+// Vector: lanes read like entries, lanes above the state count stay the
+// identity, and a tile's composite is the Compose fold of its vectors.
+func TestWordMatchesVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		states := 1 + rng.Intn(MaxStates)
+		vectors := make([]Vector, rng.Intn(5))
+		words := make([]Word, len(vectors))
+		want := Identity(states)
+		for i := range vectors {
+			vectors[i] = randVector(rng, states)
+			words[i] = Pack(vectors[i])
+			want = Composed(want, vectors[i])
+		}
+		for i, v := range vectors {
+			for s := 0; s < MaxStates; s++ {
+				lane := uint8(s) // unused lanes hold the identity
+				if s < states {
+					lane = v[s]
+				}
+				if got := words[i].At(uint8(s)); got != lane {
+					t.Fatalf("Pack(%v).At(%d) = %d, want %d", v, s, got, lane)
+				}
+			}
+		}
+		if got := compose(words, states); got != Pack(want) {
+			t.Fatalf("compose(%v) = %#x, want Pack(%v) = %#x", vectors, uint64(got), want, uint64(Pack(want)))
+		}
+	}
+}
+
+func TestPackTooManyStatesPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("want panic for a vector wider than a Word")
+		}
+	}()
+	Pack(make(Vector, MaxStates+1))
 }
 
 func TestPackedVector(t *testing.T) {

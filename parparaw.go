@@ -238,9 +238,16 @@ type Stats struct {
 	// device only had to index, not move.
 	BytesSkipped int64
 	// Phases maps each pipeline phase (parse, scan, tag, partition,
-	// convert) to its device time — the Figure 9 breakdown. In
-	// modelled-time mode (Options.VirtualWorkers) these are the modelled
-	// durations on the virtual device.
+	// convert) to its device time — the Figure 9 breakdown. Every parse
+	// times its own kernel launches on a private timer, so concurrent
+	// parses on one device (an Engine shared by goroutines, or several
+	// Engines on the default device) never count each other's launches.
+	// Launches within one parse run one after another, except the
+	// convert phase's columns under ConvertWorkers > 1, so outside
+	// modelled-time mode, with one convert worker, the phases sum to at
+	// most Duration. In modelled-time mode (Options.VirtualWorkers)
+	// these are the modelled durations on the virtual device, launch
+	// overhead included, and their sum may exceed Duration.
 	Phases map[string]time.Duration
 	// DeviceTime is the total device time across all phases (the
 	// CUDA-event-sum analogue; modelled when VirtualWorkers is set).
