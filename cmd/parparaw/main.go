@@ -81,7 +81,7 @@ func main() {
 	validate := flag.Bool("validate", false, "fail on format violations")
 	retry := flag.Int("retry", 0, "retry transient input read failures up to N attempts per position (0 disables)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 disables)")
-	chunk := flag.Int("chunk", 0, "chunk size in bytes (default 31)")
+	chunk := flag.Int("chunk", 0, "chunk size in bytes (0 = 1024, the CPU default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()

@@ -984,7 +984,7 @@ func TestUnstreamableFormat(t *testing.T) {
 // the invalid-input flag to match the hand-written reference; and run
 // the pushdown-vs-post-hoc Where parity leg.
 func fuzzGrammarParity(t *testing.T, format *Format, ref func([]byte) ([][]string, bool), input []byte, chunkRaw, fastRaw, workersRaw uint8) {
-	chunk := int(chunkRaw%64) + 1
+	chunk := chunkSizeFromFuzz(chunkRaw)
 	recs, invalid := ref(input)
 	opts := Options{
 		Format:         format,
@@ -1124,6 +1124,7 @@ func FuzzJSONL(f *testing.F) {
 	f.Add([]byte(`{"a":[[[[1]]]]}`+"\n"), uint8(8), uint8(3), uint8(0))
 	f.Add([]byte(`{"open":"unterminated`), uint8(5), uint8(5), uint8(2))
 	f.Add([]byte("[1,2]\njunk\n"), uint8(64), uint8(6), uint8(0))
+	f.Add(bytes.Repeat([]byte(`{"k":"a,\"b\"","n":[1,{"x":2}]}`+"\n"), 20), uint8(195), uint8(0), uint8(1))
 
 	format, err := NewJSONL(JSONL{})
 	if err != nil {
@@ -1184,6 +1185,7 @@ func FuzzTSVEscape(f *testing.F) {
 	f.Add([]byte("a\rb\r\n"), uint8(2), uint8(8), uint8(4), uint8(0))
 	f.Add([]byte("dangling\\"), uint8(1), uint8(5), uint8(5), uint8(2))
 	f.Add([]byte("\n\t\n"), uint8(0), uint8(64), uint8(6), uint8(0))
+	f.Add(bytes.Repeat([]byte("a\\\tb\tc\\\nd\n# note\n"), 40), uint8(0), uint8(199), uint8(2), uint8(1))
 
 	f.Fuzz(func(t *testing.T, input []byte, dialRaw, chunkRaw, fastRaw, workersRaw uint8) {
 		dialect := TSV{}
@@ -1216,6 +1218,7 @@ func FuzzWeblog(f *testing.F) {
 	f.Add([]byte("\"multi\nline\" tail"), uint8(16), uint8(3), uint8(1))
 	f.Add([]byte(`a "unterminated`), uint8(5), uint8(4), uint8(0))
 	f.Add([]byte("a  b\n"), uint8(8), uint8(5), uint8(2))
+	f.Add(bytes.Repeat([]byte(`a "b c" "d \"e\"" f`+"\n"), 40), uint8(192), uint8(0), uint8(1))
 
 	format := NewWeblog()
 	f.Fuzz(func(t *testing.T, input []byte, chunkRaw, fastRaw, workersRaw uint8) {

@@ -12,6 +12,19 @@ import (
 	"repro/internal/baseline"
 )
 
+// chunkSizeFromFuzz maps a fuzzed byte onto a chunk size. The low three
+// quarters keep the historic mapping onto 1..64, so committed seeds keep
+// their meaning. The top quarter reaches chunks with interior bitmap
+// words and the default: 0 (DefaultChunkSize, 1 KiB on a real device)
+// and sizes from 65 to 4096 on either side of the 64-byte word and the
+// 1 KiB default.
+func chunkSizeFromFuzz(raw uint8) int {
+	if raw < 192 {
+		return int(raw%64) + 1
+	}
+	return []int{0, 65, 127, 128, 129, 511, 1023, 1024, 1025, 2048, 4095, 4096}[int(raw)%12]
+}
+
 // convertWorkersFromFuzz maps a fuzzed byte onto the convert worker
 // counts worth exercising: the sequential loop, the smallest real pool,
 // and a pool wider than most fuzzed inputs have columns.
@@ -71,10 +84,11 @@ func FuzzStreamReader(f *testing.F) {
 	f.Add([]byte("no trailing newline"), uint16(6), uint8(64), uint8(1), uint8(3))
 	f.Add([]byte("\"unterminated"), uint16(2), uint8(5), uint8(0), uint8(2))
 	f.Add([]byte("wide,record,with,many,columns\nshort\n"), uint16(9), uint8(16), uint8(2), uint8(1))
+	f.Add(bytes.Repeat([]byte(`7,"a,b",x`+"\n"+`"q""\nq",,9`+"\n"), 40), uint16(200), uint8(198), uint8(1), uint8(2))
 
 	f.Fuzz(func(t *testing.T, input []byte, partRaw uint16, chunkRaw, workersRaw, inFlightRaw uint8) {
 		partSize := int(partRaw%256) + 1
-		chunk := int(chunkRaw%64) + 1
+		chunk := chunkSizeFromFuzz(chunkRaw)
 		workers := convertWorkersFromFuzz(workersRaw)
 		whole, err := Parse(input, Options{ChunkSize: chunk, ConvertWorkers: workers})
 		if err != nil {
@@ -140,9 +154,13 @@ func FuzzParse(f *testing.F) {
 	// Numeric/temporal shapes with the SWAR convert paths toggled off
 	// (bit 4), so the round trip crosses the scalar and SWAR parsers.
 	f.Add([]byte("1.5,2018-06-15 13:45:09.5,142.35\n-7,.5,-73.987654\n"), uint8(31), uint8(4), uint8(0))
+	// Multi-word chunks (top quarter of the chunk byte): 65 bytes and
+	// the 0 default, over records that straddle bitmap words.
+	f.Add(bytes.Repeat([]byte(`1,"x,y",2.5`+"\n"+`"a""\nb",,c`+"\n"), 30), uint8(193), uint8(0), uint8(1))
+	f.Add(bytes.Repeat([]byte(`1,"x,y",2.5`+"\n"+`"a""\nb",,c`+"\n"), 30), uint8(192), uint8(2), uint8(2))
 
 	f.Fuzz(func(t *testing.T, input []byte, chunkRaw, fastRaw, workersRaw uint8) {
-		chunk := int(chunkRaw%64) + 1
+		chunk := chunkSizeFromFuzz(chunkRaw)
 		// fastRaw toggles the fused-table, skip-ahead, and SWAR-convert
 		// fast paths and workersRaw sweeps the convert pool, so the
 		// sequential oracle below catches any divergence between the

@@ -9,15 +9,15 @@ package bitmap
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 )
 
 const wordBits = 64
 
-// Bitmap is a fixed-length bit vector. Distinct word ranges may be
-// written concurrently by different device threads; bits within one word
-// must be owned by a single thread (ParPaRaw guarantees this by aligning
-// chunk boundaries, and the chunked writer below provides the same
-// guarantee for arbitrary chunk sizes via a per-chunk staging word).
+// Bitmap is a fixed-length bit vector. Distinct words may be written
+// concurrently by different device threads; a word that straddles two
+// threads' chunks must be written with StoreChunkWord, which merges such
+// boundary words atomically.
 type Bitmap struct {
 	n     int
 	words []uint64
@@ -159,98 +159,20 @@ func (b *Bitmap) FirstSetInRange(lo, hi int) (int, bool) {
 	return 0, false
 }
 
-// MergeWords ORs the staged words into the backing words starting at
-// word index loWord, under the same sharding discipline as
-// ChunkWriter.Flush: interior words are chunk-owned, boundary words are
-// merged with the lock-free atomic OR (chunks write disjoint bits).
-// It is the zero-copy staging primitive for kernels that keep their
-// chunk's words in local arrays instead of a writer struct — returning
-// a ChunkWriter by value costs a duffcopy per chunk per bitmap, which
-// profiles as several percent of the whole parse.
-func (b *Bitmap) MergeWords(loWord int, staged []uint64) {
-	for j, w := range staged {
-		if w != 0 {
-			orWord(&b.words[loWord+j], w)
+// StoreChunkWord writes x, the bits a chunk covering symbols [lo, hi)
+// sets in backing word w, into the bitmap. A word the chunk owns
+// outright — every one of its bits lies in [lo, hi) or past Len() — is
+// stored plainly. A word shared with a neighbouring chunk (64w < lo, or
+// 64w+64 > hi with hi < Len()) is merged with an atomic OR: neighbours
+// set disjoint bits of it concurrently. A chunk thus takes at most two
+// atomics, and none when its bounds are multiples of 64.
+func (b *Bitmap) StoreChunkWord(w, lo, hi int, x uint64) {
+	first := w * wordBits
+	if first < lo || (first+wordBits > hi && hi < b.n) {
+		if x != 0 {
+			atomic.OrUint64(&b.words[w], x)
 		}
+		return
 	}
-}
-
-// chunkWriterInline is the number of staging words a ChunkWriter holds
-// in-struct. Writers covering at most chunkWriterInline*64 bits (minus
-// alignment slack) stage without any heap allocation — the common case
-// for ParPaRaw's ~31-byte chunks, where a heap-staged writer per chunk
-// per bitmap would dominate the parse phase's allocation count.
-const chunkWriterInline = 3
-
-// ChunkWriter builds one bit range of a shared Bitmap without racing on
-// word boundaries: a device thread creates a ChunkWriter for its chunk's
-// half-open symbol range, sets bits locally, and Flush merges the staged
-// words into the backing bitmap with boundary words combined under OR.
-//
-// ChunkWriterAt returns the writer by value so short-range writers live
-// entirely on the kernel goroutine's stack; a writer must not be copied
-// after its first Set.
-type ChunkWriter struct {
-	target *Bitmap
-	lo, hi int
-	loWord int
-	nWords int
-	inline [chunkWriterInline]uint64
-	spill  []uint64 // staging for ranges wider than the inline words
-}
-
-// ChunkWriterAt returns a writer for bits [lo, hi) of b.
-func (b *Bitmap) ChunkWriterAt(lo, hi int) ChunkWriter {
-	if lo < 0 || hi > b.n || lo > hi {
-		panic(fmt.Sprintf("bitmap: bad chunk range [%d,%d) of %d", lo, hi, b.n))
-	}
-	w := ChunkWriter{target: b, lo: lo, hi: hi}
-	if lo == hi {
-		return w
-	}
-	w.loWord = lo / wordBits
-	w.nWords = (hi-1)/wordBits - w.loWord + 1
-	if w.nWords > chunkWriterInline {
-		w.spill = make([]uint64, w.nWords)
-	}
-	return w
-}
-
-// NewChunkWriter returns a heap-allocated writer for bits [lo, hi) of
-// target. Kernels on a hot path should prefer ChunkWriterAt.
-func (b *Bitmap) NewChunkWriter(lo, hi int) *ChunkWriter {
-	w := b.ChunkWriterAt(lo, hi)
-	return &w
-}
-
-// Set stages bit i (which must lie inside the writer's range).
-func (w *ChunkWriter) Set(i int) {
-	if i < w.lo || i >= w.hi {
-		panic(fmt.Sprintf("bitmap: chunk writer set %d outside [%d,%d)", i, w.lo, w.hi))
-	}
-	j := i/wordBits - w.loWord
-	mask := uint64(1) << (uint(i) % wordBits)
-	if w.spill != nil {
-		w.spill[j] |= mask
-	} else {
-		w.inline[j] |= mask
-	}
-}
-
-// Flush merges the staged bits into the target. Interior words are owned
-// exclusively by this chunk (stored directly); the two boundary words may
-// be shared with neighbouring chunks and are merged atomically under the
-// bitmap's sharding discipline: ParPaRaw chunks write disjoint *bits*, so
-// OR-merging via atomics is race-free and lock-free.
-func (w *ChunkWriter) Flush() {
-	staged := w.spill
-	if staged == nil {
-		staged = w.inline[:w.nWords]
-	}
-	for j, word := range staged {
-		if word == 0 {
-			continue
-		}
-		orWord(&w.target.words[w.loWord+j], word)
-	}
+	b.words[w] = x
 }

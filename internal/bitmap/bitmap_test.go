@@ -123,54 +123,73 @@ func TestBadRangePanics(t *testing.T) {
 	}
 }
 
-// TestChunkWriterConcurrent verifies the per-chunk staging discipline:
-// many goroutines write disjoint bit ranges that share boundary words and
-// the merged result must equal a serial construction.
-func TestChunkWriterConcurrent(t *testing.T) {
-	n := 10_000
-	chunk := 31 // deliberately not word-aligned (the paper's default)
-	b := New(n)
+// TestStoreChunkWordConcurrent verifies the emit kernel's write-out
+// discipline: goroutines write disjoint, unaligned bit ranges whose
+// boundary words they share, one StoreChunkWord per backing word they
+// touch, and the result must equal a serial construction.
+func TestStoreChunkWordConcurrent(t *testing.T) {
+	const n = 10_000 // the last backing word is partial
+	rng := rand.New(rand.NewSource(3))
 	ref := New(n)
-	for i := 0; i < n; i += 3 {
-		ref.Set(i)
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			ref.Set(i)
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			w := b.NewChunkWriter(lo, hi)
-			for i := lo; i < hi; i++ {
-				if i%3 == 0 {
-					w.Set(i)
+	}
+	for _, chunk := range []int{31, 1023, 1024} {
+		for _, start := range []int{0, 17} {
+			b := New(n)
+			bounds := [][2]int{{0, start}}
+			for lo := start; lo < n; lo += chunk {
+				bounds = append(bounds, [2]int{lo, min(lo+chunk, n)})
+			}
+			var wg sync.WaitGroup
+			for _, r := range bounds {
+				wg.Add(1)
+				go func(lo, hi int) {
+					defer wg.Done()
+					if lo == hi {
+						return
+					}
+					for w := lo / wordBits; w <= (hi-1)/wordBits; w++ {
+						var x uint64
+						for i := max(lo, w*wordBits); i < min(hi, w*wordBits+wordBits); i++ {
+							if ref.Get(i) {
+								x |= 1 << (i % wordBits)
+							}
+						}
+						b.StoreChunkWord(w, lo, hi, x)
+					}
+				}(r[0], r[1])
+			}
+			wg.Wait()
+			for w := range ref.words {
+				if b.Word(w) != ref.Word(w) {
+					t.Fatalf("chunk %d start %d: word %d = %#x, want %#x", chunk, start, w, b.Word(w), ref.Word(w))
 				}
 			}
-			w.Flush()
-		}(lo, hi)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if b.Get(i) != ref.Get(i) {
-			t.Fatalf("bit %d = %v, want %v", i, b.Get(i), ref.Get(i))
 		}
 	}
 }
 
-func TestChunkWriterEmptyAndBounds(t *testing.T) {
-	b := New(64)
-	w := b.NewChunkWriter(10, 10)
-	w.Flush() // no-op
-	w2 := b.NewChunkWriter(0, 10)
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic for out-of-range Set")
+// TestStoreChunkWordOwnership pins the ownership rule: a word the chunk
+// owns outright is overwritten, a word it shares with a neighbour is
+// OR-merged, and a word running past Len() belongs to the last chunk.
+func TestStoreChunkWordOwnership(t *testing.T) {
+	b := New(200) // words 0..3; word 3 holds bits 192..199
+	for w := 0; w < 4; w++ {
+		b.words[w] = 1 << 63
+	}
+	b.StoreChunkWord(1, 64, 128, 1)  // owned: stored
+	b.StoreChunkWord(0, 10, 128, 1)  // 64*0 < lo: shared
+	b.StoreChunkWord(2, 100, 150, 1) // 64*2+64 > hi < Len(): shared
+	b.StoreChunkWord(3, 192, 200, 1) // runs past Len(): owned
+	want := []uint64{1<<63 | 1, 1, 1<<63 | 1, 1}
+	for w, x := range want {
+		if b.Word(w) != x {
+			t.Errorf("word %d = %#x, want %#x", w, b.Word(w), x)
 		}
-	}()
-	w2.Set(10)
+	}
 }
 
 func TestPopCountRangeQuick(t *testing.T) {

@@ -11,6 +11,7 @@ package convert
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Parse errors. They are sentinel values — the hot path never formats.
@@ -106,9 +107,12 @@ func ParseInt64Scalar(b []byte) (int64, error) {
 
 const minInt64 = -1 << 63
 
-// pow10 holds positive powers of ten for fast float scaling.
-var pow10 = func() [32]float64 {
-	var t [32]float64
+// maxExactPow10 is the largest power of ten float64 holds exactly.
+const maxExactPow10 = 22
+
+// pow10 holds the powers of ten float64 holds exactly, 10^0..10^22.
+var pow10 = func() [maxExactPow10 + 1]float64 {
+	var t [maxExactPow10 + 1]float64
 	p := 1.0
 	for i := range t {
 		t[i] = p
@@ -117,26 +121,39 @@ var pow10 = func() [32]float64 {
 	return t
 }()
 
+// maxExactMantissa is 2^53: every integer up to it is exact in
+// float64.
+const maxExactMantissa = 1 << 53
+
+// scale10 returns v·10^exp with a single rounding. It is Clinger's fast
+// path: v must be an integer of at most 2^53 and |exp| at most 22, so
+// both operands are exact and the one multiply or divide rounds
+// correctly. Every other shape goes to parseFloatSlow.
 func scale10(v float64, exp int) float64 {
-	for exp >= 31 {
-		v *= pow10[31]
-		exp -= 31
-	}
-	for exp <= -31 {
-		v /= pow10[31]
-		exp += 31
-	}
 	if exp >= 0 {
 		return v * pow10[exp]
 	}
 	return v / pow10[-exp]
 }
 
+// parseFloatSlow converts a syntactically valid float field that falls
+// outside scale10's exact range — a mantissa above 2^53 or a decimal
+// exponent beyond ±22 — with strconv.ParseFloat, which rounds
+// correctly. Overflow keeps this package's verdict: ±Inf with no error
+// (strconv's ErrRange is dropped).
+func parseFloatSlow(b []byte) (float64, error) {
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return 0, ErrSyntax
+	}
+	return v, nil
+}
+
 // ParseFloat64 parses a decimal floating-point number with optional
 // fraction and exponent ("-12.34e-5"). It covers the numeric shapes of
-// delimiter-separated data; precision is within 1 ULP of the decimal
-// value for the magnitudes such data carries, which is what a GPU-side
-// parser provides as well.
+// delimiter-separated data, and its value is correctly rounded: bit for
+// bit the value strconv.ParseFloat returns. Overflow gives ±Inf with
+// no error; exponents beyond four digits give ErrOverflow.
 //
 // The payload shapes take SWAR validate-then-convert fast paths
 // (swar.go): one-word bodies ("1234.567") classify and convert from a
@@ -144,11 +161,11 @@ func scale10(v float64, exp int) float64 {
 // mantissas of up to 15 digits — with or without an exponent — go
 // through the general eight-bytes-per-test classifier. The remaining
 // shapes resolve on the scalar path: short fields where its per-byte
-// loop already wins, 16+ digit mantissas whose step-by-step rounding
-// the chunked conversion could not reproduce, 4+ digit exponents. All
-// paths are bit-exact substitutes: fast-path magnitudes are exact in
-// both representations and the final scaling step (scale10) is shared,
-// so the single rounding happens identically.
+// loop already wins, 16+ digit mantissas, 4+ digit exponents, and
+// scales beyond 10^±22. All paths are bit-exact substitutes: each
+// converts an exact mantissa of at most 2^53 and scales it by an exact
+// power of ten with scale10's single rounding, and every shape outside
+// that range resolves through parseFloatSlow.
 func ParseFloat64(b []byte) (float64, error) {
 	body, neg := b, false
 	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
@@ -171,11 +188,11 @@ func ParseFloat64(b []byte) (float64, error) {
 			}
 			return v, nil
 		}
-	case n > 0:
+	case n > 0 && n < minFastFloatLen:
 		// Short field ("14.5"): the scalar loop wins here, inlined to
-		// spare the call. The accumulation is the scalar parser's own —
-		// same operations in the same order — so values match bit for
-		// bit; exponents, junk, and digitless bodies defer for the exact
+		// spare the call. At most six digits accumulate exactly and scale
+		// by at most 10^6, so values match the scalar parser bit for bit;
+		// exponents, junk, and digitless bodies defer for the exact
 		// scalar treatment.
 		var mant float64
 		digits, frac := 0, 0
@@ -231,17 +248,18 @@ func ParseFloat64Scalar(b []byte) (float64, error) {
 	case '+':
 		i = 1
 	}
-	var mant float64
+	// mant wraps beyond 19 digits; it is read only when digits <= 19.
+	var mant uint64
 	digits := 0
 	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		mant = mant*10 + float64(b[i]-'0')
+		mant = mant*10 + uint64(b[i]-'0')
 		digits++
 	}
 	frac := 0
 	if i < len(b) && b[i] == '.' {
 		i++
 		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-			mant = mant*10 + float64(b[i]-'0')
+			mant = mant*10 + uint64(b[i]-'0')
 			frac++
 			digits++
 		}
@@ -273,7 +291,11 @@ func ParseFloat64Scalar(b []byte) (float64, error) {
 	if i != len(b) {
 		return 0, ErrSyntax
 	}
-	v := scale10(mant, exp-frac)
+	exp -= frac
+	if digits > 19 || mant > maxExactMantissa || exp < -maxExactPow10 || exp > maxExactPow10 {
+		return parseFloatSlow(b)
+	}
+	v := scale10(float64(mant), exp)
 	if neg {
 		v = -v
 	}

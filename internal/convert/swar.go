@@ -275,9 +275,13 @@ func floatClassify(body []byte, neg bool) (float64, bool) {
 		}
 	}
 
-	// float64(mant) is exact (≤ 15 digits), and scale10 is the scalar
-	// parser's own scaling, so the single rounding step is shared.
-	v := scale10(float64(mant), e-fracDigits)
+	// float64(mant) is exact (≤ 15 digits); a scale beyond float64's
+	// exact powers of ten defers to the scalar parser's slow path.
+	e -= fracDigits
+	if e < -maxExactPow10 || e > maxExactPow10 {
+		return 0, false
+	}
+	v := scale10(float64(mant), e)
 	if neg {
 		v = -v
 	}

@@ -193,63 +193,81 @@ func TestSWARFastPathTaken(t *testing.T) {
 	}
 }
 
-// TestParseFloat64WithinOneULPOfStrconv pins the documented precision
-// contract of both float paths: for the numeric shapes
-// delimiter-separated data carries, the parsed value is within 1 ULP of
-// strconv.ParseFloat's correctly rounded result.
-func TestParseFloat64WithinOneULPOfStrconv(t *testing.T) {
-	check := func(s string) {
-		want, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("strconv rejects %q: %v", s, err)
-		}
-		for _, p := range []struct {
-			name string
-			fn   func([]byte) (float64, error)
-		}{{"swar", ParseFloat64}, {"scalar", ParseFloat64Scalar}} {
-			got, err := p.fn([]byte(s))
-			if err != nil {
-				t.Errorf("%s(%q): %v", p.name, s, err)
-				continue
-			}
-			if ulpDistance(got, want) > 1 {
-				t.Errorf("%s(%q) = %v (%x), want %v (%x): >1 ULP",
-					p.name, s, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-		}
-	}
+// TestParseFloat64MatchesStrconv pins the precision contract of both
+// float paths: the parsed value is bit for bit strconv.ParseFloat's
+// correctly rounded result.
+func TestParseFloat64MatchesStrconv(t *testing.T) {
 	for _, s := range []string{
 		"0", "199.99", "-19.5", "0.1", "3.14159265358979", "142.35",
 		"12345678901234", "1e3", "-1.5e-2", "2.5E4", "0.000001", "1e15",
 		"99999999999999.9", "123456.789012",
 	} {
-		check(s)
+		checkFloatMatchesStrconv(t, s)
 	}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		mant := rng.Int63n(int64(1e15))
 		frac := rng.Intn(7)
 		s := strconv.FormatFloat(float64(mant)/math.Pow10(frac), 'f', frac, 64)
-		check(s)
+		checkFloatMatchesStrconv(t, s)
 	}
 }
 
-// ulpDistance returns the number of representable float64 values
-// between a and b (0 when identical).
-func ulpDistance(a, b float64) uint64 {
-	ia, ib := int64(math.Float64bits(a)), int64(math.Float64bits(b))
-	// Map the sign-magnitude float ordering onto a monotonic integer line.
-	if ia < 0 {
-		ia = math.MinInt64 - ia
+// checkFloatMatchesStrconv requires both float parsers to return
+// strconv.ParseFloat's value for s, bit for bit and without error.
+func checkFloatMatchesStrconv(t *testing.T, s string) {
+	t.Helper()
+	want, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatalf("strconv rejects %q: %v", s, err)
 	}
-	if ib < 0 {
-		ib = math.MinInt64 - ib
+	for _, p := range []struct {
+		name string
+		fn   func([]byte) (float64, error)
+	}{{"swar", ParseFloat64}, {"scalar", ParseFloat64Scalar}} {
+		got, err := p.fn([]byte(s))
+		if err != nil {
+			t.Errorf("%s(%q): %v", p.name, s, err)
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s(%q) = %v (%x), want %v (%x)",
+				p.name, s, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
-	d := ia - ib
-	if d < 0 {
-		d = -d
+}
+
+// TestParseFloat64CorrectlyRounded holds inputs beyond float64's exact
+// powers of ten (10^22) or exact mantissas (2^53), where a fast path
+// that scales by an inexact power of ten rounds twice, and requires
+// each value to survive the 'g' formatting WriteCSV uses.
+func TestParseFloat64CorrectlyRounded(t *testing.T) {
+	for _, s := range []string{
+		"7e23",                     // 10^23 is not exact in float64
+		"700000000000000000000000", // found by FuzzParse: written back as 7e+23
+		"123456789012345678901234", // 24-digit mantissa
+		"1.7976931348623157e308",   // MaxFloat64
+		"9007199254740993",         // 2^53 + 1: the mantissa is not exact
+		"1e22", "1e-22", "1e-23", "4.9e-324", "2.2250738585072011e-308",
+		"-0", "0e500", "1.5e-400",
+	} {
+		checkFloatMatchesStrconv(t, s)
+		v, _ := ParseFloat64([]byte(s))
+		g := strconv.FormatFloat(v, 'g', -1, 64)
+		checkFloatMatchesStrconv(t, g)
+		if back, _ := ParseFloat64([]byte(g)); math.Float64bits(back) != math.Float64bits(v) {
+			t.Errorf("round trip %q -> %q -> %v, want %v", s, g, back, v)
+		}
 	}
-	return uint64(d)
+	// Overflow keeps the package's verdict: ±Inf and no error, where
+	// strconv reports ErrRange.
+	for _, s := range []string{"1.7976931348623159e308", "-1e400", "123456789e999"} {
+		for _, fn := range []func([]byte) (float64, error){ParseFloat64, ParseFloat64Scalar} {
+			if v, err := fn([]byte(s)); err != nil || !math.IsInf(v, 0) {
+				t.Errorf("%q = %v, %v; want ±Inf, nil", s, v, err)
+			}
+		}
+	}
 }
 
 // TestSWARScalarParityQuick drives the parity assertion with

@@ -384,8 +384,15 @@ func (p *pipeline) convertColumnsParallel(workers int, outFields []columnar.Fiel
 // counting during emission is arithmetically identical and saves a
 // pass) and written straight into recBase and colBase, which
 // offsetScans then scans in place. The bitmap words, chunk metadata and
-// offset arrays are arena-backed; the per-chunk staging words live on
-// the kernel goroutine's stack.
+// offset arrays are arena-backed.
+//
+// The record, field and control bits of the backing word under the
+// cursor accumulate in registers and are written once, when the cursor
+// sets a bit in a later word and at the chunk's end, through
+// Bitmap.StoreChunkWord: a plain store for a word the chunk owns, an
+// atomic OR only for the at most two words it shares with its
+// neighbours. Words with no bit set are never written; device.Alloc
+// zeroed them.
 //
 // On the fused fast path each byte costs one fused-table load, and the
 // skip-ahead scanners jump over runs of data-emitting self-loops (field
@@ -394,11 +401,12 @@ func (p *pipeline) convertColumnsParallel(workers int, outFields []columnar.Fiel
 func (p *pipeline) emitBitmaps() {
 	n := len(p.input)
 	m := p.Machine
-	p.bitmaps = &bitmaps{
+	bms := &bitmaps{
 		record:  bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(n)), n),
 		field:   bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(n)), n),
 		control: bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(n)), n),
 	}
+	p.bitmaps = bms
 	// The kernel writes every chunk's entry of these three arrays.
 	p.meta = device.AllocDirty[chunkMeta](p.Arena, p.chunks)
 	p.recBase = device.AllocDirty[int64](p.Arena, p.chunks)
@@ -407,27 +415,12 @@ func (p *pipeline) emitBitmaps() {
 	skip := m.SkipScanners()
 	p.Device.Launch("parse", p.chunks, func(c int) {
 		lo, hi := p.chunkBounds(c)
-		// Bitmap bits are staged in chunk-local word arrays and OR-merged
-		// once at the end (boundary words atomically): no writer structs
-		// to copy, no per-bit range checks. A default-sized chunk spans
-		// at most emitStageWords backing words; oversized chunks spill to
-		// the heap (few chunks then, so the allocation is irrelevant).
-		loWord := lo >> 6
-		stageWords := 0
-		if hi > lo {
-			stageWords = (hi-1)>>6 - loWord + 1
-		}
-		var inlineRec, inlineFld, inlineCtl [emitStageWords]uint64
-		recW, fldW, ctlW := inlineRec[:], inlineFld[:], inlineCtl[:]
-		if stageWords > emitStageWords {
-			recW = make([]uint64, stageWords)
-			fldW = make([]uint64, stageWords)
-			ctlW = make([]uint64, stageWords)
-		}
 		s := p.startState[c]
 		cm := chunkMeta{}
 		var recs int64
 		relCol := 0
+		w := lo >> 6
+		var rec, fld, ctl uint64
 		for i := lo; i < hi; {
 			if skip != nil {
 				if sc := skip[s]; sc != nil {
@@ -445,32 +438,36 @@ func (p *pipeline) emitBitmaps() {
 				e = m.Emission(s, g)
 				s = m.NextByGroup(s, g)
 			}
-			j := i>>6 - loWord
-			mask := uint64(1) << (i & 63)
-			switch {
-			case e.IsRecordDelim():
-				recW[j] |= mask
-				ctlW[j] |= mask
-				recs++
-				if !cm.sawRec {
-					cm.sawRec = true
-					cm.relFirst = relCol
-				} else {
-					cm.mm.Observe(relCol + 1)
+			if e != dfa.EmitData {
+				if i>>6 != w {
+					if ctl != 0 {
+						bms.storeChunkWords(w, lo, hi, rec, fld, ctl)
+					}
+					w, rec, fld, ctl = i>>6, 0, 0, 0
 				}
-				relCol = 0
-			case e.IsFieldDelim():
-				fldW[j] |= mask
-				ctlW[j] |= mask
-				relCol++
-			case e.IsControl():
-				ctlW[j] |= mask
+				bit := uint64(1) << (i & 63)
+				ctl |= bit
+				switch {
+				case e.IsRecordDelim():
+					rec |= bit
+					recs++
+					if !cm.sawRec {
+						cm.sawRec = true
+						cm.relFirst = relCol
+					} else {
+						cm.mm.Observe(relCol + 1)
+					}
+					relCol = 0
+				case e.IsFieldDelim():
+					fld |= bit
+					relCol++
+				}
 			}
 			i++
 		}
-		p.bitmaps.record.MergeWords(loWord, recW[:stageWords])
-		p.bitmaps.field.MergeWords(loWord, fldW[:stageWords])
-		p.bitmaps.control.MergeWords(loWord, ctlW[:stageWords])
+		if ctl != 0 {
+			bms.storeChunkWords(w, lo, hi, rec, fld, ctl)
+		}
 		kind := offsets.Rel
 		if cm.sawRec {
 			kind = offsets.Abs
@@ -481,7 +478,10 @@ func (p *pipeline) emitBitmaps() {
 	})
 }
 
-// emitStageWords is the emit kernel's inline staging capacity: enough
-// for any chunk of up to (emitStageWords-1)*64 bytes at any alignment.
-// The default 31-byte chunk needs two.
-const emitStageWords = 4
+// storeChunkWords writes backing word w of all three bitmaps for the
+// chunk covering symbols [lo, hi).
+func (b *bitmaps) storeChunkWords(w, lo, hi int, rec, fld, ctl uint64) {
+	b.record.StoreChunkWord(w, lo, hi, rec)
+	b.field.StoreChunkWord(w, lo, hi, fld)
+	b.control.StoreChunkWord(w, lo, hi, ctl)
+}

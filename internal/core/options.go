@@ -28,10 +28,20 @@ import (
 	"repro/internal/utfx"
 )
 
-// DefaultChunkSize is 31 bytes per chunk, the best-performing
-// configuration of the paper's evaluation (§5.1: "The best performance is
-// achieved for 31 bytes per chunk").
-const DefaultChunkSize = 31
+// DefaultChunkSize is the default bytes per chunk on a real
+// (wall-clock) device. On a CPU core every chunk pays fixed costs — a
+// transition-vector word, a start state, chunk metadata, its boundary
+// bitmap words, a skip-ahead run cut short at its end — so the default
+// is 1 KiB: a multiple of 64, so every chunk owns whole bitmap words.
+// DESIGN.md "CPU-sized chunks" holds the sweep behind the number.
+const DefaultChunkSize = 1024
+
+// PaperChunkSize is the default bytes per chunk on a modelled-time
+// device, which stands in for the paper's GPU: 31 bytes is the
+// best-performing configuration of the paper's evaluation (§5.1: "The
+// best performance is achieved for 31 bytes per chunk"), where a GPU
+// thread's parsing state stays in registers.
+const PaperChunkSize = 31
 
 // Options configure a parse run. The zero value parses RFC 4180 CSV with
 // inferred types on a default device.
@@ -50,7 +60,8 @@ type Options struct {
 	// while a run is in flight.
 	Arena *device.Arena
 	// ChunkSize is the bytes per chunk (Figure 9's x-axis). 0 means
-	// DefaultChunkSize.
+	// DefaultChunkSize on a real device and PaperChunkSize on a
+	// modelled-time one.
 	ChunkSize int
 	// Mode selects the tagging representation (§4.1). RecordTagged (the
 	// zero value) is robust to records with varying column counts;
@@ -193,6 +204,9 @@ func (o Options) withDefaults() Options {
 	// many concurrent executions each with its own arena.
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = DefaultChunkSize
+		if o.Device.ModelledTime() {
+			o.ChunkSize = PaperChunkSize
+		}
 	}
 	if o.Terminator == 0 {
 		o.Terminator = css.DefaultTerminator

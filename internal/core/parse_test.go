@@ -539,24 +539,93 @@ func TestParseOptionErrors(t *testing.T) {
 }
 
 // TestParseChunkSizeInvariance: results must be identical for any chunk
-// size — the core §3.1 guarantee.
+// size — the core §3.1 guarantee — and equal to encoding/csv's. The
+// input is over 64 KiB, so every size runs many chunks, and its enclosed
+// fields hold ',', '\n' and '""' at varied offsets, some long enough to
+// span whole bitmap words and 1 KiB chunks. The sizes straddle the
+// 64-byte bitmap word and the 1 KiB default (0).
 func TestParseChunkSizeInvariance(t *testing.T) {
-	in := "1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\n\"\"Ribba\"\", black\"\n7,8.5,\"x,y\"\n"
-	var ref [][]string
-	for _, chunk := range []int{1, 2, 3, 5, 7, 13, 31, 64, 1000} {
+	rng := rand.New(rand.NewSource(5))
+	const cols = 4
+	var sb strings.Builder
+	for sb.Len() < 64<<10+1000 {
+		for c := 0; c < cols; c++ {
+			if c > 0 {
+				sb.WriteByte(',')
+			}
+			n := rng.Intn(12)
+			if rng.Intn(20) == 0 {
+				n = 64 + rng.Intn(1500)
+			}
+			enclosed := rng.Intn(2) == 0
+			if enclosed {
+				sb.WriteByte('"')
+			}
+			for k := 0; k < n; k++ {
+				switch r := rng.Intn(12); {
+				case enclosed && r == 0:
+					sb.WriteString(`""`)
+				case enclosed && r == 1:
+					sb.WriteByte(',')
+				case enclosed && r == 2:
+					sb.WriteByte('\n')
+				default:
+					sb.WriteByte(byte('a' + rng.Intn(26)))
+				}
+			}
+			if enclosed {
+				sb.WriteByte('"')
+			}
+		}
+		sb.WriteByte('\n')
+	}
+	in := sb.String()
+	want := fmt.Sprint(referenceParse(t, in))
+	fields := make([]columnar.Field, cols)
+	for i := range fields {
+		fields[i] = columnar.Field{Name: fmt.Sprintf("c%d", i), Type: columnar.String}
+	}
+	for _, chunk := range []int{1, 7, 31, 63, 64, 65, 127, 128, 1023, 1024, 1025, 4096, 0} {
 		opts := testOpts()
 		opts.ChunkSize = chunk
+		opts.Schema = columnar.NewSchema(fields...)
 		res, err := Parse([]byte(in), opts)
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
-		got := tableStrings(res.Table)
-		if ref == nil {
-			ref = got
-			continue
+		size := chunk
+		if size == 0 {
+			size = DefaultChunkSize
 		}
-		if fmt.Sprint(got) != fmt.Sprint(ref) {
-			t.Fatalf("chunk=%d: results differ:\n%v\nvs\n%v", chunk, got, ref)
+		if want := (len(in) + size - 1) / size; res.Stats.Chunks != want {
+			t.Errorf("chunk=%d: %d chunks, want %d", chunk, res.Stats.Chunks, want)
+		}
+		if got := fmt.Sprint(tableStrings(res.Table)); got != want {
+			t.Fatalf("chunk=%d: table differs from encoding/csv's", chunk)
+		}
+	}
+}
+
+// TestParseDefaultChunkSizeByDevice: ChunkSize 0 means the paper's
+// 31-byte chunk on a modelled-time device, which stands in for the
+// paper's GPU, and DefaultChunkSize on a real one.
+func TestParseDefaultChunkSizeByDevice(t *testing.T) {
+	in := []byte(strings.Repeat("1941,199.99,\"Book,case\"\n", 400))
+	n := len(in)
+	for _, tc := range []struct {
+		name  string
+		dev   *device.Device
+		chunk int
+	}{
+		{"real", device.New(device.Config{Workers: 4}), DefaultChunkSize},
+		{"modelled", device.New(device.Config{Workers: 2, VirtualWorkers: 64}), PaperChunkSize},
+	} {
+		res, err := Parse(in, Options{Device: tc.dev})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := (n + tc.chunk - 1) / tc.chunk; res.Stats.Chunks != want {
+			t.Errorf("%s: %d chunks for %d bytes, want %d (chunk %d)", tc.name, res.Stats.Chunks, n, want, tc.chunk)
 		}
 	}
 }

@@ -91,7 +91,9 @@ type Options struct {
 	// Mode selects the tagging representation (§4.1).
 	Mode TaggingMode
 	// ChunkSize is the bytes of input per data-parallel chunk. 0 uses
-	// the paper's best-performing 31 bytes (§5.1).
+	// 1024 bytes on a real device, where every chunk's fixed cost is paid
+	// by one CPU core, and the paper's best-performing 31 bytes (§5.1) in
+	// modelled-time mode (VirtualWorkers > 0).
 	ChunkSize int
 	// Workers bounds the simulated device's parallelism. 0 uses all
 	// available CPUs.
