@@ -162,30 +162,6 @@ func BenchmarkConvertWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSWARConvert quantifies the convert phase's SWAR
-// validate-then-convert field parsers against the byte-at-a-time scalar
-// parsers on the full pipeline. taxi (15 numeric/temporal columns) is
-// the target workload; yelp shows the floor when most columns are
-// strings. The convert-ns metric isolates the stage the parsers live
-// in; output is byte-identical on both settings (parity-pinned), so any
-// delta is pure inner-loop cost.
-func BenchmarkAblationSWARConvert(b *testing.B) {
-	variants := []struct {
-		name   string
-		noSWAR bool
-	}{
-		{"swar", false},
-		{"scalar", true},
-	}
-	for _, spec := range benchSpecs {
-		for _, v := range variants {
-			b.Run(fmt.Sprintf("%s/%s", spec.Name, v.name), func(b *testing.B) {
-				benchWorkload(b, spec, core.Options{Schema: spec.Schema, NoSWARConvert: v.noSWAR})
-			})
-		}
-	}
-}
-
 // pushdownBenchWhere returns the Where lists of the pushdown ablation,
 // named by their approximate selectivity against the workload's value
 // distributions (taxi: vendor_id ∈ {1,2}, fare_amount uniform over
@@ -288,10 +264,10 @@ func BenchmarkAblationPushdown(b *testing.B) {
 }
 
 // BenchmarkConvertParsers times each numeric/temporal field parser on
-// representative field shapes, SWAR dispatch vs scalar reference — the
-// per-parser ns trajectory behind the convert phase's device time. Each
-// op parses every field in the shape set once; the ns/field metric
-// (recorded by cmd/benchjson) divides that out.
+// representative field shapes — the per-parser ns trajectory behind the
+// convert phase's device time. Each op parses every field in the shape
+// set once; the ns/field metric (recorded by cmd/benchjson) divides
+// that out.
 func BenchmarkConvertParsers(b *testing.B) {
 	fields := func(ss ...string) [][]byte {
 		out := make([][]byte, len(ss))
@@ -330,14 +306,10 @@ func BenchmarkConvertParsers(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(fs)), "ns/field")
 	}
 
-	b.Run("int64/swar", func(b *testing.B) { runInt(b, convert.ParseInt64, intFields) })
-	b.Run("int64/scalar", func(b *testing.B) { runInt(b, convert.ParseInt64Scalar, intFields) })
-	b.Run("float64/swar", func(b *testing.B) { runFloat(b, convert.ParseFloat64, floatFields) })
-	b.Run("float64/scalar", func(b *testing.B) { runFloat(b, convert.ParseFloat64Scalar, floatFields) })
-	b.Run("timestamp/swar", func(b *testing.B) { runInt(b, convert.ParseTimestampMicros, tsFields) })
-	b.Run("timestamp/scalar", func(b *testing.B) { runInt(b, convert.ParseTimestampMicrosScalar, tsFields) })
-	b.Run("date32/swar", func(b *testing.B) { runInt(b, convert.ParseDate32, dateFields) })
-	b.Run("date32/scalar", func(b *testing.B) { runInt(b, convert.ParseDate32Scalar, dateFields) })
+	b.Run("int64", func(b *testing.B) { runInt(b, convert.ParseInt64, intFields) })
+	b.Run("float64", func(b *testing.B) { runFloat(b, convert.ParseFloat64, floatFields) })
+	b.Run("timestamp", func(b *testing.B) { runInt(b, convert.ParseTimestampMicros, tsFields) })
+	b.Run("date32", func(b *testing.B) { runInt(b, convert.ParseDate32, dateFields) })
 }
 
 // benchSink defeats dead-code elimination in the parser microbenches.
@@ -345,24 +317,23 @@ var benchSink int64
 
 // BenchmarkAblationFastPath quantifies the fused-table and skip-ahead
 // fast paths per workload: fused+skip (the default), fused without
-// skip-ahead, and the original split per-byte lookups.
+// skip-ahead, and the original split per-byte lookups, each a machine
+// with its fast paths set (dfa.Machine.SetFastPath).
 func BenchmarkAblationFastPath(b *testing.B) {
 	variants := []struct {
-		name   string
-		split  bool
-		noSkip bool
+		name        string
+		fused, skip bool
 	}{
-		{"fused+skipahead", false, false},
-		{"fused", false, true},
-		{"split", true, true},
+		{"fused+skipahead", true, true},
+		{"fused", true, false},
+		{"split", false, false},
 	}
 	for _, spec := range benchSpecs {
 		for _, v := range variants {
 			b.Run(fmt.Sprintf("%s/%s", spec.Name, v.name), func(b *testing.B) {
 				benchWorkload(b, spec, core.Options{
-					Schema:      spec.Schema,
-					SplitTables: v.split,
-					NoSkipAhead: v.noSkip,
+					Machine: dfa.RFC4180().SetFastPath(v.fused, v.skip),
+					Schema:  spec.Schema,
 				})
 			})
 		}
@@ -669,31 +640,6 @@ func BenchmarkAblationMatcher(b *testing.B) {
 			benchParse(b, spec, core.Options{Schema: spec.Schema, MatchStrategy: strat})
 		})
 	}
-}
-
-// BenchmarkAblationStateVector compares MFIRA-packed state vectors
-// against plain slices on the multi-DFA transition loop (§4.5).
-func BenchmarkAblationStateVector(b *testing.B) {
-	m := dfa.RFC4180()
-	states := m.NumStates()
-	row := make([]uint8, states)
-	for i := range row {
-		row[i] = uint8((i + 1) % states)
-	}
-	b.Run("mfira", func(b *testing.B) {
-		p := statevec.NewPacked(states)
-		for i := 0; i < b.N; i++ {
-			p.Transition(func(s uint8) uint8 { return row[s] })
-		}
-	})
-	b.Run("slice", func(b *testing.B) {
-		v := statevec.Identity(states)
-		for i := 0; i < b.N; i++ {
-			for j := range v {
-				v[j] = row[v[j]]
-			}
-		}
-	})
 }
 
 // BenchmarkAblationScan compares the single-pass decoupled-look-back

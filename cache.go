@@ -65,7 +65,6 @@ func Fingerprint(opts Options) string {
 	i64(int64(opts.ChunkSize))
 	i64(int64(opts.Workers))
 	i64(int64(opts.VirtualWorkers))
-	i64(int64(opts.ConvertWorkers))
 	i64(int64(opts.InFlight))
 	i64(int64(opts.SkipRows))
 	ints(opts.SelectColumns)
@@ -74,7 +73,6 @@ func Fingerprint(opts Options) string {
 		i64(v)
 	}
 	ints(opts.Scan.Select)
-	boolByte(opts.Scan.NoPushdown)
 	u64(uint64(len(opts.Scan.Where)))
 	for _, p := range opts.Scan.Where {
 		i64(int64(p.p.Column))
@@ -102,9 +100,6 @@ func Fingerprint(opts Options) string {
 	boolByte(opts.Validate)
 	u64(uint64(opts.Encoding))
 	boolByte(opts.DetectEncoding)
-	boolByte(opts.SplitTables)
-	boolByte(opts.NoSkipAhead)
-	boolByte(opts.NoSWARConvert)
 	return string(b)
 }
 

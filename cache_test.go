@@ -123,9 +123,9 @@ func TestFingerprintDistinguishes(t *testing.T) {
 		{"select-vs-scan-select",
 			Options{Format: csv, SelectColumns: []int{0, 1}},
 			Options{Format: csv, Scan: ScanOptions{Select: []int{0, 1}}}},
-		{"pushdown-toggle",
-			Options{Format: csv, Scan: ScanOptions{Where: []Predicate{Eq(0, "x")}}},
-			Options{Format: csv, Scan: ScanOptions{Where: []Predicate{Eq(0, "x")}, NoPushdown: true}}},
+		{"fast-paths-off",
+			Options{Format: csv},
+			Options{Format: &Format{m: csv.m.SetFastPath(false, false)}}},
 		{"schema-nil-vs-empty-name",
 			Options{Format: csv},
 			Options{Format: csv, Schema: NewSchema(Field{Name: ""})}},
@@ -206,7 +206,6 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		"parparaw.Options.ChunkSize":          func(o *Options) { o.ChunkSize = 64 },
 		"parparaw.Options.Workers":            func(o *Options) { o.Workers = 3 },
 		"parparaw.Options.VirtualWorkers":     func(o *Options) { o.VirtualWorkers = 5 },
-		"parparaw.Options.ConvertWorkers":     func(o *Options) { o.ConvertWorkers = 2 },
 		"parparaw.Options.InFlight":           func(o *Options) { o.InFlight = 3 },
 		"parparaw.Options.SkipRows":           func(o *Options) { o.SkipRows = 1 },
 		"parparaw.Options.SelectColumns":      func(o *Options) { o.SelectColumns = []int{0} },
@@ -219,12 +218,8 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		"parparaw.Options.Validate":           func(o *Options) { o.Validate = true },
 		"parparaw.Options.Encoding":           func(o *Options) { o.Encoding = UTF8 },
 		"parparaw.Options.DetectEncoding":     func(o *Options) { o.DetectEncoding = true },
-		"parparaw.Options.SplitTables":        func(o *Options) { o.SplitTables = true },
-		"parparaw.Options.NoSkipAhead":        func(o *Options) { o.NoSkipAhead = true },
-		"parparaw.Options.NoSWARConvert":      func(o *Options) { o.NoSWARConvert = true },
 		"parparaw.ScanOptions.Select":         func(o *Options) { o.Scan.Select = []int{0} },
 		"parparaw.ScanOptions.Where":          func(o *Options) { o.Scan.Where = nil },
-		"parparaw.ScanOptions.NoPushdown":     func(o *Options) { o.Scan.NoPushdown = true },
 		"parparaw.Schema.Fields":              func(o *Options) { o.Schema.Fields = append(o.Schema.Fields, Field{Name: "b"}) },
 		"parparaw.Field.Name":                 func(o *Options) { o.Schema.Fields[0].Name = "b" },
 		"parparaw.Field.Type":                 func(o *Options) { o.Schema.Fields[0].Type = Float64 },

@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/workload"
 )
 
@@ -30,6 +29,35 @@ import (
 func convertWorkerCounts() []int {
 	return dedupWorkerCounts(1, 2, runtime.GOMAXPROCS(0), 7)
 }
+
+// coreEngine compiles opts into an Engine after sets have adjusted the
+// core options: the one way tests reach the settings only the core
+// carries, the convert pool's width (ConvertWorkers) and the
+// post-materialisation Where path (NoPushdown).
+func coreEngine(tb testing.TB, opts Options, sets ...func(*core.Options)) *Engine {
+	tb.Helper()
+	copts, err := opts.internal(core.TrailingRecord)
+	if err != nil {
+		tb.Fatalf("options: %v", err)
+	}
+	for _, set := range sets {
+		set(&copts)
+	}
+	plan, err := core.Compile(copts)
+	if err != nil {
+		tb.Fatalf("compile: %v", err)
+	}
+	return &Engine{plan: plan}
+}
+
+// convertWorkers sets the core ConvertWorkers, for coreEngine.
+func convertWorkers(w int) func(*core.Options) {
+	return func(o *core.Options) { o.ConvertWorkers = w }
+}
+
+// noPushdown selects the post-materialisation Where path, for
+// coreEngine.
+func noPushdown(o *core.Options) { o.NoPushdown = true }
 
 // dedupWorkerCounts drops repeated worker counts, keeping first-seen
 // order (shared by the parity harness and BenchmarkConvertWorkers).
@@ -95,7 +123,7 @@ func assertTablesIdentical(t *testing.T, label string, got, want *Table) {
 type convertParityCase struct {
 	name  string
 	data  []byte
-	opts  Options // ConvertWorkers is overwritten by the sweep
+	opts  Options // the sweep sets ConvertWorkers through coreEngine
 	modes []TaggingMode
 }
 
@@ -212,14 +240,12 @@ func TestConvertWorkersParity(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", tc.name, mode), func(t *testing.T) {
 				opts := tc.opts
 				opts.Mode = mode
-				opts.ConvertWorkers = 1
-				want, err := Parse(tc.data, opts)
+				want, err := coreEngine(t, opts, convertWorkers(1)).Parse(tc.data)
 				if err != nil {
 					t.Fatalf("sequential reference: %v", err)
 				}
 				for _, w := range convertWorkerCounts()[1:] {
-					opts.ConvertWorkers = w
-					got, err := Parse(tc.data, opts)
+					got, err := coreEngine(t, opts, convertWorkers(w)).Parse(tc.data)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", w, err)
 					}
@@ -245,8 +271,8 @@ func TestConvertWorkersParityStreaming(t *testing.T) {
 	for _, mode := range []TaggingMode{RecordTagged, InlineTerminated, VectorDelimited} {
 		stream := func(workers int) *Table {
 			t.Helper()
-			res, err := Stream(input, StreamOptions{
-				Options:       Options{Schema: schema, Mode: mode, ConvertWorkers: workers},
+			e := coreEngine(t, Options{Schema: schema, Mode: mode}, convertWorkers(workers))
+			res, err := e.Stream(input, StreamConfig{
 				PartitionSize: 4 << 10,
 				Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
 			})
@@ -274,36 +300,34 @@ func TestConvertWorkersParityStreaming(t *testing.T) {
 // filled (and a Reset has recycled), so the AllocDirty buffers — the
 // scatter's sorted payloads and the tag vectors, in all three tagging
 // modes — really do come back holding a previous run's bytes. The
-// output must still match a fresh-arena sequential reference byte for
-// byte; a stale byte leaking out of the never-read sentinel regions
-// would surface here.
+// engine's pool provides that arena: it resets the poison parse's arena
+// on release and hands it to the next parse. The output must still
+// match a fresh-arena sequential reference byte for byte; a stale byte
+// leaking out of the never-read sentinel regions would surface here.
 func TestConvertWorkersRecycledArenaParity(t *testing.T) {
 	spec := workload.Taxi() // constant columns: legal in every mode
 	input := spec.Generate(32<<10, 42)
 	poison := spec.Generate(48<<10, 99) // different bytes, larger buffers
 	schema := schemaFromInternal(spec.Schema)
 	for _, mode := range []TaggingMode{RecordTagged, InlineTerminated, VectorDelimited} {
-		ref, err := Parse(input, Options{Schema: schema, Mode: mode, ConvertWorkers: 1})
+		opts := Options{Schema: schema, Mode: mode}
+		ref, err := coreEngine(t, opts, convertWorkers(1)).Parse(input)
 		if err != nil {
 			t.Fatalf("%s: fresh-arena reference: %v", mode, err)
 		}
 		for _, w := range convertWorkerCounts() {
-			arena := device.NewArena()
-			opts, err := Options{Schema: schema, Mode: mode, ConvertWorkers: w}.internal(core.TrailingRecord)
-			if err != nil {
-				t.Fatalf("%s/workers=%d: internal options: %v", mode, w, err)
-			}
-			opts.Arena = arena
-			if _, err := core.Parse(poison, opts); err != nil {
+			e := coreEngine(t, opts, convertWorkers(w))
+			if _, err := e.Parse(poison); err != nil {
 				t.Fatalf("%s/workers=%d: poison parse: %v", mode, w, err)
 			}
-			arena.Reset()
-			res, err := core.Parse(input, opts)
+			if n := e.idleArenaCount(); n != 1 {
+				t.Fatalf("%s/workers=%d: %d idle arenas after the poison parse, want 1", mode, w, n)
+			}
+			res, err := e.Parse(input)
 			if err != nil {
 				t.Fatalf("%s/workers=%d: recycled parse: %v", mode, w, err)
 			}
-			got := &Table{t: res.Table}
-			assertTablesIdentical(t, fmt.Sprintf("recycled/%s/workers=%d", mode, w), got, ref.Table)
+			assertTablesIdentical(t, fmt.Sprintf("recycled/%s/workers=%d", mode, w), res.Table, ref.Table)
 		}
 	}
 }
@@ -317,14 +341,11 @@ func TestConvertWorkersRecycledArenaParity(t *testing.T) {
 func TestConvertWorkersConcurrentEngine(t *testing.T) {
 	input := workload.Taxi().Generate(32<<10, 11)
 	schema := schemaFromInternal(workload.Taxi().Schema)
-	want, err := Parse(input, Options{Schema: schema, ConvertWorkers: 1})
+	want, err := coreEngine(t, Options{Schema: schema}, convertWorkers(1)).Parse(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(Options{Schema: schema, ConvertWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := coreEngine(t, Options{Schema: schema}, convertWorkers(4))
 	const goroutines = 6
 	const parses = 4
 	var wg sync.WaitGroup
@@ -351,16 +372,5 @@ func TestConvertWorkersConcurrentEngine(t *testing.T) {
 	}
 	for g, tbl := range tables {
 		assertTablesIdentical(t, fmt.Sprintf("goroutine %d", g), tbl, want.Table)
-	}
-}
-
-// TestConvertWorkersValidation pins the configuration error for negative
-// worker counts (caught at compile/engine-construction time).
-func TestConvertWorkersValidation(t *testing.T) {
-	if _, err := NewEngine(Options{ConvertWorkers: -1}); err == nil {
-		t.Fatal("NewEngine accepted negative ConvertWorkers")
-	}
-	if _, err := Parse([]byte("a,b\n"), Options{ConvertWorkers: -3}); err == nil {
-		t.Fatal("Parse accepted negative ConvertWorkers")
 	}
 }

@@ -5,7 +5,7 @@ package parparaw
 // hand-written reference scanner — plain Go control flow, no shared
 // code with internal/dfa — across the three tagging modes and the
 // streaming pipeline, and fuzzed against the same references (plus
-// encoding/json for JSONL) with the fast-path toggles composed in.
+// encoding/json for JSONL) with the fast-path variants composed in.
 //
 // Reference semantics mirrored from the kernels (internal/core):
 //   - a record-delimiter emission ends the current record, a
@@ -980,25 +980,20 @@ func TestUnstreamableFormat(t *testing.T) {
 // ---------------------------------------------------------------------
 
 // fuzzGrammarParity is the shared fuzz body: parse with fuzzed chunk
-// size, fast-path toggles, and convert workers; require the table and
-// the invalid-input flag to match the hand-written reference; and run
-// the pushdown-vs-post-hoc Where parity leg.
+// size, fast paths (fastRaw's bit 1 switches off the fused tables, bit 2
+// the skip-ahead) and convert workers; require the table and the
+// invalid-input flag to match the hand-written reference; and run the
+// pushdown-vs-post-hoc Where parity leg.
 func fuzzGrammarParity(t *testing.T, format *Format, ref func([]byte) ([][]string, bool), input []byte, chunkRaw, fastRaw, workersRaw uint8) {
 	chunk := chunkSizeFromFuzz(chunkRaw)
 	recs, invalid := ref(input)
-	opts := Options{
-		Format:         format,
-		ChunkSize:      chunk,
-		SplitTables:    fastRaw&1 != 0,
-		NoSkipAhead:    fastRaw&2 != 0,
-		NoSWARConvert:  fastRaw&4 != 0,
-		ConvertWorkers: convertWorkersFromFuzz(workersRaw),
-	}
+	opts := withFastPath(Options{Format: format, ChunkSize: chunk}, fastRaw&1 == 0, fastRaw&2 == 0)
+	workers := convertWorkers(convertWorkersFromFuzz(workersRaw))
 	width := refWidth(recs)
 	if width > 0 {
 		opts.Schema = allStringSchema(width)
 	}
-	res, err := Parse(input, opts)
+	res, err := coreEngine(t, opts, workers).Parse(input)
 	if err != nil {
 		t.Fatalf("Parse failed on %q: %v", input, err)
 	}
@@ -1012,12 +1007,11 @@ func fuzzGrammarParity(t *testing.T, format *Format, ref func([]byte) ([][]strin
 	if width > 0 {
 		popts := opts
 		popts.Scan.Where = whereFromFuzz(fastRaw, int(chunkRaw)%width, input)
-		push, err := Parse(input, popts)
+		push, err := coreEngine(t, popts, workers).Parse(input)
 		if err != nil {
 			t.Fatalf("pushdown Parse failed on %q: %v", input, err)
 		}
-		popts.Scan.NoPushdown = true
-		post, err := Parse(input, popts)
+		post, err := coreEngine(t, popts, workers, noPushdown).Parse(input)
 		if err != nil {
 			t.Fatalf("post-hoc Parse failed on %q: %v", input, err)
 		}

@@ -30,11 +30,11 @@ import (
 // call checks a private arena out of the pool for the duration of the
 // run; the simulated device itself is documented safe for concurrent
 // kernel launches. The two concurrency layers compose: a run's convert
-// stage may itself fan out over Options.ConvertWorkers goroutines, each
-// working on a shard of that run's checked-out arena, while other calls
-// run on their own arenas. Each call also times its kernel launches on
-// a private timer, so Stats.Phases of overlapping calls describe each
-// call alone.
+// stage may itself fan out over a pool of up to Options.Workers
+// goroutines, each working on a shard of that run's checked-out arena,
+// while other calls run on their own arenas. Each call also times its
+// kernel launches on a private timer, so Stats.Phases of overlapping
+// calls describe each call alone.
 type Engine struct {
 	plan   *core.Plan
 	arenas arenaPool

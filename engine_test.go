@@ -66,10 +66,7 @@ func TestEngineParseMatchesParse(t *testing.T) {
 // timer would add the other calls' launches to each call's phases.
 func TestEngineConcurrentPhasesPerRun(t *testing.T) {
 	input := workload.Yelp().Generate(2<<20, 7)
-	e, err := NewEngine(Options{ConvertWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := coreEngine(t, Options{}, convertWorkers(1))
 	const calls = 4
 	stats := make([]Stats, calls)
 	errs := make([]error, calls)

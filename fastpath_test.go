@@ -14,16 +14,28 @@ import (
 	"repro/internal/workload"
 )
 
-// fastPathVariants are the toggle combinations under test; "split" is
-// the reference the others must match.
+// fastPathVariants are the fast-path combinations under test; "split"
+// is the reference the others must match.
 var fastPathVariants = []struct {
 	name        string
-	splitTables bool
-	noSkipAhead bool
+	fused, skip bool
 }{
-	{"fused+skipahead", false, false},
-	{"fused", false, true},
-	{"split", true, true},
+	{"fused+skipahead", true, true},
+	{"fused", true, false},
+	{"split", false, false},
+}
+
+// withFastPath returns opts parsing with a copy of its format whose
+// machine runs the given fast paths: the fused tables and the
+// skip-ahead are properties of the machine, so a reference-path parse
+// is a parse under another Format.
+func withFastPath(opts Options, fused, skip bool) Options {
+	f := opts.Format
+	if f == nil {
+		f = DefaultFormat()
+	}
+	opts.Format = &Format{m: f.m.SetFastPath(fused, skip)}
+	return opts
 }
 
 func fastPathInputs() map[string][]byte {
@@ -38,8 +50,7 @@ func fastPathInputs() map[string][]byte {
 
 func parityCompare(t *testing.T, label string, opts Options, input []byte) {
 	t.Helper()
-	ref := opts
-	ref.SplitTables, ref.NoSkipAhead = true, true
+	ref := withFastPath(opts, false, false)
 	want, err := Parse(input, ref)
 	if err != nil {
 		t.Fatalf("%s: reference parse failed: %v", label, err)
@@ -53,9 +64,7 @@ func parityCompare(t *testing.T, label string, opts Options, input []byte) {
 		t.Fatalf("%s: reference re-parse failed: %v", label, err)
 	}
 	for _, v := range fastPathVariants {
-		o := opts
-		o.SplitTables, o.NoSkipAhead = v.splitTables, v.noSkipAhead
-		got, err := Parse(input, o)
+		got, err := Parse(input, withFastPath(opts, v.fused, v.skip))
 		if err != nil {
 			t.Fatalf("%s/%s: parse failed: %v", label, v.name, err)
 		}
@@ -108,24 +117,19 @@ func TestFastPathParityUTF16(t *testing.T) {
 	}
 }
 
-// TestFastPathParityStreaming runs the fast-path toggles through the
+// TestFastPathParityStreaming runs the fast-path variants through the
 // streaming pipeline: carry-over re-parses and tiny partitions must not
 // disturb skip-ahead state.
 func TestFastPathParityStreaming(t *testing.T) {
 	input := workload.Yelp().Generate(64<<10, 7)
-	ref, err := Parse(input, Options{SplitTables: true, NoSkipAhead: true})
+	ref, err := Parse(input, withFastPath(Options{}, false, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := tableRows(ref.Table)
 	for _, v := range fastPathVariants {
-		opts := Options{
-			Schema:      ref.Table.Schema(),
-			SplitTables: v.splitTables,
-			NoSkipAhead: v.noSkipAhead,
-		}
 		res, err := Stream(input, StreamOptions{
-			Options:       opts,
+			Options:       withFastPath(Options{Schema: ref.Table.Schema()}, v.fused, v.skip),
 			PartitionSize: 8 << 10,
 			Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
 		})

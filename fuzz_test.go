@@ -90,15 +90,14 @@ func FuzzStreamReader(f *testing.F) {
 		partSize := int(partRaw%256) + 1
 		chunk := chunkSizeFromFuzz(chunkRaw)
 		workers := convertWorkersFromFuzz(workersRaw)
-		whole, err := Parse(input, Options{ChunkSize: chunk, ConvertWorkers: workers})
+		whole, err := coreEngine(t, Options{ChunkSize: chunk}, convertWorkers(workers)).Parse(input)
 		if err != nil {
 			t.Fatalf("Parse failed on %q: %v", input, err)
 		}
 		opts := Options{
-			ChunkSize:      chunk,
-			Schema:         whole.Table.Schema(),
-			ConvertWorkers: workers,
-			InFlight:       inFlightFromFuzz(inFlightRaw),
+			ChunkSize: chunk,
+			Schema:    whole.Table.Schema(),
+			InFlight:  inFlightFromFuzz(inFlightRaw),
 		}
 		// A fuzzed Where list rides along on every streamed parse (the
 		// high partition-size byte picks the shape), pruning rows across
@@ -107,8 +106,7 @@ func FuzzStreamReader(f *testing.F) {
 		if cols := whole.Table.NumColumns(); cols > 0 {
 			opts.Scan.Where = whereFromFuzz(uint8(partRaw>>8), int(chunkRaw)%cols, input)
 		}
-		streamed, err := StreamReader(bytes.NewReader(input), StreamOptions{
-			Options:       opts,
+		streamed, err := coreEngine(t, opts, convertWorkers(workers)).StreamReader(bytes.NewReader(input), StreamConfig{
 			PartitionSize: partSize,
 			Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
 		})
@@ -123,9 +121,7 @@ func FuzzStreamReader(f *testing.F) {
 		// loop, and Where on the post-materialisation path — so the
 		// streamed pushdown output is checked against the reference
 		// path's materialisation.
-		opts.ConvertWorkers = 1
-		opts.Scan.NoPushdown = true
-		want, err := Parse(input, opts)
+		want, err := coreEngine(t, opts, convertWorkers(1), noPushdown).Parse(input)
 		if err != nil {
 			t.Fatalf("re-Parse failed on %q: %v", input, err)
 		}
@@ -151,8 +147,8 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte("no trailing newline"), uint8(64), uint8(0), uint8(2))
 	f.Add([]byte("\"unterminated"), uint8(5), uint8(1), uint8(0))
 	f.Add([]byte{0xFF, 0x00, 0x7F, '\n'}, uint8(8), uint8(2), uint8(1))
-	// Numeric/temporal shapes with the SWAR convert paths toggled off
-	// (bit 4), so the round trip crosses the scalar and SWAR parsers.
+	// Numeric and temporal shapes, so the oracle and the round trip
+	// cross every field parser.
 	f.Add([]byte("1.5,2018-06-15 13:45:09.5,142.35\n-7,.5,-73.987654\n"), uint8(31), uint8(4), uint8(0))
 	// Multi-word chunks (top quarter of the chunk byte): 65 bytes and
 	// the 0 default, over records that straddle bitmap words.
@@ -161,18 +157,13 @@ func FuzzParse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, input []byte, chunkRaw, fastRaw, workersRaw uint8) {
 		chunk := chunkSizeFromFuzz(chunkRaw)
-		// fastRaw toggles the fused-table, skip-ahead, and SWAR-convert
-		// fast paths and workersRaw sweeps the convert pool, so the
-		// sequential oracle below catches any divergence between the
-		// fast and reference paths — per-byte parsing, field conversion
-		// — and any nondeterminism in the parallel convert stage.
-		res, err := Parse(input, Options{
-			ChunkSize:      chunk,
-			SplitTables:    fastRaw&1 != 0,
-			NoSkipAhead:    fastRaw&2 != 0,
-			NoSWARConvert:  fastRaw&4 != 0,
-			ConvertWorkers: convertWorkersFromFuzz(workersRaw),
-		})
+		// fastRaw's low bits switch off the fused tables (1) and the
+		// skip-ahead (2), its other bits are unused, and workersRaw sweeps
+		// the convert pool, so the sequential oracle below catches any
+		// divergence between the fast and reference parse paths and any
+		// nondeterminism in the parallel convert stage.
+		workers := convertWorkers(convertWorkersFromFuzz(workersRaw))
+		res, err := coreEngine(t, withFastPath(Options{ChunkSize: chunk}, fastRaw&1 == 0, fastRaw&2 == 0), workers).Parse(input)
 		if err != nil {
 			t.Fatalf("Parse failed on %q: %v", input, err)
 		}
@@ -194,20 +185,15 @@ func FuzzParse(f *testing.F) {
 		// Pushdown parity: the same parse with a fuzzed Where list must
 		// be byte-identical whether the rows are pruned inside the plan
 		// (Schema fixed, pushdown) or dropped from the materialised table
-		// (Scan.NoPushdown, the reference path).
+		// (core NoPushdown, the reference path).
 		if cols := res.Table.NumColumns(); cols > 0 {
-			popts := Options{
-				ChunkSize:      chunk,
-				Schema:         res.Table.Schema(),
-				ConvertWorkers: convertWorkersFromFuzz(workersRaw),
-			}
+			popts := Options{ChunkSize: chunk, Schema: res.Table.Schema()}
 			popts.Scan.Where = whereFromFuzz(fastRaw, int(chunkRaw)%cols, input)
-			push, err := Parse(input, popts)
+			push, err := coreEngine(t, popts, workers).Parse(input)
 			if err != nil {
 				t.Fatalf("pushdown Parse failed on %q: %v", input, err)
 			}
-			popts.Scan.NoPushdown = true
-			post, err := Parse(input, popts)
+			post, err := coreEngine(t, popts, workers, noPushdown).Parse(input)
 			if err != nil {
 				t.Fatalf("post-hoc Parse failed on %q: %v", input, err)
 			}

@@ -24,12 +24,6 @@ type Policy struct {
 	// RejectOnError marks the whole record rejected when a field fails
 	// type conversion; otherwise the field becomes NULL.
 	RejectOnError bool
-	// NoSWAR forces the byte-at-a-time scalar field parsers, disabling
-	// the SWAR validate-then-convert fast paths (swar.go) — the
-	// swar-on/off ablation axis. Output is identical either way (the
-	// fast paths are bit-exact substitutes); only the per-field cost
-	// changes.
-	NoSWAR bool
 }
 
 // Materialize converts one column's CSS into a typed columnar column.
@@ -62,7 +56,6 @@ func fieldValue(col *css.Column, ix *css.Index, k int) []byte {
 func materializeFixed(d *device.Device, phase string, col *css.Column, ix *css.Index, b *columnar.Builder, pol Policy, rejected []bool) {
 	n := ix.NumFields()
 	typ := b.Field().Type
-	ps := pol.parsers()
 	d.LaunchBlocks(phase, n, func(_, first, limit int) {
 		for k := first; k < limit; k++ {
 			v := fieldValue(col, ix, k)
@@ -74,7 +67,7 @@ func materializeFixed(d *device.Device, phase string, col *css.Column, ix *css.I
 					continue
 				}
 			}
-			if err := parseInto(b, typ, k, v, ps); err != nil {
+			if err := parseInto(b, typ, k, v); err != nil {
 				if pol.RejectOnError && rejected != nil {
 					rejected[k] = true
 				}
@@ -84,43 +77,17 @@ func materializeFixed(d *device.Device, phase string, col *css.Column, ix *css.I
 	})
 }
 
-// fieldParsers bundles the numeric/temporal field parsers one
-// materialisation uses. Two fixed instances exist — the SWAR
-// validate-then-convert set (the default) and the byte-at-a-time scalar
-// reference set (Policy.NoSWAR) — resolved once per column, outside the
-// per-field inner loop. The sets are bit-exact substitutes, so the
-// choice never shows in the output.
-type fieldParsers struct {
-	int64Fn     func([]byte) (int64, error)
-	float64Fn   func([]byte) (float64, error)
-	date32Fn    func([]byte) (int64, error)
-	timestampFn func([]byte) (int64, error)
-}
-
-var (
-	swarParsers   = &fieldParsers{ParseInt64, ParseFloat64, ParseDate32, ParseTimestampMicros}
-	scalarParsers = &fieldParsers{ParseInt64Scalar, ParseFloat64Scalar, ParseDate32Scalar, ParseTimestampMicrosScalar}
-)
-
-func (pol Policy) parsers() *fieldParsers {
-	if pol.NoSWAR {
-		return scalarParsers
-	}
-	return swarParsers
-}
-
-// parseInto parses one field value into builder slot k with the given
-// parser set.
-func parseInto(b *columnar.Builder, typ columnar.Type, k int, v []byte, ps *fieldParsers) error {
+// parseInto parses one field value into builder slot k.
+func parseInto(b *columnar.Builder, typ columnar.Type, k int, v []byte) error {
 	switch typ {
 	case columnar.Int64:
-		x, err := ps.int64Fn(v)
+		x, err := ParseInt64(v)
 		if err != nil {
 			return err
 		}
 		b.SetInt64(k, x)
 	case columnar.Float64:
-		x, err := ps.float64Fn(v)
+		x, err := ParseFloat64(v)
 		if err != nil {
 			return err
 		}
@@ -132,13 +99,13 @@ func parseInto(b *columnar.Builder, typ columnar.Type, k int, v []byte, ps *fiel
 		}
 		b.SetBool(k, x)
 	case columnar.Date32:
-		x, err := ps.date32Fn(v)
+		x, err := ParseDate32(v)
 		if err != nil {
 			return err
 		}
 		b.SetInt64(k, x)
 	case columnar.TimestampMicros:
-		x, err := ps.timestampFn(v)
+		x, err := ParseTimestampMicros(v)
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ package convert
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -21,34 +22,22 @@ var (
 	ErrEmpty    = errors.New("convert: empty field")
 )
 
-// ParseInt64 parses a decimal integer with optional sign. All-digit
-// fields of 8 to 18 digits take the SWAR validate-then-convert fast
-// path (swar.go: one load, one flag test, and a three-multiply
-// conversion per 8-byte window); everything else — short fields where
-// the scalar loop already wins, empty fields, overflow-range
-// magnitudes — resolves on the scalar path. The two paths are bit-exact
-// substitutes: same value, same error, for every input.
+// ParseInt64 parses a decimal integer with optional sign, accepting
+// exactly what strconv.ParseInt(s, 10, 64) accepts. Its errors map onto
+// strconv's: ErrEmpty or ErrSyntax where strconv reports ErrSyntax, and
+// ErrOverflow where it reports ErrRange.
 func ParseInt64(b []byte) (int64, error) {
-	body := b
-	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+	if len(b) == 0 {
+		return 0, ErrEmpty
+	}
+	body, neg := b, b[0] == '-'
+	if neg || b[0] == '+' {
 		body = b[1:]
 	}
-	switch n := len(body); {
-	case n >= minFastIntDigits && n <= fastIntDigits:
-		u, ok := digitsValue(body)
-		if !ok {
-			return 0, ErrSyntax // a non-digit byte: exactly the scalar verdict
-		}
-		v := int64(u) // ≤ 18 digits: cannot overflow
-		if b[0] == '-' {
-			v = -v
-		}
-		return v, nil
-	case n > 0 && n < minFastIntDigits:
-		// Short field: the scalar loop wins here, inlined to spare the
-		// extra call. Under 8 digits nothing can overflow, so the loop
-		// needs no per-digit bound check; values and errors still match
-		// the scalar parser exactly.
+	if len(body) == 0 {
+		return 0, ErrSyntax
+	}
+	if len(body) <= maxUncheckedDigits {
 		var v int64
 		for _, c := range body {
 			if c < '0' || c > '9' {
@@ -56,56 +45,40 @@ func ParseInt64(b []byte) (int64, error) {
 			}
 			v = v*10 + int64(c-'0')
 		}
-		if b[0] == '-' {
+		if neg {
 			v = -v
 		}
 		return v, nil
 	}
-	return ParseInt64Scalar(b) // empty or sign-only: exact error, or 19+ digits
-}
-
-// ParseInt64Scalar is the byte-at-a-time reference parser: the fallback
-// for shapes the SWAR classifier defers, the oracle of the SWAR/scalar
-// parity suite, and the whole path under Options.NoSWARConvert.
-func ParseInt64Scalar(b []byte) (int64, error) {
-	if len(b) == 0 {
-		return 0, ErrEmpty
-	}
-	neg := false
-	i := 0
-	switch b[0] {
-	case '-':
-		neg = true
-		i = 1
-	case '+':
-		i = 1
-	}
-	if i == len(b) {
-		return 0, ErrSyntax
-	}
-	// Accumulate negative to cover MinInt64.
-	var n int64
-	for ; i < len(b); i++ {
-		c := b[i]
+	// Longer bodies accumulate the magnitude as a uint64 and fail at the
+	// digit that overflows it, as strconv does, so a non-digit after that
+	// digit is an overflow and one before it a syntax error.
+	var u uint64
+	for _, c := range body {
 		if c < '0' || c > '9' {
 			return 0, ErrSyntax
 		}
-		d := int64(c - '0')
-		if n < (minInt64+d)/10 {
+		d := uint64(c - '0')
+		if u > (math.MaxUint64-d)/10 {
 			return 0, ErrOverflow
 		}
-		n = n*10 - d
+		u = u*10 + d
 	}
-	if !neg {
-		if n == minInt64 {
+	if neg {
+		if u > 1<<63 {
 			return 0, ErrOverflow
 		}
-		n = -n
+		return int64(-u), nil
 	}
-	return n, nil
+	if u > math.MaxInt64 {
+		return 0, ErrOverflow
+	}
+	return int64(u), nil
 }
 
-const minInt64 = -1 << 63
+// maxUncheckedDigits is the longest body ParseInt64 accumulates without
+// a bound check: no decimal of 18 digits overflows an int64.
+const maxUncheckedDigits = 18
 
 // maxExactPow10 is the largest power of ten float64 holds exactly.
 const maxExactPow10 = 22
@@ -154,88 +127,7 @@ func parseFloatSlow(b []byte) (float64, error) {
 // delimiter-separated data, and its value is correctly rounded: bit for
 // bit the value strconv.ParseFloat returns. Overflow gives ±Inf with
 // no error; exponents beyond four digits give ErrOverflow.
-//
-// The payload shapes take SWAR validate-then-convert fast paths
-// (swar.go): one-word bodies ("1234.567") classify and convert from a
-// single load, two-word bodies ("-73.987654") from two, and longer
-// mantissas of up to 15 digits — with or without an exponent — go
-// through the general eight-bytes-per-test classifier. The remaining
-// shapes resolve on the scalar path: short fields where its per-byte
-// loop already wins, 16+ digit mantissas, 4+ digit exponents, and
-// scales beyond 10^±22. All paths are bit-exact substitutes: each
-// converts an exact mantissa of at most 2^53 and scales it by an exact
-// power of ten with scale10's single rounding, and every shape outside
-// that range resolves through parseFloatSlow.
 func ParseFloat64(b []byte) (float64, error) {
-	body, neg := b, false
-	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
-		neg = b[0] == '-'
-		body = b[1:]
-	}
-	n := len(body)
-	switch {
-	case n >= minFastFloatLen && n <= 8:
-		if v, ok := floatWord1(body, n); ok {
-			if neg {
-				v = -v
-			}
-			return v, nil
-		}
-	case n > 8 && n <= 16:
-		if v, ok := floatWord2(body, n); ok {
-			if neg {
-				v = -v
-			}
-			return v, nil
-		}
-	case n > 0 && n < minFastFloatLen:
-		// Short field ("14.5"): the scalar loop wins here, inlined to
-		// spare the call. At most six digits accumulate exactly and scale
-		// by at most 10^6, so values match the scalar parser bit for bit;
-		// exponents, junk, and digitless bodies defer for the exact
-		// scalar treatment.
-		var mant float64
-		digits, frac := 0, 0
-		seenDot := false
-		for _, c := range body {
-			switch {
-			case c >= '0' && c <= '9':
-				mant = mant*10 + float64(c-'0')
-				digits++
-				if seenDot {
-					frac++
-				}
-			case c == '.' && !seenDot:
-				seenDot = true
-			default:
-				return ParseFloat64Scalar(b)
-			}
-		}
-		if digits == 0 {
-			return 0, ErrSyntax // "." — the scalar verdict
-		}
-		v := scale10(mant, -frac)
-		if neg {
-			v = -v
-		}
-		return v, nil
-	}
-	if n > 8 {
-		// Declined two-word shapes and anything longer: the general
-		// classifier handles exponent forms and word-straddling
-		// mantissas; short declines go straight to the scalar loop.
-		if v, ok := floatClassify(body, neg); ok {
-			return v, nil
-		}
-	}
-	return ParseFloat64Scalar(b)
-}
-
-// ParseFloat64Scalar is the byte-at-a-time reference parser: the
-// fallback for shapes the SWAR classifier defers, the oracle of the
-// SWAR/scalar parity suite, and the whole path under
-// Options.NoSWARConvert.
-func ParseFloat64Scalar(b []byte) (float64, error) {
 	if len(b) == 0 {
 		return 0, ErrEmpty
 	}
@@ -371,21 +263,11 @@ func twoDigits(b []byte) (int, bool) {
 
 var daysInMonth = [13]int{0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
 
-// ParseDate32 parses "YYYY-MM-DD" into days since the Unix epoch.
-// Well-formed dates validate in two word tests and convert branch-free
-// (swar.go); malformed ones resolve on the scalar path, so values and
-// errors match it byte for byte.
-func ParseDate32(b []byte) (int64, error) {
-	if v, ok := dateWord(b); ok {
-		return v, nil
-	}
-	return ParseDate32Scalar(b)
-}
+func isLeap(y int) bool { return y%4 == 0 && (y%100 != 0 || y%400 == 0) }
 
-// ParseDate32Scalar is the byte-at-a-time reference parser behind
-// ParseDate32; see ParseInt64Scalar for the role the scalar variants
-// play.
-func ParseDate32Scalar(b []byte) (int64, error) {
+// ParseDate32 parses "YYYY-MM-DD" into days since the Unix epoch. It
+// accepts only calendar dates, so February 29 needs a leap year.
+func ParseDate32(b []byte) (int64, error) {
 	if len(b) == 0 {
 		return 0, ErrEmpty
 	}
@@ -407,7 +289,7 @@ func ParseDate32Scalar(b []byte) (int64, error) {
 	if !ok {
 		return 0, ErrSyntax
 	}
-	if m < 1 || m > 12 || d < 1 || d > daysInMonth[m] {
+	if m < 1 || m > 12 || d < 1 || d > daysInMonth[m] || m == 2 && d == 29 && !isLeap(y) {
 		return 0, ErrSyntax
 	}
 	return daysFromCivil(y, m, d), nil
@@ -415,27 +297,15 @@ func ParseDate32Scalar(b []byte) (int64, error) {
 
 // ParseTimestampMicros parses "YYYY-MM-DD HH:MM:SS[.ffffff]" (a 'T'
 // separator is also accepted) into microseconds since the Unix epoch.
-// Well-formed timestamps validate in three word tests and convert
-// branch-free (swar.go); malformed ones resolve on the scalar path, so
-// values and errors match it byte for byte.
+// Like time.Parse it has no leap second: seconds run from 00 to 59.
 func ParseTimestampMicros(b []byte) (int64, error) {
-	if v, ok := timestampWord(b); ok {
-		return v, nil
-	}
-	return ParseTimestampMicrosScalar(b)
-}
-
-// ParseTimestampMicrosScalar is the byte-at-a-time reference parser
-// behind ParseTimestampMicros; see ParseInt64Scalar for the role the
-// scalar variants play.
-func ParseTimestampMicrosScalar(b []byte) (int64, error) {
 	if len(b) == 0 {
 		return 0, ErrEmpty
 	}
 	if len(b) < 19 || (b[10] != ' ' && b[10] != 'T') {
 		return 0, ErrSyntax
 	}
-	days, err := ParseDate32Scalar(b[:10])
+	days, err := ParseDate32(b[:10])
 	if err != nil {
 		return 0, err
 	}
@@ -445,7 +315,7 @@ func ParseTimestampMicrosScalar(b []byte) (int64, error) {
 	h, ok1 := twoDigits(b[11:13])
 	mi, ok2 := twoDigits(b[14:16])
 	s, ok3 := twoDigits(b[17:19])
-	if !ok1 || !ok2 || !ok3 || h > 23 || mi > 59 || s > 60 {
+	if !ok1 || !ok2 || !ok3 || h > 23 || mi > 59 || s > 59 {
 		return 0, ErrSyntax
 	}
 	micros := int64(0)

@@ -3,9 +3,9 @@
 // equality, prefix, null check, numeric range — evaluated against a
 // field's raw symbol bytes before the record materialises, so rows
 // failing the predicate never reach the partition or convert stages.
-// Numeric comparisons reuse the SWAR validate-then-convert parsers of
-// swar.go/parse.go, so a range test costs one classification pass over
-// the field bytes, exactly like the convert stage's fast path.
+// Numeric comparisons reuse the convert stage's field parsers
+// (parse.go), so a range test parses a field exactly as the convert
+// stage would.
 package convert
 
 import (

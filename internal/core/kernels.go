@@ -276,7 +276,7 @@ func (p *pipeline) convertColumn(out, orig int, arena *device.Arena, outFields [
 		field.Type = convert.InferColumnArena(d, arena, "convert", cssCol, ix).Type()
 		outFields[out] = field
 	}
-	pol := convert.Policy{RejectOnError: p.RejectMalformed, NoSWAR: p.NoSWARConvert}
+	pol := convert.Policy{RejectOnError: p.RejectMalformed}
 	if def, ok := p.DefaultValues[orig]; ok {
 		pol.Default = []byte(def)
 	}

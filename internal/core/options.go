@@ -123,33 +123,22 @@ type Options struct {
 	Validate bool
 	// MatchStrategy selects SWAR or table-based symbol matching. The
 	// strategy is applied when the machine's fused tables are compiled;
-	// no per-byte branch remains in the kernels.
+	// no per-byte branch remains in the kernels. Whether the kernels run
+	// the fused tables and the skip-ahead at all is a property of the
+	// Machine (dfa.Machine.SetFastPath), not an option.
 	MatchStrategy dfa.MatchStrategy
-	// SplitTables disables the fused byte-indexed DFA tables and runs
-	// the kernels over the original split lookups (byte → group, then
-	// (group, state) → next/emission) — the fused-vs-split ablation
-	// axis and the parity/fuzz oracle's reference path.
-	SplitTables bool
-	// NoSkipAhead disables the interesting-byte skip-ahead fast path,
-	// forcing per-byte stepping even through runs of plain data bytes —
-	// the skipahead-on/off ablation axis.
-	NoSkipAhead bool
-	// NoSWARConvert forces the convert phase's byte-at-a-time scalar
-	// field parsers, disabling the SWAR validate-then-convert fast paths
-	// (internal/convert/swar.go) — the swar-on/off ablation axis and the
-	// parity/fuzz oracle's reference path. Output is identical either
-	// way: the fast paths are bit-exact substitutes for the scalar
-	// parsers.
-	NoSWARConvert bool
 	// ConvertWorkers is the number of concurrent column workers of the
 	// convert phase (§3.3): index construction, type inference, and
 	// materialisation of distinct columns run on a pool of this many
 	// goroutines, each drawing device memory from its own arena shard.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces the sequential per-column
-	// loop. Output is byte-identical at every setting (the parity
-	// harness and fuzzers pin this). In modelled-time mode
-	// (Config.VirtualWorkers) the convert stage always runs its columns
-	// sequentially, matching the paper's serialised kernel launches.
+	// 0 means min(runtime.GOMAXPROCS(0), Device.Workers()), so a device
+	// with one worker parses single-threaded throughout; 1 forces the
+	// sequential per-column loop. Output is byte-identical at every
+	// setting (the parity harness and fuzzers pin this). It is set by
+	// the ablation, the benchmarks and the tests; the public API leaves
+	// it at its default. In modelled-time mode (Config.VirtualWorkers)
+	// the convert stage always runs its columns sequentially, matching
+	// the paper's serialised kernel launches.
 	ConvertWorkers int
 	// InFlight is the number of streaming partitions the ring keeps in
 	// flight at once (§4.4 extended across partitions): each in-flight
@@ -195,7 +184,6 @@ func (o Options) withDefaults() Options {
 		o.Machine = defaultMachine
 	}
 	o.Machine = o.Machine.SetMatchStrategy(o.MatchStrategy)
-	o.Machine = o.Machine.SetFastPath(!o.SplitTables, !o.NoSkipAhead)
 	if o.Device == nil {
 		o.Device = defaultDevice
 	}
@@ -212,7 +200,7 @@ func (o Options) withDefaults() Options {
 		o.Terminator = css.DefaultTerminator
 	}
 	if o.ConvertWorkers <= 0 {
-		o.ConvertWorkers = runtime.GOMAXPROCS(0)
+		o.ConvertWorkers = min(runtime.GOMAXPROCS(0), o.Device.Workers())
 	}
 	if o.InFlight <= 0 {
 		o.InFlight = runtime.GOMAXPROCS(0)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/dfa"
 )
 
 // TestPlanExecuteMatchesParse compiles once and executes repeatedly on
@@ -102,5 +103,45 @@ func TestCompileRejectsBadOptions(t *testing.T) {
 		if _, err := Compile(opts); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// TestConvertWorkersValidation pins the configuration error for negative
+// worker counts, caught when the plan compiles.
+func TestConvertWorkersValidation(t *testing.T) {
+	for _, w := range []int{-1, -3} {
+		if _, err := Compile(Options{ConvertWorkers: w}); err == nil {
+			t.Errorf("Compile accepted ConvertWorkers %d", w)
+		}
+	}
+}
+
+// TestCompileKeepsMachineFastPath: the fused tables and the skip-ahead
+// are properties of the machine, so a plan compiled over a machine with
+// them switched off runs the split reference path.
+func TestCompileKeepsMachineFastPath(t *testing.T) {
+	for _, v := range []struct{ fused, skip bool }{{false, false}, {true, false}, {true, true}} {
+		plan, err := Compile(Options{Machine: dfa.RFC4180().SetFastPath(v.fused, v.skip)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := plan.Options().Machine
+		if m.Fused() != v.fused || m.SkipAhead() != (v.fused && v.skip) {
+			t.Errorf("SetFastPath(%v, %v): plan runs fused=%v skip-ahead=%v",
+				v.fused, v.skip, m.Fused(), m.SkipAhead())
+		}
+	}
+}
+
+// TestConvertWorkersDefaultFollowsDevice: the default convert pool is
+// no wider than the device, so a one-worker device parses
+// single-threaded throughout.
+func TestConvertWorkersDefaultFollowsDevice(t *testing.T) {
+	plan, err := Compile(Options{Device: device.New(device.Config{Workers: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Options().ConvertWorkers; got != 1 {
+		t.Errorf("ConvertWorkers = %d on a one-worker device, want 1", got)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/dfa"
 	"repro/internal/scan"
-	"repro/internal/statevec"
 )
 
 // Ablation quantifies the design choices DESIGN.md calls out:
@@ -19,15 +18,15 @@ import (
 //     (Instant Loading safe mode) — the "constant factor more work for
 //     scalability" trade of contribution (4);
 //  2. SWAR symbol matching vs a 256-entry lookup table;
-//  3. MFIRA-backed state vectors vs plain slices;
 //  4. single-pass decoupled-look-back scan vs the two-pass blocked scan
 //     vs a sequential scan;
 //  5. fused byte-indexed DFA tables vs the split group-then-table
 //     lookups, and the interesting-byte skip-ahead on top of them;
 //  6. the sequential per-column convert loop vs the ConvertWorkers
-//     column pool;
-//  7. SWAR validate-then-convert field parsers vs the byte-at-a-time
-//     scalar parsers in the convert phase's materialize inner loops.
+//     column pool.
+//
+// Section numbers are stable identifiers that DESIGN.md cites, so the
+// printed sections are [1], [2], [4], [5] and [6].
 func Ablation(cfg Config) error {
 	if err := ablationContext(cfg); err != nil {
 		return err
@@ -35,15 +34,11 @@ func Ablation(cfg Config) error {
 	if err := ablationMatcher(cfg); err != nil {
 		return err
 	}
-	ablationMFIRA(cfg)
 	ablationScan(cfg)
 	if err := ablationFastPath(cfg); err != nil {
 		return err
 	}
-	if err := ablationConvertWorkers(cfg); err != nil {
-		return err
-	}
-	return ablationConvertInner(cfg)
+	return ablationConvertWorkers(cfg)
 }
 
 // ablationContext compares the total *work* (1-core modelled time) and
@@ -115,24 +110,24 @@ func ablationMatcher(cfg Config) error {
 // workload (inside quotes only the closing quote is interesting, so
 // per-byte work becomes per-structural-byte work), while the
 // delimiter-dense taxi workload gains mostly from the fused single
-// load per byte.
+// load per byte. Both fast paths are properties of the machine
+// (dfa.Machine.SetFastPath).
 func ablationFastPath(cfg Config) error {
 	variants := []struct {
-		name          string
-		split, noSkip bool
+		name        string
+		fused, skip bool
 	}{
-		{"fused+skipahead", false, false},
-		{"fused", false, true},
-		{"split", true, true},
+		{"fused+skipahead", true, true},
+		{"fused", true, false},
+		{"split", false, false},
 	}
 	for _, spec := range cfg.specs() {
 		input := spec.Generate(cfg.Size, cfg.Seed)
 		fmt.Fprintf(cfg.Out, "\n[5] fused tables & skip-ahead: %s (%s)\n", spec.Name, mb(len(input)))
 		for _, v := range variants {
 			res, err := cfg.parseModelled(input, core.Options{
-				Schema:      spec.Schema,
-				SplitTables: v.split,
-				NoSkipAhead: v.noSkip,
+				Machine: dfa.RFC4180().SetFastPath(v.fused, v.skip),
+				Schema:  spec.Schema,
 			})
 			if err != nil {
 				return err
@@ -190,85 +185,6 @@ func ablationConvertWorkers(cfg Config) error {
 			w, ms(bestConvert), ms(bestWall))
 	}
 	return nil
-}
-
-// ablationConvertInner quantifies the convert phase's materialize inner
-// loops: the SWAR validate-then-convert field parsers (8-bytes-per-test
-// classification, three-multiply digit-chunk conversion) against the
-// byte-at-a-time scalar parsers, on both workloads — taxi is the
-// numeric/temporal-heavy target, yelp shows the floor when most columns
-// are strings. Output is byte-identical on both settings (the parity
-// suite pins it); only the convert phase's per-field cost moves, so the
-// convert device time is the headline column.
-func ablationConvertInner(cfg Config) error {
-	reps := cfg.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	for _, spec := range cfg.specs() {
-		input := spec.Generate(cfg.Size, cfg.Seed)
-		fmt.Fprintf(cfg.Out, "\n[7] convert inner loops: SWAR validate-then-convert vs scalar field parsers (%s, %s)\n",
-			spec.Name, mb(len(input)))
-		for _, v := range []struct {
-			name   string
-			noSWAR bool
-		}{{"swar", false}, {"scalar", true}} {
-			var bestWall, bestConvert time.Duration
-			for r := 0; r < reps; r++ {
-				res, err := core.Parse(input, core.Options{
-					Schema:        spec.Schema,
-					Device:        device.New(device.Config{Workers: cfg.Workers}),
-					NoSWARConvert: v.noSWAR,
-				})
-				if err != nil {
-					return err
-				}
-				if r == 0 || res.Stats.Duration < bestWall {
-					bestWall = res.Stats.Duration
-					bestConvert = res.Stats.Phases["convert"]
-				}
-			}
-			fmt.Fprintf(cfg.Out, "%-8s convert %10sms   total(wall) %10sms\n",
-				v.name, ms(bestConvert), ms(bestWall))
-		}
-	}
-	return nil
-}
-
-// ablationMFIRA compares MFIRA-backed state vectors against plain
-// slices on the hot operation of the parse phase: transitioning all
-// |S| DFA instances per symbol.
-func ablationMFIRA(cfg Config) {
-	m := dfa.RFC4180()
-	states := m.NumStates()
-	const symbols = 1 << 20
-	row := make([]uint8, states)
-	for i := range row {
-		row[i] = uint8((i + 1) % states)
-	}
-
-	begin := time.Now()
-	packed := statevec.NewPacked(states)
-	for i := 0; i < symbols; i++ {
-		packed.Transition(func(s uint8) uint8 { return row[s] })
-	}
-	packedDur := time.Since(begin)
-	sinkP := packed.Get(0)
-
-	begin = time.Now()
-	vec := statevec.Identity(states)
-	for i := 0; i < symbols; i++ {
-		for j := range vec {
-			vec[j] = row[vec[j]]
-		}
-	}
-	sliceDur := time.Since(begin)
-	sinkS := vec[0]
-
-	fmt.Fprintf(cfg.Out, "\n[3] state vectors: MFIRA-packed vs plain slice (%d transitions of %d instances)\n",
-		symbols, states)
-	fmt.Fprintf(cfg.Out, "MFIRA  %10sms\nslice  %10sms\n(results agree: %v)\n",
-		ms(packedDur), ms(sliceDur), sinkP == sinkS)
 }
 
 // ablationScan compares the single-pass decoupled-look-back scan with

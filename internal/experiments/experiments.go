@@ -90,7 +90,7 @@ func All() []Experiment {
 		{"fig12", "End-to-end duration vs partition size (Figure 12)", Fig12},
 		{"fig13", "End-to-end comparison against other systems (Figure 13)", Fig13},
 		{"scaling", "Throughput vs core count (§1/§6 scalability claim)", Scaling},
-		{"ablation", "Design-choice ablations (matcher, scan, MFIRA, context strategy, fast paths, convert pool, convert inner loops)", Ablation},
+		{"ablation", "Design-choice ablations (context strategy, matcher, scan, fast paths, convert pool)", Ablation},
 	}
 }
 

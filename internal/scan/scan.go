@@ -81,21 +81,10 @@ func Exclusive[T any](d *device.Device, phase string, op Op[T], src, dst []T) T 
 	return singlePass(d, nil, phase, op, src, dst, false)
 }
 
-// Inclusive computes a parallel inclusive scan on the device, returning
-// the total reduction.
-func Inclusive[T any](d *device.Device, phase string, op Op[T], src, dst []T) T {
-	return singlePass(d, nil, phase, op, src, dst, true)
-}
-
 // ExclusiveArena is Exclusive with the scan's internal temporaries (tile
 // descriptors) drawn from the device arena instead of the Go heap.
 func ExclusiveArena[T any](d *device.Device, a *device.Arena, phase string, op Op[T], src, dst []T) T {
 	return singlePass(d, a, phase, op, src, dst, false)
-}
-
-// InclusiveArena is Inclusive with arena-backed temporaries.
-func InclusiveArena[T any](d *device.Device, a *device.Arena, phase string, op Op[T], src, dst []T) T {
-	return singlePass(d, a, phase, op, src, dst, true)
 }
 
 // tileSize is the number of elements each scan block processes. It is

@@ -171,12 +171,6 @@ func TestExclusiveInclusiveHelpers(t *testing.T) {
 	if dst[0] != 0 || dst[1] != 1 || dst[2] != 3 {
 		t.Errorf("exclusive = %v", dst)
 	}
-	if tot := Inclusive(d, "t", intsOp(), src, dst); tot != 6 {
-		t.Errorf("total = %d", tot)
-	}
-	if dst[0] != 1 || dst[1] != 3 || dst[2] != 6 {
-		t.Errorf("inclusive = %v", dst)
-	}
 }
 
 func TestScanShortDstPanics(t *testing.T) {

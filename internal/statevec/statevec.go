@@ -23,11 +23,10 @@ import (
 	"repro/internal/device"
 )
 
-// MaxStates bounds the number of DFA states a vector can hold. The bound
-// exists so vectors can be backed by MFIRA registers on the simulated
-// device (Figure 8: at most 32 one-bit-fragment items per register); 16
-// states × 4 bits fits comfortably and covers every format in the paper
-// (the RFC 4180 DFA has 6 states).
+// MaxStates bounds the number of DFA states a vector can hold: 16
+// states × 4 bits fill the one uint64 of a Word, the packed vector the
+// parse runs (the in-register packing of §4.5, Figure 8). It covers every
+// format in the paper (the RFC 4180 DFA has 6 states).
 const MaxStates = 16
 
 // Vector is a state-transition vector: Vector[i] is the final state of
@@ -226,62 +225,4 @@ func walk(words []Word, s uint8, dst []uint8) uint8 {
 func tileBounds(t, n int) (lo, hi int) {
 	lo = t * TileChunks
 	return lo, min(lo+TileChunks, n)
-}
-
-// Packed is a Vector stored in a multi-fragment in-register array
-// (Figure 8), as the GPU implementation keeps it. It holds up to
-// MaxStates states of 4 bits each.
-type Packed struct {
-	states int
-	arr    *device.MFIRA
-}
-
-// NewPacked returns a packed identity vector for the given state count.
-func NewPacked(states int) *Packed {
-	if states <= 0 || states > MaxStates {
-		panic(fmt.Sprintf("statevec: state count %d outside [1,%d]", states, MaxStates))
-	}
-	arr := device.MustMFIRA(states, 4)
-	for i := 0; i < states; i++ {
-		arr.Set(i, uint32(i))
-	}
-	return &Packed{states: states, arr: arr}
-}
-
-// Get returns entry i.
-func (p *Packed) Get(i int) uint8 { return uint8(p.arr.Get(i)) }
-
-// Set stores entry i.
-func (p *Packed) Set(i int, s uint8) { p.arr.Set(i, uint32(s)) }
-
-// Len returns the state count.
-func (p *Packed) Len() int { return p.states }
-
-// Transition advances every tracked DFA instance through one transition
-// row: for each start state i, the instance currently in state p[i] moves
-// to row[p[i]]. row is the transition-table row of the read symbol's
-// symbol group (Table 1), itself indexable by current state.
-func (p *Packed) Transition(row func(state uint8) uint8) {
-	for i := 0; i < p.states; i++ {
-		p.arr.Set(i, uint32(row(uint8(p.arr.Get(i)))))
-	}
-}
-
-// Unpack copies the packed vector into a plain Vector.
-func (p *Packed) Unpack() Vector {
-	v := make(Vector, p.states)
-	for i := range v {
-		v[i] = uint8(p.arr.Get(i))
-	}
-	return v
-}
-
-// LoadPacked fills p from a plain vector.
-func (p *Packed) LoadPacked(v Vector) {
-	if len(v) != p.states {
-		panic("statevec: length mismatch")
-	}
-	for i, s := range v {
-		p.arr.Set(i, uint32(s))
-	}
 }

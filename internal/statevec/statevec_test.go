@@ -222,84 +222,6 @@ func TestPackTooManyStatesPanics(t *testing.T) {
 	Pack(make(Vector, MaxStates+1))
 }
 
-func TestPackedVector(t *testing.T) {
-	p := NewPacked(6)
-	for i := 0; i < 6; i++ {
-		if p.Get(i) != uint8(i) {
-			t.Errorf("packed identity[%d] = %d", i, p.Get(i))
-		}
-	}
-	p.Set(3, 5)
-	if p.Get(3) != 5 {
-		t.Errorf("packed set/get = %d", p.Get(3))
-	}
-	if p.Len() != 6 {
-		t.Errorf("len = %d", p.Len())
-	}
-}
-
-func TestPackedTransition(t *testing.T) {
-	// Row sending every state to state+1 mod 4.
-	p := NewPacked(4)
-	p.Transition(func(s uint8) uint8 { return (s + 1) % 4 })
-	want := Vector{1, 2, 3, 0}
-	if got := p.Unpack(); !got.Equal(want) {
-		t.Errorf("after transition: %v, want %v", got, want)
-	}
-	p.Transition(func(s uint8) uint8 { return (s + 1) % 4 })
-	want = Vector{2, 3, 0, 1}
-	if got := p.Unpack(); !got.Equal(want) {
-		t.Errorf("after two transitions: %v, want %v", got, want)
-	}
-}
-
-// TestPackedMatchesPlainSimulation runs the same random transition
-// sequence through a Packed vector and a plain Vector and demands
-// identical results — MFIRA backing must be observationally equivalent.
-func TestPackedMatchesPlainSimulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 50; trial++ {
-		states := 1 + rng.Intn(MaxStates)
-		p := NewPacked(states)
-		plain := Identity(states)
-		for step := 0; step < 40; step++ {
-			row := make([]uint8, states)
-			for i := range row {
-				row[i] = uint8(rng.Intn(states))
-			}
-			p.Transition(func(s uint8) uint8 { return row[s] })
-			for i := range plain {
-				plain[i] = row[plain[i]]
-			}
-		}
-		if got := p.Unpack(); !got.Equal(plain) {
-			t.Fatalf("states=%d: packed %v, plain %v", states, got, plain)
-		}
-	}
-}
-
-func TestPackedLoadUnpackRoundTrip(t *testing.T) {
-	v := Vector{3, 1, 4, 1, 5}
-	p := NewPacked(5)
-	p.LoadPacked(v)
-	if got := p.Unpack(); !got.Equal(v) {
-		t.Errorf("round trip = %v, want %v", got, v)
-	}
-}
-
-func TestPackedBoundsPanics(t *testing.T) {
-	for _, states := range []int{0, MaxStates + 1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewPacked(%d): want panic", states)
-				}
-			}()
-			NewPacked(states)
-		}()
-	}
-}
-
 func TestVectorString(t *testing.T) {
 	v := Vector{2, 0}
 	if got := v.String(); got != "[0→2 1→0]" {

@@ -105,14 +105,6 @@ type Options struct {
 	// list-scheduled onto the virtual cores). This is the reproduction
 	// substitute for the paper's 3 584-core GPU on hosts with few CPUs.
 	VirtualWorkers int
-	// ConvertWorkers is the number of concurrent column workers of the
-	// convert phase (§3.3): distinct columns' index construction, type
-	// inference, and materialisation overlap on a pool of this many
-	// goroutines. 0 uses all available CPUs; 1 forces the sequential
-	// per-column loop. Output is byte-identical at every setting. In
-	// modelled-time mode (VirtualWorkers) the convert phase always runs
-	// sequentially, matching the paper's serialised kernel launches.
-	ConvertWorkers int
 	// InFlight is the depth of the streaming ring (§4.4 extended across
 	// partitions): the number of partitions parsed concurrently, each
 	// running the whole kernel pipeline on its own device arena, while a
@@ -165,24 +157,6 @@ type Options struct {
 	// DetectEncoding sniffs a byte-order mark, sets Encoding
 	// accordingly, and strips the BOM before parsing.
 	DetectEncoding bool
-	// SplitTables disables the fused byte-indexed DFA tables compiled
-	// for the parse kernels, falling back to the original split lookups
-	// (byte → symbol group, then (group, state) → next state and
-	// emission). Output is identical; this exists for the
-	// fused-vs-split ablation and as the fuzzers' reference path.
-	SplitTables bool
-	// NoSkipAhead disables the interesting-byte skip-ahead fast path
-	// that scans over runs of plain data bytes eight at a time. Output
-	// is identical; this exists for the skipahead-on/off ablation and
-	// as the fuzzers' reference path.
-	NoSkipAhead bool
-	// NoSWARConvert disables the convert phase's SWAR
-	// validate-then-convert field parsers (eight-bytes-per-test
-	// classification, three-multiply digit-chunk conversion), forcing
-	// the byte-at-a-time scalar parsers instead. Output is identical —
-	// the fast paths are bit-exact substitutes — so this exists for the
-	// swar-on/off ablation and as the fuzzers' reference path.
-	NoSWARConvert bool
 }
 
 // Encoding identifies the input's symbol encoding (§4.2).
@@ -245,11 +219,12 @@ type Stats struct {
 	// parses on one device (an Engine shared by goroutines, or several
 	// Engines on the default device) never count each other's launches.
 	// Launches within one parse run one after another, except the
-	// convert phase's columns under ConvertWorkers > 1, so outside
-	// modelled-time mode, with one convert worker, the phases sum to at
-	// most Duration. In modelled-time mode (Options.VirtualWorkers)
-	// these are the modelled durations on the virtual device, launch
-	// overhead included, and their sum may exceed Duration.
+	// convert phase's columns, which a pool of up to Workers goroutines
+	// converts concurrently; so outside modelled-time mode, with
+	// Workers: 1, the phases sum to at most Duration. In modelled-time
+	// mode (Options.VirtualWorkers) these are the modelled durations on
+	// the virtual device, launch overhead included, and their sum may
+	// exceed Duration.
 	Phases map[string]time.Duration
 	// DeviceTime is the total device time across all phases (the
 	// CUDA-event-sum analogue; modelled when VirtualWorkers is set).
@@ -345,7 +320,6 @@ func (o Options) internal(trailing core.TrailingMode) (core.Options, error) {
 		SkipRows:           o.SkipRows,
 		SelectColumns:      selected,
 		Where:              o.Scan.internalWhere(),
-		NoPushdown:         o.Scan.NoPushdown,
 		SkipRecords:        o.SkipRecords,
 		ExpectedColumns:    o.ExpectedColumns,
 		RejectInconsistent: o.RejectInconsistent,
@@ -354,10 +328,6 @@ func (o Options) internal(trailing core.TrailingMode) (core.Options, error) {
 		Validate:           o.Validate,
 		Trailing:           trailing,
 		DetectEncoding:     o.DetectEncoding,
-		SplitTables:        o.SplitTables,
-		NoSkipAhead:        o.NoSkipAhead,
-		NoSWARConvert:      o.NoSWARConvert,
-		ConvertWorkers:     o.ConvertWorkers,
 		InFlight:           o.InFlight,
 	}
 	copts.Encoding = o.Encoding.internal()

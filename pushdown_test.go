@@ -3,7 +3,7 @@ package parparaw
 // Differential harness for the projection/predicate pushdown of
 // ScanOptions: for every tested configuration the pushdown path (rows
 // pruned before partitioning, Schema fixed) and the post-materialisation
-// path (Scan.NoPushdown, rows dropped from the finished table) must
+// path (the core NoPushdown, rows dropped from the finished table) must
 // produce byte-identical tables — schema, column buffers, null bitmaps,
 // rejected bitmap — and agreeing RowsPruned counters. The sweep covers
 // all three tagging modes, projection shapes, UTF-16 input, and the
@@ -71,8 +71,7 @@ func TestPushdownParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: pushdown parse: %v", label, err)
 				}
-				opts.Scan.NoPushdown = true
-				post, err := Parse(input, opts)
+				post, err := coreEngine(t, opts, noPushdown).Parse(input)
 				if err != nil {
 					t.Fatalf("%s: post-hoc parse: %v", label, err)
 				}
@@ -160,8 +159,7 @@ func TestPushdownParityUTF16(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: pushdown parse: %v", ws.name, err)
 		}
-		opts.Scan.NoPushdown = true
-		post, err := Parse(input, opts)
+		post, err := coreEngine(t, opts, noPushdown).Parse(input)
 		if err != nil {
 			t.Fatalf("%s: post-hoc parse: %v", ws.name, err)
 		}

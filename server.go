@@ -190,7 +190,6 @@ func (s *Server) Cache() *EngineCache { return s.cache }
 //	                                  omitted = inferred
 //	select=0,3,5                      projection pushdown (ParseSelectSpec)
 //	where=1=JFK;4:int:0:100           predicate pushdown (ParseWhereSpec)
-//	nopushdown=1                      reference path: prune after materialise
 //	mode=tagged|inline|delimited      tagging mode (default tagged)
 //	validate=1                        fail the parse on format violations
 //	quarantine=1                      skip bad partitions instead of failing
@@ -258,7 +257,7 @@ type ingestRequest struct {
 // silently parsing with defaults.
 var ingestParams = map[string]bool{
 	"format": true, "header": true, "schema": true, "select": true,
-	"where": true, "nopushdown": true, "mode": true, "validate": true,
+	"where": true, "mode": true, "validate": true,
 	"quarantine": true, "partition": true, "output": true, "tenant": true,
 }
 
@@ -295,9 +294,6 @@ func (s *Server) parseIngestRequest(r *http.Request) (ingestRequest, error) {
 		return ingestRequest{}, err
 	}
 	if req.opts.Validate, err = boolParam("validate"); err != nil {
-		return ingestRequest{}, err
-	}
-	if req.opts.Scan.NoPushdown, err = boolParam("nopushdown"); err != nil {
 		return ingestRequest{}, err
 	}
 	if req.quarantine, err = boolParam("quarantine"); err != nil {
