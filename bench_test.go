@@ -371,9 +371,8 @@ func BenchmarkEngineParse(b *testing.B) {
 }
 
 // BenchmarkEngineColdStart compiles a fresh Engine for every parse —
-// the per-call setup (DFA strategy application, option validation,
-// device resolution, pristine arena) that BenchmarkEngineParse
-// amortises away. The allocs/op delta against BenchmarkEngineParse is
+// the per-call setup (option validation, device resolution, pristine
+// arena) that BenchmarkEngineParse amortises away. The allocs/op delta against BenchmarkEngineParse is
 // the compile-once dividend.
 func BenchmarkEngineColdStart(b *testing.B) {
 	spec := benchSpecs[0]
@@ -620,24 +619,6 @@ func BenchmarkScalingWorkers(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationMatcher compares the SWAR matcher against the
-// 256-entry lookup table on the full pipeline (§4.5 ablation). The
-// strategy is applied at compile time — both seed identical fused
-// tables — so any delta here is noise; the bench certifies the
-// equivalence. The live fast-path axes are in BenchmarkAblationFastPath.
-func BenchmarkAblationMatcher(b *testing.B) {
-	spec := benchSpecs[1] // taxi: parse-heavy
-	for _, strat := range []dfa.MatchStrategy{dfa.MatchSWAR, dfa.MatchTable} {
-		name := "swar"
-		if strat == dfa.MatchTable {
-			name = "table"
-		}
-		b.Run(name, func(b *testing.B) {
-			benchParse(b, spec, core.Options{Schema: spec.Schema, MatchStrategy: strat})
 		})
 	}
 }

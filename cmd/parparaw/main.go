@@ -262,6 +262,7 @@ func run(ctx context.Context, formatName string, header bool, delim, comment str
 			if s.Retries > 0 {
 				stats += fmt.Sprintf("\nretried %d input reads, recovering %d B", s.Retries, s.RetriedBytes)
 			}
+			stats += phaseSplit(s)
 		}
 	} else {
 		eng, err := parparaw.NewEngine(opts)
@@ -273,11 +274,15 @@ func run(ctx context.Context, formatName string, header bool, delim, comment str
 			return err
 		}
 		table = res.Table
+		s := res.Stats
 		stats = fmt.Sprintf("parsed %d chunks at %.1f MB/s (device time %v, device mem %d B)",
-			res.Stats.Chunks, res.Stats.Throughput()/1e6, res.Stats.DeviceTime, res.Stats.DeviceBytes)
-		if verbose && (res.Stats.RowsPruned > 0 || res.Stats.BytesSkipped > 0) {
-			stats += fmt.Sprintf("\npushdown: %d rows pruned, %d symbol bytes never moved",
-				res.Stats.RowsPruned, res.Stats.BytesSkipped)
+			s.Chunks, s.Throughput()/1e6, s.DeviceTime(), s.DeviceBytes)
+		if verbose {
+			if s.RowsPruned > 0 || s.BytesSkipped > 0 {
+				stats += fmt.Sprintf("\npushdown: %d rows pruned, %d symbol bytes never moved",
+					s.RowsPruned, s.BytesSkipped)
+			}
+			stats += phaseSplit(s)
 		}
 	}
 	wall := time.Since(begin)
@@ -314,6 +319,16 @@ func run(ctx context.Context, formatName string, header bool, delim, comment str
 		}
 	}
 	return nil
+}
+
+// phaseSplit renders a run's kernel-phase device times (Figure 9's
+// breakdown; a streamed run sums its partitions').
+func phaseSplit(s parparaw.Stats) string {
+	var parts []string
+	for _, name := range parparaw.PhaseNames {
+		parts = append(parts, fmt.Sprintf("%s %v", name, s.Phases[name]))
+	}
+	return fmt.Sprintf("\nphases over %d chunks (device time %v): %s", s.Chunks, s.DeviceTime(), strings.Join(parts, ", "))
 }
 
 func displayName(path string) string {

@@ -19,7 +19,7 @@ import (
 )
 
 // Engine is a reusable parsing service: one configuration compiled once
-// — DFA transition tables, match strategy, device, validated options —
+// — DFA transition tables, device, validated options —
 // and served to any number of Parse/Stream calls, including concurrent
 // ones. It is the serving-layer counterpart of the one-shot Parse
 // function: where Parse redoes the per-configuration setup on every
@@ -188,7 +188,7 @@ func (e *Engine) ParseContext(ctx context.Context, input []byte) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	return wrapResult(res), nil
+	return &Result{Table: &Table{t: res.Table}, Header: res.Header, Stats: res.Stats}, nil
 }
 
 // ParseReader parses everything r yields. Inputs that stay under
@@ -230,7 +230,11 @@ func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	return streamedResult(sres)
+	combined, err := sres.Combined()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Table: combined, Header: sres.Header, Stats: sres.Stats}, nil
 }
 
 // StreamConfig holds the per-run knobs of an Engine streaming call: the
@@ -420,31 +424,10 @@ func streamResultFrom(rp *ringParser, res *stream.Result) *StreamResult {
 	if res == nil {
 		return nil
 	}
-	out := &StreamResult{Header: rp.header, Order: res.Order}
+	out := &StreamResult{Header: rp.header, Order: res.Order, Stats: res.Stats}
 	out.Tables = make([]*Table, len(res.Tables))
 	for i, t := range res.Tables {
 		out.Tables[i] = &Table{t: t}
-	}
-	out.Stats = StreamStats{
-		Duration:              res.Stats.Duration,
-		Partitions:            res.Stats.Partitions,
-		InputBytes:            res.Stats.InputBytes,
-		OutputBytes:           res.Stats.OutputBytes,
-		ParseBusy:             res.Stats.ParseBusy,
-		MaxCarryOver:          res.Stats.MaxCarryOver,
-		DeviceBytes:           res.Stats.DeviceBytes,
-		InvalidInput:          res.Stats.InvalidInput,
-		RowsPruned:            res.Stats.RowsPruned,
-		BytesSkipped:          res.Stats.BytesSkipped,
-		InFlight:              res.Stats.InFlight,
-		SerialFallbacks:       res.Stats.SerialFallbacks,
-		ReadBusy:              res.Stats.ReadBusy,
-		BoundaryBusy:          res.Stats.BoundaryBusy,
-		EmitBusy:              res.Stats.EmitBusy,
-		Retries:               res.Stats.Retries,
-		RetriedBytes:          res.Stats.RetriedBytes,
-		QuarantinedPartitions: res.Stats.QuarantinedPartitions,
-		QuarantinedRecords:    res.Stats.QuarantinedRecords,
 	}
 	return out
 }
@@ -552,12 +535,10 @@ func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (
 				// emitted, so carry the whole partition into the
 				// next, larger attempt and stay in first-partition
 				// mode. The carry this accumulates is bounded by
-				// the position of the first data record.
-				return stream.PartitionResult{
-					CompleteBytes: 0,
-					Invalid:       res.Stats.InvalidInput,
-					BytesSkipped:  res.Stats.BytesSkipped,
-				}, nil
+				// the position of the first data record. The bytes
+				// parse again there, so this attempt counts only
+				// its invalid-input flag.
+				return stream.PartitionResult{Stats: Stats{InvalidInput: res.Stats.InvalidInput}}, nil
 			}
 			// Without header/skip trimming there is nothing to
 			// re-consume: hand back any completed rowless records
@@ -565,11 +546,7 @@ func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (
 			// header capture and schema freeze until a partition
 			// actually produces rows. The empty placeholder table's
 			// shape is unsettled, so it is not emitted.
-			return stream.PartitionResult{
-				CompleteBytes: len(part.Input) - res.Remainder,
-				Invalid:       res.Stats.InvalidInput,
-				BytesSkipped:  res.Stats.BytesSkipped,
-			}, nil
+			return stream.PartitionResult{CompleteBytes: len(part.Input) - res.Remainder, Stats: res.Stats}, nil
 		}
 		p.header = res.Header
 		if p.schema == nil {
@@ -578,41 +555,10 @@ func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (
 		}
 		p.first = false
 	}
-	return stream.PartitionResult{
-		Table:         res.Table,
-		CompleteBytes: len(part.Input) - res.Remainder,
-		Invalid:       res.Stats.InvalidInput,
-		RowsPruned:    res.Stats.RowsPruned,
-		BytesSkipped:  res.Stats.BytesSkipped,
-		BadRecords:    res.Stats.BadRecords,
-	}, nil
+	return stream.PartitionResult{Table: res.Table, CompleteBytes: len(part.Input) - res.Remainder, Stats: res.Stats}, nil
 }
 
 // instantBus configures an effectively delay-free interconnect for
 // internal streaming routes (ParseReader) that exist for memory
 // bounding, not bus modelling.
 var instantBus = BusConfig{Latency: -1, TimeScale: 1e9}
-
-// streamedResult folds a streaming run into the single-table Result
-// shape of Parse. Per-phase device times and chunk counts are
-// per-partition quantities and are not aggregated here.
-func streamedResult(sres *StreamResult) (*Result, error) {
-	combined, err := sres.Combined()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Table:  combined,
-		Header: sres.Header,
-		Stats: Stats{
-			InputBytes:   sres.Stats.InputBytes,
-			Records:      int64(combined.NumRows()),
-			Columns:      combined.NumColumns(),
-			InvalidInput: sres.Stats.InvalidInput,
-			RowsPruned:   sres.Stats.RowsPruned,
-			BytesSkipped: sres.Stats.BytesSkipped,
-			Duration:     sres.Stats.Duration,
-			DeviceBytes:  sres.Stats.DeviceBytes,
-		},
-	}, nil
-}

@@ -18,7 +18,6 @@ package core
 
 import (
 	"runtime"
-	"time"
 
 	"repro/internal/columnar"
 	"repro/internal/convert"
@@ -46,7 +45,9 @@ const PaperChunkSize = 31
 // Options configure a parse run. The zero value parses RFC 4180 CSV with
 // inferred types on a default device.
 type Options struct {
-	// Machine is the parsing-rules DFA. Nil uses dfa.RFC4180().
+	// Machine is the parsing-rules DFA. Nil uses dfa.RFC4180(). Whether
+	// the kernels run its fused tables and skip-ahead is a property of
+	// the machine (dfa.Machine.SetFastPath), not an option.
 	Machine *dfa.Machine
 	// Device executes the data-parallel kernels. Nil uses a process-wide
 	// default device.
@@ -121,12 +122,6 @@ type Options struct {
 	// non-accepting end state (§4.3 "Validating format"). When false,
 	// Result.Stats.InvalidInput records the condition instead.
 	Validate bool
-	// MatchStrategy selects SWAR or table-based symbol matching. The
-	// strategy is applied when the machine's fused tables are compiled;
-	// no per-byte branch remains in the kernels. Whether the kernels run
-	// the fused tables and the skip-ahead at all is a property of the
-	// Machine (dfa.Machine.SetFastPath), not an option.
-	MatchStrategy dfa.MatchStrategy
 	// ConvertWorkers is the number of concurrent column workers of the
 	// convert phase (§3.3): index construction, type inference, and
 	// materialisation of distinct columns run on a pool of this many
@@ -183,7 +178,6 @@ func (o Options) withDefaults() Options {
 	if o.Machine == nil {
 		o.Machine = defaultMachine
 	}
-	o.Machine = o.Machine.SetMatchStrategy(o.MatchStrategy)
 	if o.Device == nil {
 		o.Device = defaultDevice
 	}
@@ -234,52 +228,6 @@ var (
 	defaultMachine = dfa.RFC4180()
 	defaultDevice  = device.Default()
 )
-
-// Stats describes one parse run.
-type Stats struct {
-	// InputBytes is the byte count actually parsed (after row skipping
-	// and header consumption).
-	InputBytes int64
-	// Chunks is the number of data-parallel chunks.
-	Chunks int
-	// Records is the number of output records.
-	Records int64
-	// Columns is the number of output columns.
-	Columns int
-	// MinColumns and MaxColumns are the observed per-record column
-	// counts before selection (§4.3 inference/validation).
-	MinColumns, MaxColumns int
-	// InvalidInput reports that the DFA saw an invalid transition or a
-	// non-accepting end state (only set when Options.Validate is false;
-	// with Validate the parse fails instead).
-	InvalidInput bool
-	// RowsPruned is the number of rows dropped by the Where predicates
-	// (not counting rows already dropped via SkipRecords). It is set on
-	// both the pushdown and the post-materialisation pruning paths.
-	RowsPruned int64
-	// BytesSkipped is the number of input symbols excluded from the
-	// partition and convert stages: structural bytes (delimiters,
-	// quotes), the data of unselected columns, and the data of rows
-	// pruned by Where or SkipRecords. These symbols are histogrammed but
-	// never moved — the projection/predicate pushdown's saving in device
-	// traffic.
-	BytesSkipped int64
-	// BadRecords is the number of rejected records reported to
-	// Exec.OnBadRecord (0 when no callback was installed).
-	BadRecords int64
-	// Phases holds the per-phase device time of this run (Figure 9's
-	// breakdown): parse, scan, tag, partition, convert. Plan.Execute
-	// times the run on a fresh device of the same configuration, so
-	// concurrent runs sharing a device never count each other's
-	// launches.
-	Phases map[string]time.Duration
-	// DeviceBytes is the peak arena footprint — the simulated device's
-	// memory high-water mark. With a shared arena (streaming) it covers
-	// the arena's lifetime up to the end of this run.
-	DeviceBytes int64
-	// Duration is the wall-clock time of the run.
-	Duration time.Duration
-}
 
 // PhaseNames lists the pipeline phases in execution order.
 var PhaseNames = []string{"parse", "scan", "tag", "partition", "convert"}

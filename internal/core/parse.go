@@ -218,7 +218,11 @@ func (p *pipeline) outputFields(names []string) []columnar.Field {
 	return fields
 }
 
+// emptyTable is the output of a run that finishes before the partition
+// scatter because no record or no column is kept, so every byte of its
+// complete records counts as skipped.
 func (p *pipeline) emptyTable() (*columnar.Table, error) {
+	p.stats.BytesSkipped = int64(len(p.input) - p.remainder)
 	fields := p.outputFields(p.headerNames)
 	cols := make([]*columnar.Column, len(fields))
 	for i, f := range fields {

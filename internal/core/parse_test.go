@@ -689,22 +689,6 @@ func TestParseWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestParseMatchStrategyInvariance(t *testing.T) {
-	in := "a,\"b\nc\",d\ne,f,g\n"
-	swar := testOpts()
-	swar.MatchStrategy = dfa.MatchSWAR
-	tab := testOpts()
-	tab.MatchStrategy = dfa.MatchTable
-	r1, err1 := Parse([]byte(in), swar)
-	r2, err2 := Parse([]byte(in), tab)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if fmt.Sprint(tableStrings(r1.Table)) != fmt.Sprint(tableStrings(r2.Table)) {
-		t.Error("SWAR and table matching disagree")
-	}
-}
-
 func TestParseTrailingRemainder(t *testing.T) {
 	opts := testOpts()
 	opts.Trailing = TrailingRemainder

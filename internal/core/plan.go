@@ -12,13 +12,12 @@ import (
 )
 
 // Plan is an immutable, compiled parse configuration: the parsing-rules
-// DFA with its match strategy applied, the resolved device, and the
-// validated options — everything about a parse that does not depend on
-// the input bytes. Compiling once and executing many times is what lets
-// a long-lived service (the public Engine) serve repeated and concurrent
-// parses without re-doing per-configuration setup, and what lets the
-// streaming pipeline vary only the per-partition knobs (Exec) between
-// partitions.
+// DFA, the resolved device, and the validated options — everything
+// about a parse that does not depend on the input bytes. Compiling once
+// and executing many times is what lets a long-lived service (the public
+// Engine) serve repeated and concurrent parses without re-doing
+// per-configuration setup, and what lets the streaming pipeline vary
+// only the per-partition knobs (Exec) between partitions.
 //
 // A Plan is safe for concurrent Execute calls as long as each call uses
 // its own arena (Exec.Arena): the plan itself is never mutated after
@@ -28,12 +27,12 @@ type Plan struct {
 	opts Options // defaults resolved; Arena deliberately nil (per-run)
 }
 
-// Compile validates opts, resolves defaults (machine, match strategy,
-// device, chunk size, terminator), and freezes the result into a Plan.
-// Configuration errors that do not depend on the input — negative or
-// duplicate column selections, unsorted skip lists, a non-positive
-// chunk size — are reported here, so a service can reject a bad
-// configuration before accepting traffic for it.
+// Compile validates opts, resolves defaults (machine, device, chunk
+// size, terminator), and freezes the result into a Plan. Configuration
+// errors that do not depend on the input — negative or duplicate column
+// selections, unsorted skip lists, a non-positive chunk size — are
+// reported here, so a service can reject a bad configuration before
+// accepting traffic for it.
 func Compile(opts Options) (*Plan, error) {
 	if opts.ConvertWorkers < 0 {
 		return nil, fmt.Errorf("core: ConvertWorkers %d is negative", opts.ConvertWorkers)
@@ -280,7 +279,7 @@ func (p *Plan) Execute(input []byte, exec Exec) (*Result, error) {
 	// Bad-record reporting walks the record bitmap, which lives on the
 	// arena: it must run before the caller resets the arena for the next
 	// partition, hence here rather than lazily.
-	stats.BadRecords = pl.reportBadRecords()
+	stats.QuarantinedRecords = pl.reportBadRecords()
 	stats.Duration = time.Since(start)
 	stats.Phases = phaseTimes(o.Device.Timers())
 	stats.DeviceBytes = o.Arena.PeakBytes()

@@ -128,8 +128,9 @@ func (p *pipeline) partitionScatter() error {
 	// Sentinel symbols — structural bytes, unselected columns, rows
 	// pruned by SkipRecords or a pushed-down Where — are never moved: the
 	// skipped device traffic is the projection/predicate pushdown's
-	// saving.
-	p.stats.BytesSkipped = int64(n - kept)
+	// saving. The carry-over remainder is not counted: the partition that
+	// completes its record counts those bytes.
+	p.stats.BytesSkipped = int64(n - p.remainder - kept)
 
 	// The move pass writes every position of every sorted buffer exactly
 	// once, so they skip the recycled-memory zeroing (the memclr was ~7%

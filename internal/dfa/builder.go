@@ -3,7 +3,6 @@ package dfa
 import (
 	"fmt"
 
-	"repro/internal/device"
 	"repro/internal/statevec"
 )
 
@@ -147,7 +146,6 @@ func (b *Builder) Build(start State) (*Machine, error) {
 		accepting:  append([]bool(nil), b.accepting...),
 		midRecord:  append([]bool(nil), b.midRecord...),
 		symbols:    append([]byte(nil), b.symbols...),
-		matcher:    device.NewSWARMatcher(b.symbols),
 		groups:     groups,
 		trans:      make([]State, groups*n),
 		emit:       make([]Emission, groups*n),
@@ -189,13 +187,13 @@ func (b *Builder) Build(start State) (*Machine, error) {
 			}
 		}
 	}
-	// Dense byte->group table for MatchTable.
+	// Dense byte->group table: the symbol groups, else the catch-all.
 	catch := uint8(len(b.symbols))
-	for i := range m.table {
-		m.table[i] = catch
+	for i := range m.groupTab {
+		m.groupTab[i] = catch
 	}
 	for g, sym := range b.symbols {
-		m.table[sym] = uint8(g)
+		m.groupTab[sym] = uint8(g)
 	}
 	// Fused byte-indexed fast path (fused.go), enabled by default.
 	m.fusedOn, m.skipOn = true, true

@@ -11,9 +11,10 @@
 //     delimits a record, delimits a field, or is a control symbol that is
 //     not part of any field value,
 //   - the symbol-group mapping: a handful of interesting symbols (line
-//     break, quote, delimiter, …) plus a catch-all group, resolved either
-//     with the branchless SWAR matcher of §4.5 or a 256-entry lookup
-//     table (the ablation variant).
+//     break, quote, delimiter, …) plus a catch-all group, compiled into a
+//     256-entry byte → group table. The branchless SWAR matcher of §4.5
+//     (device.SWARMatcher) computes the same mapping without a table; the
+//     static experiment reproduces it, and the tests hold it to Group.
 package dfa
 
 import (
@@ -71,19 +72,6 @@ func (e Emission) String() string {
 	}
 }
 
-// MatchStrategy selects how a read byte is mapped to its symbol group.
-type MatchStrategy int
-
-const (
-	// MatchSWAR uses the branchless SWAR matcher of §4.5 (the paper's
-	// approach; keeps the symbols "in registers").
-	MatchSWAR MatchStrategy = iota
-	// MatchTable uses a 256-entry lookup table (the alternative §4.5
-	// rejects on GPUs for register pressure; on a CPU it is the faster
-	// choice and serves as the ablation baseline).
-	MatchTable
-)
-
 // Machine is an immutable, compiled DFA. Machines are safe for concurrent
 // use — simulation state lives entirely in the caller.
 type Machine struct {
@@ -98,17 +86,13 @@ type Machine struct {
 	resets     bool // every record-delim transition targets the start state
 
 	symbols []byte // group g < len(symbols) matches symbols[g]; last group is catch-all
-	matcher *device.SWARMatcher
-	table   [256]uint8 // byte -> group, for MatchTable
-	strat   MatchStrategy
 
 	groups int     // len(symbols) + 1
 	trans  []State // trans[g*numStates+s] = next state (row per group: Table 1 layout)
 	emit   []Emission
 
-	// Fused fast path (fused.go), compiled from the split tables above
-	// via the selected match strategy.
-	groupTab [256]uint8           // byte -> group, strategy resolved at compile time
+	// Fused fast path (fused.go), compiled from the split tables above.
+	groupTab [256]uint8           // byte -> group
 	fused    []uint16             // fused[b*numStates+s] = next | emission<<8
 	skip     []*device.RunScanner // per-state interesting-byte scanners
 	vecSkip  []*device.RunScanner // per-live-set scanners for the vector kernel
@@ -174,23 +158,8 @@ func (m *Machine) Symbols() []byte {
 	return m.symbols
 }
 
-// SetMatchStrategy returns a copy of the machine using the given symbol
-// matching strategy. The fused fast-path tables are recompiled through
-// the new strategy's matcher — the strategy is applied at compile time,
-// never branched on per byte.
-func (m *Machine) SetMatchStrategy(s MatchStrategy) *Machine {
-	if m.strat == s {
-		return m
-	}
-	c := *m
-	c.strat = s
-	c.compileFast()
-	return &c
-}
-
-// Group maps a byte to its symbol group. The strategy (SWAR vs lookup
-// table) is resolved into groupTab when the machine is compiled, so
-// there is no per-byte strategy branch.
+// Group maps a byte to its symbol group: one load from the 256-entry
+// table Build fills.
 func (m *Machine) Group(b byte) uint32 {
 	return uint32(m.groupTab[b])
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/device"
 	"repro/internal/statevec"
 )
 
@@ -146,14 +147,15 @@ func TestChunkVectorTheorem(t *testing.T) {
 	}
 }
 
+// TestSWARAndTableStrategiesAgree holds the §4.5 SWAR matcher over a
+// machine's symbols to the byte → group table every kernel reads.
 func TestSWARAndTableStrategiesAgree(t *testing.T) {
-	m := NewCSV(CSVOptions{Comment: '#', CarriageReturn: true})
-	swar := m.SetMatchStrategy(MatchSWAR)
-	tab := m.SetMatchStrategy(MatchTable)
-	for b := 0; b < 256; b++ {
-		if swar.Group(byte(b)) != tab.Group(byte(b)) {
-			t.Errorf("strategies disagree on byte %#x: swar=%d table=%d",
-				b, swar.Group(byte(b)), tab.Group(byte(b)))
+	for name, m := range fusedTestMachines() {
+		swar := device.NewSWARMatcher(m.Symbols())
+		for b := 0; b < 256; b++ {
+			if got, want := swar.Index(byte(b)), m.Group(byte(b)); got != want {
+				t.Errorf("%s: byte %#x: swar=%d table=%d", name, b, got, want)
+			}
 		}
 	}
 }

@@ -49,7 +49,6 @@ func (m *Machine) Fingerprint() uint64 {
 	}
 	u64(uint64(len(m.symbols)))
 	h.Write(m.symbols)
-	u64(uint64(m.strat))
 	u64(uint64(len(m.trans)))
 	for _, s := range m.trans {
 		u64(uint64(s))

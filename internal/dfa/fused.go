@@ -1,8 +1,7 @@
 // fused.go compiles the fused byte-indexed fast path of a Machine.
 //
 // The split tables of §3.1/§4.5 resolve every input byte with two or
-// three dependent steps: byte → symbol group (SWAR or 256-entry table),
-// then (group, state) → next state and (group, state) → emission. The
+// three dependent steps: byte → symbol group (a 256-entry table), then (group, state) → next state and (group, state) → emission. The
 // paper fuses nothing because its GPU trades table size for register
 // pressure (§4.5); on a CPU the opposite trade wins, so Build pre-fuses
 // the composition into byte-indexed tables and every parse kernel does
@@ -19,29 +18,18 @@
 //     states live in a transition vector (transitions only; the vector
 //     kernel emits nothing).
 //
-// The MatchStrategy ablation survives at compile time: the byte→group
-// resolution that seeds the fused tables goes through the selected
-// matcher (SWAR or lookup table), but the per-byte strategy branch is
-// gone from every hot loop. SetFastPath restores the split per-byte
-// path for ablation and parity testing.
+// SetFastPath restores the split per-byte path for ablation and parity
+// testing.
 
 package dfa
 
 import "repro/internal/device"
 
-// compileFast (re)builds the fused tables, the packed rows, and the
-// skip-ahead scanners from the split tables using the machine's current
-// match strategy. Build and SetMatchStrategy call it; the results are
-// immutable afterwards.
+// compileFast builds the fused tables, the packed rows, and the
+// skip-ahead scanners from the split tables and groupTab. Build calls
+// it; the results are immutable afterwards.
 func (m *Machine) compileFast() {
 	ns := m.numStates
-	for b := 0; b < 256; b++ {
-		if m.strat == MatchTable {
-			m.groupTab[b] = m.table[b]
-		} else {
-			m.groupTab[b] = uint8(m.matcher.Index(byte(b)))
-		}
-	}
 	m.fused = make([]uint16, 256*ns)
 	for b := 0; b < 256; b++ {
 		g := int(m.groupTab[b])
@@ -140,7 +128,7 @@ func (m *Machine) Fused() bool { return m.fusedOn }
 func (m *Machine) SkipAhead() bool { return m.fusedOn && m.skipOn }
 
 // Step returns the state reached and the emission produced by reading b
-// in state s — the fused fast path: one table load, no strategy branch.
+// in state s — the fused fast path: one table load.
 // It is valid (and identical to Group/NextByGroup/Emission composition)
 // regardless of the fast-path toggles.
 func (m *Machine) Step(s State, b byte) (State, Emission) {

@@ -9,17 +9,15 @@ import (
 
 // fusedTestMachines returns the machine zoo the fused fast path must
 // agree with the split tables on: the paper's RFC 4180 machine plus the
-// variants with extra symbol groups (comments, CRLF) and both match
-// strategies.
+// variants with extra symbol groups (comments, CRLF) and the other
+// grammars.
 func fusedTestMachines() map[string]*Machine {
 	return map[string]*Machine{
 		"rfc4180":       RFC4180(),
-		"rfc4180-table": RFC4180().SetMatchStrategy(MatchTable),
 		"comment-crlf":  NewCSV(CSVOptions{Comment: '#', CarriageReturn: true}),
 		"semicolon":     NewCSV(CSVOptions{FieldDelim: ';', Quote: '\''}),
 		"jsonl":         MustJSONL(JSONLOptions{}),
 		"jsonl-shallow": MustJSONL(JSONLOptions{MaxDepth: 1}),
-		"jsonl-table":   MustJSONL(JSONLOptions{}).SetMatchStrategy(MatchTable),
 		"tsv-escape":    MustEscaped(EscapedOptions{}),
 		"psv-crlf":      MustEscaped(EscapedOptions{FieldDelim: '|', RecordDelim: "\r\n", Comment: '#'}),
 		"weblog":        Weblog(),
@@ -170,23 +168,6 @@ func TestFastPathTogglesIndependent(t *testing.T) {
 	}
 	if same := m.SetFastPath(true, true); same != m {
 		t.Fatal("SetFastPath with unchanged flags must return the receiver")
-	}
-}
-
-// TestFusedSurvivesStrategyChange ensures SetMatchStrategy recompiles
-// the fused tables through the new matcher rather than aliasing the old
-// ones.
-func TestFusedSurvivesStrategyChange(t *testing.T) {
-	swar := RFC4180()
-	table := swar.SetMatchStrategy(MatchTable)
-	for s := 0; s < swar.NumStates(); s++ {
-		for b := 0; b < 256; b++ {
-			n1, e1 := swar.Step(State(s), byte(b))
-			n2, e2 := table.Step(State(s), byte(b))
-			if n1 != n2 || e1 != e2 {
-				t.Fatalf("strategies disagree at state %d byte %#x: (%d,%v) vs (%d,%v)", s, b, n1, e1, n2, e2)
-			}
-		}
 	}
 }
 

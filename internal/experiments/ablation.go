@@ -17,7 +17,6 @@ import (
 //  1. multi-DFA context inference vs a sequential context pre-pass
 //     (Instant Loading safe mode) — the "constant factor more work for
 //     scalability" trade of contribution (4);
-//  2. SWAR symbol matching vs a 256-entry lookup table;
 //  4. single-pass decoupled-look-back scan vs the two-pass blocked scan
 //     vs a sequential scan;
 //  5. fused byte-indexed DFA tables vs the split group-then-table
@@ -26,12 +25,9 @@ import (
 //     column pool.
 //
 // Section numbers are stable identifiers that DESIGN.md cites, so the
-// printed sections are [1], [2], [4], [5] and [6].
+// printed sections are [1], [4], [5] and [6].
 func Ablation(cfg Config) error {
 	if err := ablationContext(cfg); err != nil {
-		return err
-	}
-	if err := ablationMatcher(cfg); err != nil {
 		return err
 	}
 	ablationScan(cfg)
@@ -69,37 +65,9 @@ func ablationContext(cfg Config) error {
 			return err
 		}
 		fmt.Fprintf(cfg.Out, "%-8d %16sms %16sms\n", w,
-			ms(phaseTotal(res.Stats.Phases)), ms(timing.Modelled(w)))
+			ms(res.Stats.DeviceTime()), ms(timing.Modelled(w)))
 	}
 	fmt.Fprintf(cfg.Out, "(serial pre-pass term: %sms — the floor no core count removes)\n", ms(timing.SerialPass))
-	return nil
-}
-
-// ablationMatcher compares the SWAR matcher against the 256-entry
-// lookup table. Since PR 3 the strategy is a *compile-time* choice:
-// the selected matcher seeds the fused byte-indexed tables once, so no
-// per-byte matching runs in any kernel and the two timings below are
-// expected to agree (the experiment now certifies the strategies are
-// runtime-equivalent rather than measuring a per-byte trade; the
-// original GPU trade-off of §4.5 is register pressure, which the
-// simulated device does not model per byte).
-func ablationMatcher(cfg Config) error {
-	spec := cfg.specs()[1] // taxi: parse-heavy
-	input := spec.Generate(cfg.Size, cfg.Seed)
-	fmt.Fprintf(cfg.Out, "\n[2] symbol matching: SWAR vs 256-entry lookup table (%s, %s; compile-time choice — timings should agree)\n",
-		spec.Name, mb(len(input)))
-	for _, strat := range []dfa.MatchStrategy{dfa.MatchSWAR, dfa.MatchTable} {
-		res, err := cfg.parseModelled(input, core.Options{Schema: spec.Schema, MatchStrategy: strat})
-		if err != nil {
-			return err
-		}
-		name := "SWAR"
-		if strat == dfa.MatchTable {
-			name = "table"
-		}
-		fmt.Fprintf(cfg.Out, "%-8s parse %10sms   total %10sms\n",
-			name, ms(res.Stats.Phases["parse"]), ms(phaseTotal(res.Stats.Phases)))
-	}
 	return nil
 }
 
@@ -134,7 +102,7 @@ func ablationFastPath(cfg Config) error {
 			}
 			fmt.Fprintf(cfg.Out, "%-16s parse %10sms   tag %10sms   total %10sms\n",
 				v.name, ms(res.Stats.Phases["parse"]), ms(res.Stats.Phases["tag"]),
-				ms(phaseTotal(res.Stats.Phases)))
+				ms(res.Stats.DeviceTime()))
 		}
 	}
 	return nil

@@ -64,14 +64,14 @@ func (c Config) modelledStream(input []byte, partSize int, spec workload.Spec) (
 			if err != nil {
 				return nil, 0, err
 			}
-			if res == nil || phaseTotal(rr.Stats.Phases) < phaseTotal(res.Stats.Phases) {
+			if res == nil || rr.Stats.DeviceTime() < res.Stats.DeviceTime() {
 				res = rr
 			}
 		}
 		carry = append(carry[:0], buf[len(buf)-res.Remainder:]...)
 		parts = append(parts, stream.SimPartition{
 			TransferIn:  bus.TransferDuration(pcie.HostToDevice, int64(fresh)),
-			Parse:       phaseTotal(res.Stats.Phases),
+			Parse:       res.Stats.DeviceTime(),
 			TransferOut: bus.TransferDuration(pcie.DeviceToHost, res.Table.DataBytes()),
 		})
 		if final {

@@ -90,7 +90,7 @@ func All() []Experiment {
 		{"fig12", "End-to-end duration vs partition size (Figure 12)", Fig12},
 		{"fig13", "End-to-end comparison against other systems (Figure 13)", Fig13},
 		{"scaling", "Throughput vs core count (§1/§6 scalability claim)", Scaling},
-		{"ablation", "Design-choice ablations (context strategy, matcher, scan, fast paths, convert pool)", Ablation},
+		{"ablation", "Design-choice ablations (context strategy, scan, fast paths, convert pool)", Ablation},
 	}
 }
 
@@ -137,20 +137,11 @@ func (c Config) parseModelled(input []byte, opts core.Options) (*core.Result, er
 		if err != nil {
 			return nil, err
 		}
-		if best == nil || phaseTotal(res.Stats.Phases) < phaseTotal(best.Stats.Phases) {
+		if best == nil || res.Stats.DeviceTime() < best.Stats.DeviceTime() {
 			best = res
 		}
 	}
 	return best, nil
-}
-
-// phaseTotal sums a phase map.
-func phaseTotal(phases map[string]time.Duration) time.Duration {
-	var sum time.Duration
-	for _, d := range phases {
-		sum += d
-	}
-	return sum
 }
 
 // orderedPhases returns core's pipeline phases first, then any extras in

@@ -101,13 +101,6 @@ func TestModelledStreamCoversInput(t *testing.T) {
 	}
 }
 
-func TestPhaseTotal(t *testing.T) {
-	m := map[string]time.Duration{"a": 2, "b": 3}
-	if got := phaseTotal(m); got != 5 {
-		t.Errorf("phaseTotal = %v", got)
-	}
-}
-
 func TestRateFormatting(t *testing.T) {
 	if got := rate(2e9, time.Second); got != "2.00 GB/s" {
 		t.Errorf("rate = %q", got)

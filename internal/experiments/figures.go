@@ -34,7 +34,7 @@ func Fig9(cfg Config) error {
 			p := res.Stats.Phases
 			fmt.Fprintf(cfg.Out, "%-8d %10s %10s %10s %10s %10s %10s\n",
 				chunk, ms(p["parse"]), ms(p["scan"]), ms(p["tag"]), ms(p["partition"]), ms(p["convert"]),
-				ms(phaseTotal(p)))
+				ms(res.Stats.DeviceTime()))
 		}
 	}
 	return nil
@@ -62,7 +62,7 @@ func Fig10(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(cfg.Out, " %18s", rate(res.Stats.InputBytes, phaseTotal(res.Stats.Phases)))
+			fmt.Fprintf(cfg.Out, " %18s", rate(res.Stats.InputBytes, res.Stats.DeviceTime()))
 		}
 		fmt.Fprintln(cfg.Out)
 	}
@@ -91,7 +91,7 @@ func Fig11(cfg Config) error {
 			p := res.Stats.Phases
 			fmt.Fprintf(cfg.Out, "%-12s %-6s %10s %10s %10s %10s %10s %10s\n",
 				mode, spec.Name, ms(p["parse"]), ms(p["scan"]), ms(p["tag"]), ms(p["partition"]), ms(p["convert"]),
-				ms(phaseTotal(p)))
+				ms(res.Stats.DeviceTime()))
 		}
 	}
 
@@ -110,7 +110,7 @@ func Fig11(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		ot, st := phaseTotal(orig.Stats.Phases), phaseTotal(skew.Stats.Phases)
+		ot, st := orig.Stats.DeviceTime(), skew.Stats.DeviceTime()
 		// Normalise to per-byte cost: the skewed input has a different size.
 		on := float64(ot) / float64(len(input))
 		sn := float64(st) / float64(len(skewInput))

@@ -33,7 +33,7 @@ func Scaling(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		total := phaseTotal(res.Stats.Phases)
+		total := res.Stats.DeviceTime()
 		if base == 0 {
 			base = float64(total)
 		}

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/columnar"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/faultinject"
 	"repro/internal/pcie"
@@ -244,7 +245,12 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 		}()
 	}
 
-	stats := Stats{InFlight: inFlight}
+	// The scheduler and the emit stage count into separate Stats: the
+	// emit stage folds whole partition Stats with Add, which reads every
+	// field, so sharing one struct with the scheduler would race. sched
+	// is folded in once results has closed.
+	var sched core.Stats
+	stats := core.Stats{InFlight: inFlight}
 	var arenas []*device.Arena // every arena drawn from pool
 
 	// Workers: one per slot, started once so that dispatching a
@@ -304,12 +310,12 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 			if err == nil {
 				bus.Transfer(pcie.HostToDevice, int64(len(data)))
 			}
-			stats.ReadBusy += time.Since(rb)
+			sched.ReadBusy += time.Since(rb)
 			if err != nil {
 				results <- parsedPart{idx: i, err: tagInputError(err, i)}
 				return
 			}
-			stats.InputBytes += int64(len(data))
+			sched.InputBytes += int64(len(data))
 			final := last
 
 			select {
@@ -331,22 +337,20 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 			buf := device.Alloc[byte](arena, len(carry)+len(data))[:0]
 			buf = append(buf, carry...)
 			buf = append(buf, data...)
-			stats.Partitions++
+			sched.Partitions++
 			base := nextBase
 
 			dispatched := false
 			if !final {
 				bb := time.Now()
 				rem, ok := parser.Boundary(buf)
-				stats.BoundaryBusy += time.Since(bb)
+				sched.BoundaryBusy += time.Since(bb)
 				if ok && rem >= 0 && rem <= len(buf) {
 					// The next partition's input is now finalised without
 					// the parse: copy the carry tail out (buf is arena
 					// memory owned by the worker from here) and dispatch.
 					carry = append(carry[:0], buf[len(buf)-rem:]...)
-					if len(carry) > stats.MaxCarryOver {
-						stats.MaxCarryOver = len(carry)
-					}
+					sched.MaxCarryOver = max(sched.MaxCarryOver, len(carry))
 					want := len(buf) - rem
 					nextBase = base + int64(want)
 					est, err := budget.charge(i, len(buf))
@@ -358,7 +362,7 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 					jobs <- job{part: Partition{Index: i, Base: base, Input: buf}, arena: arena, est: est, want: want}
 					dispatched = true
 				} else {
-					stats.SerialFallbacks++
+					sched.SerialFallbacks++
 				}
 			}
 			if !dispatched {
@@ -400,9 +404,7 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 				}
 				nextBase = base + int64(res.CompleteBytes)
 				carry = append(carry[:0], buf[res.CompleteBytes:]...)
-				if len(carry) > stats.MaxCarryOver {
-					stats.MaxCarryOver = len(carry)
-				}
+				sched.MaxCarryOver = max(sched.MaxCarryOver, len(carry))
 				results <- parsedPart{idx: i, res: res, arena: arena, est: est, dur: dur}
 			}
 			if final {
@@ -428,6 +430,9 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 		if p.skipped {
 			return
 		}
+		// Folding at emit keeps Records equal to the emitted tables'
+		// rows, on partial results too.
+		stats.Add(p.res.Stats)
 		var outBytes int64
 		if p.res.Table != nil {
 			outBytes = p.res.Table.DataBytes()
@@ -475,12 +480,6 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 			// counter single-writer.
 			stats.QuarantinedPartitions++
 		}
-		if p.res.Invalid {
-			stats.InvalidInput = true
-		}
-		stats.RowsPruned += p.res.RowsPruned
-		stats.BytesSkipped += p.res.BytesSkipped
-		stats.QuarantinedRecords += p.res.BadRecords
 		if firstErr != nil {
 			continue
 		}
@@ -500,12 +499,15 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 		}
 	}
 
+	var deviceBytes int64
 	for _, a := range arenas {
-		stats.DeviceBytes += a.PeakBytes()
+		deviceBytes += a.PeakBytes()
 		pool.Put(a)
 	}
-	stats.Duration = time.Since(start)
+	stats.Add(sched)
 	stats.Retries, stats.RetriedBytes = src.RetryStats()
+	// The run-level values are the ring's own, not sums over partitions.
+	stats.InputBytes, stats.DeviceBytes, stats.Duration = sched.InputBytes, deviceBytes, time.Since(start)
 	res := &Result{Tables: tables, Order: order, Stats: stats}
 	if firstErr != nil {
 		return res, firstErr

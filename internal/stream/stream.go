@@ -37,9 +37,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"time"
 
 	"repro/internal/columnar"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/faultinject"
 	"repro/internal/pcie"
@@ -90,21 +90,9 @@ type PartitionResult struct {
 	// any prepended carry-over) covered by complete records; the rest is
 	// carried over to the next partition.
 	CompleteBytes int
-	// Invalid reports that this partition's parse saw invalid input
-	// without failing (the parser's non-erroring validation signal); the
-	// pipeline ORs it into Stats.InvalidInput.
-	Invalid bool
-	// RowsPruned is the number of rows the partition's Where predicates
-	// pruned; the pipeline sums it into Stats.RowsPruned.
-	RowsPruned int64
-	// BytesSkipped is the number of symbol bytes the partition's scatter
-	// never moved (unselected columns, pruned rows); the pipeline sums it
-	// into Stats.BytesSkipped.
-	BytesSkipped int64
-	// BadRecords is the number of malformed records the parse diverted
-	// to the caller's quarantine callback; the pipeline sums it into
-	// Stats.QuarantinedRecords.
-	BadRecords int64
+	// Stats counts the partition's parse. The emit stage folds it into
+	// the run's Stats when it emits the partition.
+	Stats core.Stats
 }
 
 // Parser is the pipeline's parser contract: it must (a) pre-scan a
@@ -197,61 +185,6 @@ type freshArenas struct{}
 func (freshArenas) Get() *device.Arena { return device.NewArena() }
 func (freshArenas) Put(*device.Arena)  {}
 
-// Stats summarises one streaming run.
-type Stats struct {
-	// Duration is the end-to-end wall-clock time of the run.
-	Duration time.Duration
-	// Partitions is the number of partitions processed.
-	Partitions int
-	// InputBytes and OutputBytes are the raw and parsed volumes moved
-	// over the bus.
-	InputBytes  int64
-	OutputBytes int64
-	// ParseBusy is the cumulative time the device spent parsing.
-	ParseBusy time.Duration
-	// MaxCarryOver is the largest carry-over observed (bytes).
-	MaxCarryOver int
-	// DeviceBytes sums the per-arena peaks of every arena the run drew
-	// — the memory cost of depth: InFlight × one partition's footprint.
-	// At depth 1 it is the one recycled arena's peak.
-	DeviceBytes int64
-	// InFlight is the ring depth the run actually used.
-	InFlight int
-	// SerialFallbacks counts the non-final partitions whose record
-	// boundary could not be pre-scanned and that therefore parsed
-	// inline on the scheduler (the serial carry path).
-	SerialFallbacks int
-	// InvalidInput reports that some partition's parse flagged invalid
-	// input (PartitionResult.Invalid).
-	InvalidInput bool
-	// RowsPruned is the total number of rows pruned by Where predicates
-	// across all partitions (PartitionResult.RowsPruned summed).
-	RowsPruned int64
-	// BytesSkipped is the total number of symbol bytes the partition
-	// scatters never moved (PartitionResult.BytesSkipped summed).
-	BytesSkipped int64
-	// Retries is the number of source read attempts that failed and
-	// were retried under the run's RetryPolicy; RetriedBytes is the
-	// bytes recovered by reads that succeeded after at least one retry.
-	Retries      int64
-	RetriedBytes int64
-	// QuarantinedPartitions counts partitions whose parse failed and
-	// was quarantined under Config.SkipBadPartitions instead of failing
-	// the run; QuarantinedRecords counts individual malformed records
-	// diverted to the caller's bad-record callback.
-	QuarantinedPartitions int
-	QuarantinedRecords    int64
-	// ReadBusy is the time the scheduler spent pulling input from the
-	// source and charging host-to-device transfers; BoundaryBusy is the
-	// time spent in record-boundary pre-scans; EmitBusy is the time the
-	// emit stage spent charging device-to-host transfers. With ParseBusy
-	// (which sums concurrent parses and so can exceed Duration when
-	// InFlight > 1) these expose each stage's busy share of the run.
-	ReadBusy     time.Duration
-	BoundaryBusy time.Duration
-	EmitBusy     time.Duration
-}
-
 // Result is the outcome of a streaming run: one table per partition (in
 // input order, unless Config.Unordered) plus run statistics.
 type Result struct {
@@ -260,7 +193,11 @@ type Result struct {
 	// is set only for unordered runs (nil means Tables is in input
 	// order).
 	Order []int
-	Stats Stats
+	// Stats counts the run: the emitted partitions' Stats folded with
+	// core.Stats.Add, plus the ring's own counters. InputBytes is the raw
+	// bytes read, DeviceBytes the sum of the drawn arenas' peaks, and
+	// Duration the wall time.
+	Stats core.Stats
 }
 
 // quarantinable reports whether a partition-parse failure may be

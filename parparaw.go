@@ -34,8 +34,6 @@
 package parparaw
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/css"
 	"repro/internal/device"
@@ -100,7 +98,7 @@ type Options struct {
 	Workers int
 	// VirtualWorkers, when positive, switches the device to
 	// modelled-time mode: results are identical, but Stats.Phases and
-	// Stats.DeviceTime report the time the parse would have taken on a
+	// Stats.DeviceTime() report the time the parse would have taken on a
 	// device with that many cores (per-block costs are measured and
 	// list-scheduled onto the virtual cores). This is the reproduction
 	// substitute for the paper's 3 584-core GPU on hosts with few CPUs.
@@ -188,62 +186,18 @@ func (e Encoding) internal() utfx.Encoding {
 	}
 }
 
-// Stats describes a completed parse.
-type Stats struct {
-	// InputBytes is the byte count parsed (after row skipping and header
-	// consumption).
-	InputBytes int64
-	// Chunks is the number of data-parallel chunks.
-	Chunks int
-	// Records and Columns are the output dimensions.
-	Records int64
-	Columns int
-	// MinColumns and MaxColumns are the observed per-record column
-	// counts before selection.
-	MinColumns, MaxColumns int
-	// InvalidInput reports a DFA-detected format violation (only set
-	// when Options.Validate is false).
-	InvalidInput bool
-	// RowsPruned is the number of rows rejected by Options.Scan.Where.
-	// Records counts only the surviving rows.
-	RowsPruned int64
-	// BytesSkipped is the number of symbol bytes the partition scatter
-	// never moved: structural bytes (delimiters, quotes) plus everything
-	// projection or predicate pushdown made irrelevant (unselected
-	// columns, pruned rows). Higher is better: it is input volume the
-	// device only had to index, not move.
-	BytesSkipped int64
-	// Phases maps each pipeline phase (parse, scan, tag, partition,
-	// convert) to its device time — the Figure 9 breakdown. Every parse
-	// times its own kernel launches on a private timer, so concurrent
-	// parses on one device (an Engine shared by goroutines, or several
-	// Engines on the default device) never count each other's launches.
-	// Launches within one parse run one after another, except the
-	// convert phase's columns, which a pool of up to Workers goroutines
-	// converts concurrently; so outside modelled-time mode, with
-	// Workers: 1, the phases sum to at most Duration. In modelled-time
-	// mode (Options.VirtualWorkers) these are the modelled durations on
-	// the virtual device, launch overhead included, and their sum may
-	// exceed Duration.
-	Phases map[string]time.Duration
-	// DeviceTime is the total device time across all phases (the
-	// CUDA-event-sum analogue; modelled when VirtualWorkers is set).
-	DeviceTime time.Duration
-	// Duration is the wall-clock time of the parse.
-	Duration time.Duration
-	// DeviceBytes is the peak device-memory footprint of the parse: the
-	// high-water mark of the arena all pipeline kernels draw their
-	// buffers from.
-	DeviceBytes int64
-}
-
-// Throughput returns the parse rate in bytes per second.
-func (s Stats) Throughput() float64 {
-	if s.Duration <= 0 {
-		return 0
-	}
-	return float64(s.InputBytes) / s.Duration.Seconds()
-}
+// Stats counts a run — a parse, a streamed run, or several runs folded
+// with Stats.Add — and is the one counters type of every entry point:
+// Parse, the streaming calls, ParseReader on both routes and the
+// daemon's /metrics totals. A parse fills the per-parse fields
+// (InputBytes, Chunks, Records, Columns, MinColumns, MaxColumns,
+// InvalidInput, RowsPruned, BytesSkipped, QuarantinedRecords, Phases,
+// DeviceBytes, Duration); a streamed run folds its partitions' Stats
+// and adds the ring's own counters (Partitions, InFlight, MaxCarryOver,
+// SerialFallbacks, Retries, RetriedBytes, QuarantinedPartitions,
+// OutputBytes and the stage busy times). DeviceTime() sums Phases and
+// Throughput() is InputBytes per second of Duration.
+type Stats = core.Stats
 
 // Result is a completed parse.
 type Result struct {
@@ -276,33 +230,7 @@ func Parse(input []byte, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrapResult(res), nil
-}
-
-func wrapResult(res *core.Result) *Result {
-	var deviceTime time.Duration
-	for _, d := range res.Stats.Phases {
-		deviceTime += d
-	}
-	return &Result{
-		Table:  &Table{t: res.Table},
-		Header: res.Header,
-		Stats: Stats{
-			InputBytes:   res.Stats.InputBytes,
-			Chunks:       res.Stats.Chunks,
-			Records:      res.Stats.Records,
-			Columns:      res.Stats.Columns,
-			MinColumns:   res.Stats.MinColumns,
-			MaxColumns:   res.Stats.MaxColumns,
-			InvalidInput: res.Stats.InvalidInput,
-			RowsPruned:   res.Stats.RowsPruned,
-			BytesSkipped: res.Stats.BytesSkipped,
-			Phases:       res.Stats.Phases,
-			DeviceTime:   deviceTime,
-			Duration:     res.Stats.Duration,
-			DeviceBytes:  res.Stats.DeviceBytes,
-		},
-	}
+	return &Result{Table: &Table{t: res.Table}, Header: res.Header, Stats: res.Stats}, nil
 }
 
 func (o Options) internal(trailing core.TrailingMode) (core.Options, error) {

@@ -173,7 +173,7 @@ func TestPushdownParityUTF16(t *testing.T) {
 // TestPushdownStreamingParity pins the streaming route: a streamed parse
 // with Where must combine to the whole-input pushdown result, partition
 // boundaries invisible, at serial and concurrent ring depths — and the
-// summed StreamStats.RowsPruned must match the whole-input count.
+// summed Stats.RowsPruned must match the whole-input count.
 func TestPushdownStreamingParity(t *testing.T) {
 	spec := workload.Taxi()
 	input := spec.Generate(192<<10, 11)

@@ -91,13 +91,14 @@ type tenantState struct {
 	mu      sync.Mutex
 	engines map[string]*Engine // fingerprint -> tenant-private engine
 
-	requests   atomic.Int64
-	errors     atomic.Int64
-	inputBytes atomic.Int64
-	rows       atomic.Int64
+	requests atomic.Int64
+	errors   atomic.Int64
+	total    runTotal
 }
 
-// serverMetrics is the global counter set exported at /metrics.
+// serverMetrics is the global counter set exported at /metrics: the
+// request-level counters, and the Stats of every run (complete or
+// partial) folded into one total.
 type serverMetrics struct {
 	requests         atomic.Int64
 	inflight         atomic.Int64
@@ -105,23 +106,31 @@ type serverMetrics struct {
 
 	status2xx, status400, status429, status499, status5xx atomic.Int64
 
-	inputBytes            atomic.Int64
-	outputBytes           atomic.Int64
-	rows                  atomic.Int64
-	rowsPruned            atomic.Int64
-	bytesSkipped          atomic.Int64
-	partitions            atomic.Int64
-	retries               atomic.Int64
-	retriedBytes          atomic.Int64
-	quarantinedPartitions atomic.Int64
-	quarantinedRecords    atomic.Int64
-	serialFallbacks       atomic.Int64
-	invalidInputs         atomic.Int64
+	outputBytes   atomic.Int64 // response body bytes (csv output)
+	invalidInputs atomic.Int64 // runs whose DFA flagged invalid input
 
-	readBusyNs     atomic.Int64
-	boundaryBusyNs atomic.Int64
-	parseBusyNs    atomic.Int64
-	emitBusyNs     atomic.Int64
+	total runTotal
+}
+
+// runTotal is the Stats of many runs, folded with Stats.Add by
+// concurrent requests.
+type runTotal struct {
+	mu sync.Mutex
+	s  Stats
+}
+
+func (t *runTotal) add(s Stats) {
+	t.mu.Lock()
+	t.s.Add(s)
+	t.mu.Unlock()
+}
+
+// snapshot returns the total. Its Phases map stays shared with the live
+// total, so callers read only the scalar fields.
+func (t *runTotal) snapshot() Stats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.s
 }
 
 // NewServer returns a Server ready to mount via Handler.
@@ -509,47 +518,31 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // accountStats folds one run's statistics (complete or partial) into
-// the global and tenant counters.
+// the global and tenant totals.
 func (s *Server) accountStats(ts *tenantState, res *StreamResult) {
-	st := res.Stats
-	rows := int64(res.NumRows())
-	s.m.inputBytes.Add(st.InputBytes)
-	s.m.rows.Add(rows)
-	s.m.rowsPruned.Add(st.RowsPruned)
-	s.m.bytesSkipped.Add(st.BytesSkipped)
-	s.m.partitions.Add(int64(st.Partitions))
-	s.m.retries.Add(st.Retries)
-	s.m.retriedBytes.Add(st.RetriedBytes)
-	s.m.quarantinedPartitions.Add(int64(st.QuarantinedPartitions))
-	s.m.quarantinedRecords.Add(st.QuarantinedRecords)
-	s.m.serialFallbacks.Add(int64(st.SerialFallbacks))
-	if st.InvalidInput {
+	if res.Stats.InvalidInput {
 		s.m.invalidInputs.Add(1)
 	}
-	s.m.readBusyNs.Add(int64(st.ReadBusy))
-	s.m.boundaryBusyNs.Add(int64(st.BoundaryBusy))
-	s.m.parseBusyNs.Add(int64(st.ParseBusy))
-	s.m.emitBusyNs.Add(int64(st.EmitBusy))
-
-	ts.inputBytes.Add(st.InputBytes)
-	ts.rows.Add(rows)
+	s.m.total.add(res.Stats)
+	ts.total.add(res.Stats)
 }
 
 func summaryFrom(res *StreamResult, tenant string, hit bool) *IngestSummary {
+	st := res.Stats
 	sum := &IngestSummary{
-		Rows:                  int64(res.NumRows()),
+		Rows:                  st.Records,
 		Header:                res.Header,
-		Partitions:            res.Stats.Partitions,
-		InputBytes:            res.Stats.InputBytes,
-		RowsPruned:            res.Stats.RowsPruned,
-		BytesSkipped:          res.Stats.BytesSkipped,
-		InvalidInput:          res.Stats.InvalidInput,
-		Retries:               res.Stats.Retries,
-		QuarantinedPartitions: res.Stats.QuarantinedPartitions,
-		QuarantinedRecords:    res.Stats.QuarantinedRecords,
-		SerialFallbacks:       res.Stats.SerialFallbacks,
-		DurationNs:            int64(res.Stats.Duration),
-		DeviceBytes:           res.Stats.DeviceBytes,
+		Partitions:            st.Partitions,
+		InputBytes:            st.InputBytes,
+		RowsPruned:            st.RowsPruned,
+		BytesSkipped:          st.BytesSkipped,
+		InvalidInput:          st.InvalidInput,
+		Retries:               st.Retries,
+		QuarantinedPartitions: st.QuarantinedPartitions,
+		QuarantinedRecords:    st.QuarantinedRecords,
+		SerialFallbacks:       st.SerialFallbacks,
+		DurationNs:            int64(st.Duration),
+		DeviceBytes:           st.DeviceBytes,
 		CacheHit:              hit,
 		Tenant:                tenant,
 	}
@@ -632,17 +625,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "parparawd_responses_total{code=\"499\"} %d\n", s.m.status499.Load())
 	fmt.Fprintf(&b, "parparawd_responses_total{code=\"5xx\"} %d\n", s.m.status5xx.Load())
 
-	counter("parparawd_input_bytes_total", "Raw input bytes parsed.", s.m.inputBytes.Load())
+	t := s.m.total.snapshot()
+	counter("parparawd_input_bytes_total", "Raw input bytes parsed.", t.InputBytes)
 	counter("parparawd_output_bytes_total", "Response body bytes written (csv output).", s.m.outputBytes.Load())
-	counter("parparawd_rows_total", "Rows materialised.", s.m.rows.Load())
-	counter("parparawd_rows_pruned_total", "Rows pruned by predicate pushdown.", s.m.rowsPruned.Load())
-	counter("parparawd_bytes_skipped_total", "Symbol bytes the partition scatter never moved.", s.m.bytesSkipped.Load())
-	counter("parparawd_partitions_total", "Streaming partitions parsed.", s.m.partitions.Load())
-	counter("parparawd_retries_total", "Input reads retried.", s.m.retries.Load())
-	counter("parparawd_retried_bytes_total", "Bytes recovered by retried reads.", s.m.retriedBytes.Load())
-	counter("parparawd_quarantined_partitions_total", "Partitions quarantined.", s.m.quarantinedPartitions.Load())
-	counter("parparawd_quarantined_records_total", "Malformed records diverted.", s.m.quarantinedRecords.Load())
-	counter("parparawd_serial_fallbacks_total", "Partitions parsed on the serial carry path.", s.m.serialFallbacks.Load())
+	counter("parparawd_rows_total", "Rows materialised.", t.Records)
+	counter("parparawd_rows_pruned_total", "Rows pruned by predicate pushdown.", t.RowsPruned)
+	counter("parparawd_bytes_skipped_total", "Symbol bytes the partition scatter never moved.", t.BytesSkipped)
+	counter("parparawd_partitions_total", "Streaming partitions parsed.", int64(t.Partitions))
+	counter("parparawd_retries_total", "Input reads retried.", t.Retries)
+	counter("parparawd_retried_bytes_total", "Bytes recovered by retried reads.", t.RetriedBytes)
+	counter("parparawd_quarantined_partitions_total", "Partitions quarantined.", int64(t.QuarantinedPartitions))
+	counter("parparawd_quarantined_records_total", "Malformed records diverted.", t.QuarantinedRecords)
+	counter("parparawd_serial_fallbacks_total", "Partitions parsed on the serial carry path.", int64(t.SerialFallbacks))
 	counter("parparawd_invalid_inputs_total", "Runs whose DFA flagged invalid input.", s.m.invalidInputs.Load())
 	counter("parparawd_admission_rejects_total", "Requests rejected by the device-bytes budget.", s.m.admissionRejects.Load())
 
@@ -660,13 +654,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("parparawd_cache_reserved_bytes", "Device bytes held idle by cached engines.", s.cache.ReservedBytes())
 
 	fmt.Fprintf(&b, "# HELP parparawd_stage_busy_seconds_total Cumulative streaming stage busy time.\n# TYPE parparawd_stage_busy_seconds_total counter\n")
-	stage := func(name string, ns int64) {
-		fmt.Fprintf(&b, "parparawd_stage_busy_seconds_total{stage=%q} %.6f\n", name, float64(ns)/1e9)
+	stage := func(name string, d time.Duration) {
+		fmt.Fprintf(&b, "parparawd_stage_busy_seconds_total{stage=%q} %.6f\n", name, float64(d)/1e9)
 	}
-	stage("read", s.m.readBusyNs.Load())
-	stage("boundary", s.m.boundaryBusyNs.Load())
-	stage("parse", s.m.parseBusyNs.Load())
-	stage("emit", s.m.emitBusyNs.Load())
+	stage("read", t.ReadBusy)
+	stage("boundary", t.BoundaryBusy)
+	stage("parse", t.ParseBusy)
+	stage("emit", t.EmitBusy)
 
 	s.tenantMu.Lock()
 	names := make([]string, 0, len(s.tenants))
@@ -679,6 +673,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		states[i] = s.tenants[name]
 	}
 	s.tenantMu.Unlock()
+	totals := make([]Stats, len(states))
+	for i, ts := range states {
+		totals[i] = ts.total.snapshot()
+	}
 	if len(names) > 0 {
 		fmt.Fprintf(&b, "# HELP parparawd_tenant_requests_total Requests per tenant.\n# TYPE parparawd_tenant_requests_total counter\n")
 		for i, name := range names {
@@ -690,11 +688,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintf(&b, "# HELP parparawd_tenant_input_bytes_total Input bytes per tenant.\n# TYPE parparawd_tenant_input_bytes_total counter\n")
 		for i, name := range names {
-			fmt.Fprintf(&b, "parparawd_tenant_input_bytes_total{tenant=%q} %d\n", name, states[i].inputBytes.Load())
+			fmt.Fprintf(&b, "parparawd_tenant_input_bytes_total{tenant=%q} %d\n", name, totals[i].InputBytes)
 		}
 		fmt.Fprintf(&b, "# HELP parparawd_tenant_rows_total Rows materialised per tenant.\n# TYPE parparawd_tenant_rows_total counter\n")
 		for i, name := range names {
-			fmt.Fprintf(&b, "parparawd_tenant_rows_total{tenant=%q} %d\n", name, states[i].rows.Load())
+			fmt.Fprintf(&b, "parparawd_tenant_rows_total{tenant=%q} %d\n", name, totals[i].Records)
 		}
 	}
 
@@ -714,7 +712,8 @@ func (s *Server) tenantSnapshot(name string) (requests, errors, inputBytes, rows
 	if ts == nil {
 		return 0, 0, 0, 0
 	}
-	return ts.requests.Load(), ts.errors.Load(), ts.inputBytes.Load(), ts.rows.Load()
+	t := ts.total.snapshot()
+	return ts.requests.Load(), ts.errors.Load(), t.InputBytes, t.Records
 }
 
 // tenantEngines lists a tenant's private engines, for the arena-balance

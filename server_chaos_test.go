@@ -7,7 +7,8 @@ package parparaw
 // partial-result responses (never a 5xx for a client fault), goroutines
 // and arena pools balance after the storm, and per-tenant statistics
 // never bleed across tenants — each tenant's counters equal what that
-// tenant's own responses reported.
+// tenant's own responses reported — and the /metrics totals equal the
+// sums over every response's summary or partial summary.
 
 import (
 	"context"
@@ -85,6 +86,7 @@ func TestServerChaosSoak(t *testing.T) {
 	}
 	const workers = 8
 	perWorker := make([]map[string]*tally, workers)
+	summed := make([]summaryTotals, workers)
 	var wg sync.WaitGroup
 	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -140,6 +142,7 @@ func TestServerChaosSoak(t *testing.T) {
 						continue
 					}
 					tl.rows += sum.Rows
+					summed[w].add(&sum)
 				case http.StatusBadRequest, StatusClientClosedRequest:
 					tl.errors++
 					var ie IngestError
@@ -154,6 +157,7 @@ func TestServerChaosSoak(t *testing.T) {
 					// paid for them, the stats must show them.
 					if ie.Partial != nil {
 						tl.rows += ie.Partial.Rows
+						summed[w].add(ie.Partial)
 					}
 				default:
 					t.Errorf("request %d: unexpected status %d: %s", i, rec.Code, rec.Body.Bytes())
@@ -184,8 +188,21 @@ func TestServerChaosSoak(t *testing.T) {
 		}
 	}
 
+	// The daemon's totals are the same runs folded with Stats.Add: each
+	// equals the sum over the summaries the clients received.
+	var want summaryTotals
+	for w := range summed {
+		want.add(&summed[w].IngestSummary)
+	}
+	metrics := scrapeMetrics(t, srv)
+	for name, v := range want.series() {
+		if got := metrics[name]; got != float64(v) {
+			t.Errorf("/metrics %s = %v, responses sum to %d", name, got, v)
+		}
+	}
+
 	// The storm must have actually stormed.
-	if srv.m.retries.Load() == 0 {
+	if metrics["parparawd_retries_total"] == 0 {
 		t.Error("soak produced no retries; FlakyReader wiring is dead")
 	}
 	if srv.m.status499.Load() == 0 {
@@ -294,4 +311,35 @@ func TestServerNetworkDisconnects(t *testing.T) {
 	ts.Close()
 	http.DefaultClient.CloseIdleConnections()
 	testleak.After(t, base)
+}
+
+// summaryTotals sums the counters of ingest summaries, complete or
+// partial, for comparison with the daemon's /metrics totals.
+type summaryTotals struct{ IngestSummary }
+
+func (t *summaryTotals) add(s *IngestSummary) {
+	t.Rows += s.Rows
+	t.InputBytes += s.InputBytes
+	t.Partitions += s.Partitions
+	t.RowsPruned += s.RowsPruned
+	t.BytesSkipped += s.BytesSkipped
+	t.Retries += s.Retries
+	t.QuarantinedPartitions += s.QuarantinedPartitions
+	t.QuarantinedRecords += s.QuarantinedRecords
+	t.SerialFallbacks += s.SerialFallbacks
+}
+
+// series names each summed counter by its /metrics series.
+func (t *summaryTotals) series() map[string]int64 {
+	return map[string]int64{
+		"parparawd_rows_total":                   t.Rows,
+		"parparawd_input_bytes_total":            t.InputBytes,
+		"parparawd_partitions_total":             int64(t.Partitions),
+		"parparawd_rows_pruned_total":            t.RowsPruned,
+		"parparawd_bytes_skipped_total":          t.BytesSkipped,
+		"parparawd_retries_total":                t.Retries,
+		"parparawd_quarantined_partitions_total": int64(t.QuarantinedPartitions),
+		"parparawd_quarantined_records_total":    t.QuarantinedRecords,
+		"parparawd_serial_fallbacks_total":       int64(t.SerialFallbacks),
+	}
 }

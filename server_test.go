@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -511,6 +512,90 @@ func TestServerPlanCacheHit(t *testing.T) {
 		t.Error("tenants share an Engine; arena pools must be private")
 	} else if a[0].plan != b[0].plan {
 		t.Error("tenant engines do not share the compiled plan")
+	}
+}
+
+// scrapeMetrics renders /metrics through the handler and returns every
+// sample by series (name plus labels, as exposed).
+func scrapeMetrics(t *testing.T, s *Server) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics status %d", rec.Code)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, value, ok := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(value, 64)
+		if !ok || err != nil {
+			t.Fatalf("/metrics line %q is not \"series value\"", line)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// TestServerMetricsSeriesNames: every series /metrics exposed before
+// the daemon's counters became one Stats total is still exposed under
+// its name. cmd/bench reads seven of them.
+func TestServerMetricsSeriesNames(t *testing.T) {
+	srv := NewServer(ServerConfig{})
+	if rec := postIngest(srv, "/ingest?header=1&tenant=t1", strings.NewReader("a,b\n1,2\n3,4\n")); rec.Code != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	metrics := scrapeMetrics(t, srv)
+	for _, series := range []string{
+		"parparawd_requests_total",
+		"parparawd_inflight_requests",
+		`parparawd_responses_total{code="2xx"}`,
+		`parparawd_responses_total{code="400"}`,
+		`parparawd_responses_total{code="429"}`,
+		`parparawd_responses_total{code="499"}`,
+		`parparawd_responses_total{code="5xx"}`,
+		"parparawd_input_bytes_total",
+		"parparawd_output_bytes_total",
+		"parparawd_rows_total",
+		"parparawd_rows_pruned_total",
+		"parparawd_bytes_skipped_total",
+		"parparawd_partitions_total",
+		"parparawd_retries_total",
+		"parparawd_retried_bytes_total",
+		"parparawd_quarantined_partitions_total",
+		"parparawd_quarantined_records_total",
+		"parparawd_serial_fallbacks_total",
+		"parparawd_invalid_inputs_total",
+		"parparawd_admission_rejects_total",
+		"parparawd_admitted_device_bytes",
+		"parparawd_device_budget_bytes",
+		"parparawd_cache_hits_total",
+		"parparawd_cache_misses_total",
+		"parparawd_cache_evictions_total",
+		"parparawd_cache_engines",
+		"parparawd_cache_reserved_bytes",
+		`parparawd_stage_busy_seconds_total{stage="read"}`,
+		`parparawd_stage_busy_seconds_total{stage="boundary"}`,
+		`parparawd_stage_busy_seconds_total{stage="parse"}`,
+		`parparawd_stage_busy_seconds_total{stage="emit"}`,
+		`parparawd_tenant_requests_total{tenant="t1"}`,
+		`parparawd_tenant_errors_total{tenant="t1"}`,
+		`parparawd_tenant_input_bytes_total{tenant="t1"}`,
+		`parparawd_tenant_rows_total{tenant="t1"}`,
+		"parparawd_goroutines",
+		"parparawd_uptime_seconds",
+	} {
+		if _, ok := metrics[series]; !ok {
+			t.Errorf("/metrics no longer exposes %s", series)
+		}
+	}
+	if got := metrics["parparawd_rows_total"]; got != 2 {
+		t.Errorf("rows_total = %v, want 2", got)
+	}
+	if got := metrics[`parparawd_tenant_rows_total{tenant="t1"}`]; got != 2 {
+		t.Errorf("tenant rows = %v, want 2", got)
 	}
 }
 

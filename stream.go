@@ -122,7 +122,7 @@ type StreamOptions struct {
 	// SkipBadPartitions quarantines partitions whose parse fails with a
 	// contained panic or a validation error, instead of failing the run:
 	// the partition's output is dropped, counted in
-	// StreamStats.QuarantinedPartitions, and the stream continues. When
+	// Stats.QuarantinedPartitions, and the stream continues. When
 	// the failed partition's record boundary was pre-scanned (at any
 	// depth) the carry chain is intact and no neighbouring record is
 	// affected. Only a serial-carry fallback partition — an unsettled
@@ -132,72 +132,9 @@ type StreamOptions struct {
 	SkipBadPartitions bool
 }
 
-// StreamStats describes a streaming run.
-type StreamStats struct {
-	// Duration is the end-to-end wall-clock time, including simulated
-	// transfers.
-	Duration time.Duration
-	// Partitions is the number of partitions processed.
-	Partitions int
-	// InputBytes and OutputBytes are the volumes moved over the bus.
-	InputBytes, OutputBytes int64
-	// ParseBusy is the cumulative device parse time.
-	ParseBusy time.Duration
-	// MaxCarryOver is the largest record fragment carried between
-	// partitions (bytes).
-	MaxCarryOver int
-	// InvalidInput reports that some partition's DFA saw an invalid
-	// transition (only set when Options.Validate is false; with Validate
-	// the run fails instead) — the streaming counterpart of
-	// Stats.InvalidInput.
-	InvalidInput bool
-	// RowsPruned is the total number of rows rejected by
-	// Options.Scan.Where across all partitions — the streaming
-	// counterpart of Stats.RowsPruned.
-	RowsPruned int64
-	// BytesSkipped is the total number of symbol bytes the partition
-	// scatters never moved (structural bytes plus everything projection
-	// or predicate pushdown made irrelevant) — the streaming counterpart
-	// of Stats.BytesSkipped.
-	BytesSkipped int64
-	// DeviceBytes sums the per-arena peaks of the arenas the run drew,
-	// one per ring slot: the memory cost of depth is InFlight × one
-	// partition's footprint. With InFlight=1 all partitions share one
-	// recycled arena (§4.4), so in steady state this is roughly the
-	// footprint of the largest single partition — the Figure-12
-	// memory/throughput trade-off's memory axis.
-	DeviceBytes int64
-	// InFlight is the ring depth the run actually used: the number of
-	// partitions processed concurrently (1 = one slot, one arena).
-	InFlight int
-	// SerialFallbacks counts the non-final partitions whose record
-	// boundary could not be pre-scanned (first-partition trimming
-	// unsettled, UTF-16 input) and that therefore parsed inline on the
-	// ring's scheduler, the serial carry path. It is counted at every
-	// depth, 1 included.
-	SerialFallbacks int
-	// ReadBusy, BoundaryBusy, and EmitBusy are the time the ring's
-	// sequential spine spent pulling input (including host-to-device
-	// transfer charges), pre-scanning record boundaries, and charging
-	// device-to-host transfers, respectively, at every depth. Together
-	// with ParseBusy — which sums concurrent partition parses and so may
-	// exceed Duration when InFlight > 1 — they expose each stage's busy
-	// share of the run (the -v output of cmd/parparaw).
-	ReadBusy     time.Duration
-	BoundaryBusy time.Duration
-	EmitBusy     time.Duration
-	// Retries is the number of input read attempts that failed and were
-	// retried under the run's RetryPolicy; RetriedBytes is the bytes
-	// recovered by reads that succeeded after at least one retry.
-	Retries      int64
-	RetriedBytes int64
-	// QuarantinedPartitions counts partitions whose parse failed and was
-	// quarantined under SkipBadPartitions instead of failing the run;
-	// QuarantinedRecords counts individual malformed records diverted to
-	// OnBadRecord.
-	QuarantinedPartitions int
-	QuarantinedRecords    int64
-}
+// StreamStats is the Stats of a streaming run. It is the same type
+// as Stats, kept as a name for callers that spell it.
+type StreamStats = Stats
 
 // StreamResult is a completed streaming parse.
 type StreamResult struct {
@@ -211,8 +148,11 @@ type StreamResult struct {
 	// Header holds the column names from the first partition when
 	// Options.HasHeader was set.
 	Header []string
-	// Stats describes the run.
-	Stats StreamStats
+	// Stats counts the run: the emitted partitions' Stats folded with
+	// Stats.Add, plus the ring's counters. InputBytes is the raw bytes
+	// read, DeviceBytes the sum of the ring's arena peaks, and Duration
+	// the wall time.
+	Stats Stats
 }
 
 // Combined concatenates the per-partition tables into one.
@@ -309,10 +249,9 @@ var ReaderStreamThreshold = 2 * DefaultPartitionSize
 // bus, then folded into one table, so ParseReader never materialises
 // more than O(threshold + output) host memory for the raw input. On the
 // streamed route, type inference sees only the first partition (pass an
-// explicit Schema for full determinism), Stats reports volumes and
-// duration but no per-phase device times or chunk counts, and
-// Stats.InputBytes counts raw streamed bytes rather than post-header
-// parsed bytes. Stats.InvalidInput is reported on both routes.
+// explicit Schema for full determinism), Stats sums the partitions'
+// counters and phases, and Stats.InputBytes counts raw streamed bytes
+// rather than post-header parsed bytes.
 func ParseReader(r io.Reader, opts Options) (*Result, error) {
 	e, err := NewEngine(opts)
 	if err != nil {
