@@ -334,8 +334,8 @@ func TestCSVDocumentedDivergences(t *testing.T) {
 		// encoding/csv silently skips a fully blank line; ParPaRaw keeps
 		// it as a one-field record [""]. With multi-column neighbors the
 		// kept record is ragged: RecordTagged pads the missing fields,
-		// the fast modes (which require a constant column count) reject
-		// the input outright.
+		// the inline and vector modes (which require a constant column
+		// count) reject the input outright.
 		const in = "a,b\n\nc,d\n"
 		r := csv.NewReader(strings.NewReader(in))
 		r.FieldsPerRecord = -1

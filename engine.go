@@ -213,10 +213,10 @@ func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, 
 	if len(head) <= threshold {
 		return e.ParseContext(ctx, head)
 	}
-	if !e.plan.BoundarySound() {
-		// The format cannot be cut at record boundaries, so the
-		// memory-bounding streamed route is unsound: buffer the whole
-		// input and parse it in one shot.
+	if !e.plan.BoundarySound() || len(e.plan.Options().SkipRecords) > 0 {
+		// The format cannot be cut at record boundaries, or SkipRecords
+		// indexes records of the whole input: the streamed route is
+		// unsound, so buffer the whole input and parse it in one shot.
 		rest, err := io.ReadAll(r)
 		if err != nil {
 			return nil, fmt.Errorf("parparaw: reading input: %w",
@@ -304,7 +304,9 @@ func (e *Engine) StreamContext(ctx context.Context, input []byte, cfg StreamConf
 // stream through fine. Byte-order-mark detection (DetectEncoding)
 // happens once, at the first-chunk boundary, and the detected encoding
 // is frozen for the whole run; the header record and skipped rows are
-// consumed from the first partition only.
+// consumed from the first partition only. Options carrying SkipRecords
+// are refused with a typed error matching ErrConfig before anything is
+// read: the list indexes records of the whole input.
 func (e *Engine) StreamReader(r io.Reader, cfg StreamConfig) (*StreamResult, error) {
 	return e.StreamReaderContext(context.Background(), r, cfg)
 }
@@ -324,6 +326,9 @@ func (e *Engine) StreamReader(r io.Reader, cfg StreamConfig) (*StreamResult, err
 func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg StreamConfig) (*StreamResult, error) {
 	if !e.plan.BoundarySound() {
 		return nil, ErrUnstreamable
+	}
+	if len(e.plan.Options().SkipRecords) > 0 {
+		return nil, &parparawerr.ConfigError{Err: errors.New("parparaw: SkipRecords indexes records of the whole input and cannot be applied per streamed partition; use Parse or ParseReader")}
 	}
 	partSize := cfg.PartitionSize
 	if partSize <= 0 {
@@ -542,9 +547,8 @@ func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (
 			}
 			// Without header/skip trimming there is nothing to
 			// re-consume: hand back any completed rowless records
-			// (comment lines, fully-skipped records) and defer the
-			// header capture and schema freeze until a partition
-			// actually produces rows. The empty placeholder table's
+			// (comment lines) and defer the header capture and schema
+			// freeze until a partition actually produces rows. The empty placeholder table's
 			// shape is unsettled, so it is not emitted.
 			return stream.PartitionResult{CompleteBytes: len(part.Input) - res.Remainder, Stats: res.Stats}, nil
 		}

@@ -179,9 +179,6 @@ func (p *pipeline) offsetScans() error {
 		p.table = table
 		return nil
 	}
-	if p.numOutRecords > int64(^uint32(0)) {
-		return fmt.Errorf("core: %d records exceed the 32-bit record-tag space", p.numOutRecords)
-	}
 	return nil
 }
 
@@ -258,8 +255,9 @@ func (p *pipeline) convertColumn(out, orig int, arena *device.Arena, outFields [
 		Data:       p.sortedSyms[lo:hi],
 		Terminator: p.Terminator,
 	}
-	if p.sortedRecs != nil {
-		cssCol.RecTags = p.sortedRecs[lo:hi]
+	if p.recLens != nil {
+		n := p.numOutRecords
+		cssCol.Lengths = p.recLens[int64(out)*n : int64(out+1)*n]
 	}
 	if p.sortedAux != nil {
 		cssCol.Aux = p.sortedAux[lo:hi]

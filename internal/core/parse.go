@@ -101,7 +101,7 @@ type pipeline struct {
 	hist       []int64
 	colStart   []int64
 	sortedSyms []byte
-	sortedRecs []uint32
+	recLens    []int64 // RecordTagged: symbols per (column, output record), column-major
 	sortedAux  []bool
 
 	table *columnar.Table // the run's output; set by a finishing stage

@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/bitmap"
 	"repro/internal/css"
@@ -50,13 +51,14 @@ const tileBytes = 4096
 //	       count
 //	move   (partitionScatter, timed "partition")  every tile walks its
 //	       bytes again and copies each kept data run straight to its
-//	       column cursor, with the mode's payload (record tags, inline
-//	       terminators, or the delimiter vector) written alongside
+//	       column cursor, with the mode's payload (per-record lengths,
+//	       inline terminators, or the delimiter vector) written alongside
 //
 // No per-symbol buffer exists between the passes. Within a column the
 // tiles' cursors are ordered by tile and each tile writes in input
 // order, so the result equals the paper's stable partition of the
-// per-symbol tags (fused_test.go holds that reference as the oracle).
+// per-symbol tags, and recLens their run-length encoding (§3.3);
+// fused_test.go holds that reference as the oracle.
 
 // tagSymbols is the count pass of the fused tag-scatter. It sizes the
 // tiles, fills p.counts in column-major layout counts[key*tiles+tile],
@@ -104,7 +106,7 @@ func (p *pipeline) tagSymbols() error {
 // partitionScatter is the scan and move passes of the fused tag-scatter
 // (§3.3): the scanned counts place every kept column's symbols
 // cohesively in sortedSyms, and the move pass fills it, together with
-// sortedRecs (RecordTagged) or sortedAux (VectorDelimited).
+// recLens (RecordTagged) or sortedAux (VectorDelimited).
 func (p *pipeline) partitionScatter() error {
 	d, n := p.Device, len(p.input)
 	// The scan turns the counts into the move pass's cursors in place.
@@ -138,7 +140,9 @@ func (p *pipeline) partitionScatter() error {
 	p.sortedSyms = device.AllocDirty[byte](p.Arena, kept)
 	switch p.Mode {
 	case css.RecordTagged:
-		p.sortedRecs = device.AllocDirty[uint32](p.Arena, kept)
+		// One symbol count per column and output record, column-major:
+		// the move pass adds to it, so it starts zeroed.
+		p.recLens = device.Alloc[int64](p.Arena, keys*int(p.numOutRecords))
 	case css.VectorDelimited:
 		p.sortedAux = device.AllocDirty[bool](p.Arena, kept)
 	}
@@ -165,11 +169,12 @@ func (p *pipeline) walkTile(t int, move bool) {
 			row[k] = p.counts[k*tiles+t]
 		}
 	}
-	syms, recs, aux := p.sortedSyms, p.sortedRecs, p.sortedAux
+	syms, lens, aux := p.sortedSyms, p.recLens, p.sortedAux
+	numOut := p.numOutRecords
 	mode := p.Mode
 	// Delimiters stay in the inline (as the terminator) and vector (as
-	// themselves, marked in aux) CSSs; record tags make them redundant in
-	// RecordTagged mode (§4.1, Figure 6).
+	// themselves, marked in aux) CSSs; the per-record lengths make them
+	// redundant in RecordTagged mode (§4.1, Figure 6).
 	delimsKept := mode != css.RecordTagged
 	checkCols := !move && p.RejectInconsistent
 	skip := p.SkipRecords
@@ -184,6 +189,13 @@ func (p *pipeline) walkTile(t int, move bool) {
 
 	rec := p.recBase[c]
 	col := p.colBase[c].Value
+	// Only the records open at this tile's and the next tile's first
+	// byte can be shared with a neighbour: the move pass adds their
+	// lengths atomically, all others plainly (Bitmap.StoreChunkWord's rule).
+	firstRec, lastRec := rec, int64(-1)
+	if next := c + p.tileChunks; next < p.chunks {
+		lastRec = p.recBase[next]
+	}
 	// skipPtr is the lower bound of rec in the skip list; rec - skipPtr
 	// - dropBefore is the output record index.
 	skipPtr := sort.Search(len(skip), func(i int) bool { return skip[i] >= rec })
@@ -201,6 +213,7 @@ func (p *pipeline) walkTile(t int, move bool) {
 		recDropped := dropped != nil && rec < p.numRecords && dropped[rec]
 		irrelevant := inSkipList || recDropped || rec >= p.numRecords
 		outRec := rec - int64(skipPtr) - dropBefore
+		shared := rec == firstRec || rec == lastRec
 		for i < hi {
 			key := p.mapColumn(col, irrelevant)
 			// next is the next structural byte, bit its mask in sc's
@@ -222,7 +235,12 @@ func (p *pipeline) walkTile(t int, move bool) {
 					copy(syms[pos:end], p.input[i:next])
 					switch mode {
 					case css.RecordTagged:
-						fill32(recs[pos:end], uint32(outRec))
+						l := &lens[int64(key)*numOut+outRec]
+						if shared {
+							atomic.AddInt64(l, int64(next-i))
+						} else {
+							*l += int64(next - i)
+						}
 					case css.VectorDelimited:
 						clear(aux[pos:end])
 					}
@@ -320,14 +338,6 @@ func (s *structCursor) advance() bool {
 		s.load()
 	}
 	return true
-}
-
-// fill32 writes v into every element of dst — the record tags of one
-// data run in the move pass.
-func fill32(dst []uint32, v uint32) {
-	for i := range dst {
-		dst[i] = v
-	}
 }
 
 // mapColumn maps an absolute input column to its output sort key,

@@ -11,14 +11,15 @@ func dev() *device.Device { return device.New(device.Config{Workers: 4}) }
 
 // TestFigure6RecordTagged replays the Figure 6 example for column 1 of
 // the sample input 0,"Apples"\n1,\n2,"Pears"\n — record-tagged CSS
-// "ApplesPears" with tags 000000 22222 and per-record offsets 0,6,6.
+// "ApplesPears" with tags 000000 22222, whose run-length encoding gives
+// the lengths 6,0,5 and the per-record offsets 0,6,6.
 func TestFigure6RecordTagged(t *testing.T) {
 	col := &Column{
 		Mode:    RecordTagged,
 		Data:    []byte("ApplesPears"),
-		RecTags: []uint32{0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2},
+		Lengths: []int64{6, 0, 5},
 	}
-	ix, err := col.BuildIndex(dev(), "t", 3)
+	ix, err := col.BuildIndexArena(dev(), nil, "t", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestFigure6Inline(t *testing.T) {
 		Data:       []byte("Apples\x1f\x1fPears\x1f"),
 		Terminator: DefaultTerminator,
 	}
-	ix, err := col.BuildIndex(dev(), "t", 0)
+	ix, err := col.BuildIndexArena(dev(), nil, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestFigure6VectorDelimited(t *testing.T) {
 	aux := make([]bool, len(data))
 	aux[6], aux[7], aux[13] = true, true, true
 	col := &Column{Mode: VectorDelimited, Data: data, Aux: aux}
-	ix, err := col.BuildIndex(dev(), "t", 0)
+	ix, err := col.BuildIndexArena(dev(), nil, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestFigure6VectorDelimited(t *testing.T) {
 
 func TestInlineTrailingFieldWithoutTerminator(t *testing.T) {
 	col := &Column{Mode: InlineTerminated, Data: []byte("ab\x1fcd"), Terminator: DefaultTerminator}
-	ix, err := col.BuildIndex(dev(), "t", 0)
+	ix, err := col.BuildIndexArena(dev(), nil, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestInlineTrailingFieldWithoutTerminator(t *testing.T) {
 func TestEmptyCSS(t *testing.T) {
 	for _, mode := range []Mode{RecordTagged, InlineTerminated, VectorDelimited} {
 		col := &Column{Mode: mode, Terminator: DefaultTerminator, Aux: []bool{}}
-		ix, err := col.BuildIndex(dev(), "t", 0)
+		ix, err := col.BuildIndexArena(dev(), nil, "t", 0)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -125,38 +126,43 @@ func TestRecordTaggedSparseRecords(t *testing.T) {
 	col := &Column{
 		Mode:    RecordTagged,
 		Data:    []byte("aabbb"),
-		RecTags: []uint32{0, 0, 2, 2, 2},
+		Lengths: []int64{2, 0, 3, 0},
 	}
-	ix, err := col.BuildIndex(dev(), "t", 4)
+	ix, err := col.BuildIndexArena(dev(), nil, "t", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantStart := []int64{0, 2, 2, 5}
 	wantLen := []int64{2, 0, 3, 0}
 	for k, w := range wantLen {
-		if ix.Lengths[k] != w {
-			t.Errorf("record %d length = %d, want %d", k, ix.Lengths[k], w)
+		if ix.Lengths[k] != w || ix.Starts[k] != wantStart[k] {
+			t.Errorf("record %d = (%d,%d), want (%d,%d)", k, ix.Starts[k], ix.Lengths[k], wantStart[k], w)
 		}
 	}
 }
 
 func TestRecordTaggedErrors(t *testing.T) {
-	col := &Column{Mode: RecordTagged, Data: []byte("ab"), RecTags: []uint32{0}}
-	if _, err := col.BuildIndex(dev(), "t", 1); err == nil {
-		t.Error("want error for tag/data length mismatch")
+	col := &Column{Mode: RecordTagged, Data: []byte("ab"), Lengths: []int64{2}}
+	if _, err := col.BuildIndexArena(dev(), nil, "t", 2); err == nil {
+		t.Error("want error for length-count/record-count mismatch")
+	}
+	col = &Column{Mode: RecordTagged, Data: []byte("ab"), Lengths: []int64{1, 0}}
+	if _, err := col.BuildIndexArena(dev(), nil, "t", 2); err == nil {
+		t.Error("want error for lengths not summing to the data length")
 	}
 	col2 := &Column{Mode: VectorDelimited, Data: []byte("ab"), Aux: []bool{true}}
-	if _, err := col2.BuildIndex(dev(), "t", 0); err == nil {
+	if _, err := col2.BuildIndexArena(dev(), nil, "t", 0); err == nil {
 		t.Error("want error for aux/data length mismatch")
 	}
 }
 
-// TestRecordTaggedLargeRandom cross-checks the parallel RLE + scan index
-// against a sequential construction for a large sorted tag array.
+// TestRecordTaggedLargeRandom cross-checks the parallel scan index
+// against a sequential construction for more records than one scan
+// tile holds.
 func TestRecordTaggedLargeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	numRecords := 500
+	numRecords := 5000
 	var data []byte
-	var tags []uint32
 	wantLen := make([]int64, numRecords)
 	for r := 0; r < numRecords; r++ {
 		l := rng.Intn(40)
@@ -166,11 +172,10 @@ func TestRecordTaggedLargeRandom(t *testing.T) {
 		wantLen[r] = int64(l)
 		for i := 0; i < l; i++ {
 			data = append(data, byte('a'+rng.Intn(26)))
-			tags = append(tags, uint32(r))
 		}
 	}
-	col := &Column{Mode: RecordTagged, Data: data, RecTags: tags}
-	ix, err := col.BuildIndex(dev(), "t", numRecords)
+	col := &Column{Mode: RecordTagged, Data: data, Lengths: wantLen}
+	ix, err := col.BuildIndexArena(dev(), nil, "t", numRecords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,38 +188,6 @@ func TestRecordTaggedLargeRandom(t *testing.T) {
 			t.Fatalf("record %d start = %d, want %d", r, ix.Starts[r], acc)
 		}
 		acc += wantLen[r]
-	}
-}
-
-// TestRecordTaggedGallopRuns targets the word-at-a-time run consumption
-// of the record-tag RLE: run lengths straddling every gallop-window
-// boundary (the 8-symbol probe) and runs long enough to span multiple
-// launch blocks must all produce exact lengths — the probe may only
-// skip a window when the whole window provably belongs to the run.
-func TestRecordTaggedGallopRuns(t *testing.T) {
-	lens := []int{1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 63, 64, 65, 1, 2, 3000, 1, 500}
-	var data []byte
-	var tags []uint32
-	for r, l := range lens {
-		for i := 0; i < l; i++ {
-			data = append(data, byte('a'+r%26))
-			tags = append(tags, uint32(r))
-		}
-	}
-	col := &Column{Mode: RecordTagged, Data: data, RecTags: tags}
-	ix, err := col.BuildIndex(dev(), "t", len(lens))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acc int64
-	for r, l := range lens {
-		if ix.Lengths[r] != int64(l) {
-			t.Fatalf("record %d length = %d, want %d", r, ix.Lengths[r], l)
-		}
-		if ix.Starts[r] != acc {
-			t.Fatalf("record %d start = %d, want %d", r, ix.Starts[r], acc)
-		}
-		acc += int64(l)
 	}
 }
 
@@ -240,7 +213,7 @@ func TestInlineLargeRandom(t *testing.T) {
 		want = append(want, string(cur))
 	}
 	col := &Column{Mode: InlineTerminated, Data: data, Terminator: DefaultTerminator}
-	ix, err := col.BuildIndex(dev(), "t", 0)
+	ix, err := col.BuildIndexArena(dev(), nil, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,20 +41,25 @@ import (
 )
 
 // TaggingMode selects the representation used to associate symbols with
-// their records during partitioning (§4.1).
+// their records during partitioning (§4.1). Unlike in the paper, the
+// default is also the fastest mode here: parsing 4 MiB with a fixed
+// schema on a 2-vCPU Xeon gave, in MB/s, tagged / inline / delimited:
+// taxi 69 / 57 / 57, yelp 303 / 121 / 117.
 type TaggingMode int
 
 const (
-	// RecordTagged attaches a 4-byte record tag to every symbol. It is
-	// the robust default, resilient even to records with varying column
-	// counts, at the cost of extra memory traffic.
+	// RecordTagged stores one symbol count per field, the run-length
+	// encoding of the paper's 4-byte record tag per symbol. It is the
+	// robust default, resilient even to records with varying column
+	// counts.
 	RecordTagged TaggingMode = iota
 	// InlineTerminated replaces delimiters with an in-band terminator
-	// byte in the column data — faster, but requires that the terminator
-	// never occur in field values.
+	// byte in the column data. It requires that the terminator never
+	// occur in field values and a constant column count.
 	InlineTerminated
 	// VectorDelimited marks field boundaries in an auxiliary boolean
-	// vector — the fast mode that tolerates arbitrary field bytes.
+	// vector. It tolerates arbitrary field bytes but requires a constant
+	// column count.
 	VectorDelimited
 )
 
@@ -123,6 +128,10 @@ type Options struct {
 	// all columns.
 	SelectColumns []int
 	// SkipRecords drops the listed record indices (0-based, ascending).
+	// The indices count records of the whole input, so only a
+	// whole-input parse applies them: StreamReader and Stream refuse
+	// such options (ErrConfig), and ParseReader buffers the input and
+	// parses it in one shot at any size.
 	SkipRecords []int64
 	// Scan pushes a projection (Select) and row predicates (Where) into
 	// the parse plan, so dropped columns and rejected rows are pruned

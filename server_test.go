@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/testleak"
+	"repro/internal/workload"
 )
 
 // serverDialectCases are the golden inputs: one deterministic document
@@ -537,6 +538,50 @@ func scrapeMetrics(t *testing.T, s *Server) map[string]float64 {
 		out[series] = v
 	}
 	return out
+}
+
+// TestServerAdmissionEstimateCoversFootprint holds the daemon's
+// admission charge to the footprint it stands for: for every dialect,
+// a one-shot parse of a body of serve-mix's 32 KiB partition size must
+// report a device peak within admissionFootprintFactor × the body. The
+// bodies are the benchmark's: csv on taxi and on yelp, tsv and psv on
+// taxi with the delimiter swapped, jsonl, and weblog.
+func TestServerAdmissionEstimateCoversFootprint(t *testing.T) {
+	const size = 32 << 10
+	taxi := workload.Taxi().Generate(size, 1)
+	cases := []struct {
+		dialect, input string
+		body           []byte
+		opts           Options
+	}{
+		{"csv", "taxi", taxi, Options{Schema: schemaFromInternal(workload.Taxi().Schema)}},
+		{"csv", "yelp", workload.Yelp().Generate(size, 2), Options{Schema: schemaFromInternal(workload.Yelp().Schema)}},
+		{"tsv", "taxi", bytes.ReplaceAll(taxi, []byte{','}, []byte{'\t'}), Options{}},
+		{"psv", "taxi", bytes.ReplaceAll(taxi, []byte{','}, []byte{'|'}), Options{}},
+		{"jsonl", "jsonl", workload.JSONLines().Generate(size, 3), Options{}},
+		{"weblog", "weblog", workload.Weblog().Generate(size, 4), Options{HasHeader: true}},
+	}
+	for _, tc := range cases {
+		name := tc.dialect + "/" + tc.input
+		format, err := FormatByName(tc.dialect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.opts.Format = format
+		e, err := NewEngine(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Parse(tc.body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		per := float64(res.Stats.DeviceBytes) / float64(len(tc.body))
+		t.Logf("%s: device peak %.2f× the body", name, per)
+		if per > admissionFootprintFactor {
+			t.Errorf("%s: device peak %.2f× the %d-byte body exceeds the admission factor %d", name, per, len(tc.body), admissionFootprintFactor)
+		}
+	}
 }
 
 // TestServerMetricsSeriesNames: every series /metrics exposed before

@@ -203,7 +203,7 @@ func StreamContext(ctx context.Context, input []byte, opts StreamOptions) (*Stre
 // stream through fine. Byte-order-mark detection, the header record,
 // and skipped rows are handled at the first-chunk boundary; with a nil
 // Schema the types inferred from the first partition are frozen for the
-// rest of the run.
+// rest of the run. Options carrying SkipRecords are refused (ErrConfig).
 //
 // Callers making repeated streaming runs with one configuration should
 // construct an Engine once and use Engine.StreamReader, which this
@@ -247,11 +247,13 @@ var ReaderStreamThreshold = 2 * DefaultPartitionSize
 // (identical to Parse); larger inputs are routed through the streaming
 // pipeline with DefaultPartitionSize partitions and an instantaneous
 // bus, then folded into one table, so ParseReader never materialises
-// more than O(threshold + output) host memory for the raw input. On the
-// streamed route, type inference sees only the first partition (pass an
-// explicit Schema for full determinism), Stats sums the partitions'
-// counters and phases, and Stats.InputBytes counts raw streamed bytes
-// rather than post-header parsed bytes.
+// more than O(threshold + output) host memory for the raw input. Inputs
+// whose options carry SkipRecords, or whose format cannot be streamed,
+// are buffered and parsed in one shot at any size. On the streamed
+// route, type inference sees only the first partition (pass an explicit
+// Schema for full determinism), Stats sums the partitions' counters and
+// phases, and Stats.InputBytes counts raw streamed bytes rather than
+// post-header parsed bytes.
 func ParseReader(r io.Reader, opts Options) (*Result, error) {
 	e, err := NewEngine(opts)
 	if err != nil {

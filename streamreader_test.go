@@ -8,10 +8,13 @@ package parparaw
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"testing"
+
+	"repro/parparawerr"
 )
 
 // maxReadReader asserts the pipeline pulls input in bounded chunks: any
@@ -229,19 +232,17 @@ func TestStreamReaderCommentHeavyInput(t *testing.T) {
 }
 
 // TestStreamReaderRowlessPrefixBoundedCarry drives a first partition
-// whose complete records are all dropped (SkipRecords): completed
-// rowless records must be consumed, not carried — the carry-over stays
-// bounded instead of accumulating the whole prefix (the
-// larger-than-memory contract).
+// whose complete records are all dropped (by a Where predicate): those
+// completed rowless records must be consumed, not carried — the
+// carry-over stays bounded instead of accumulating the whole prefix
+// (the larger-than-memory contract).
 func TestStreamReaderRowlessPrefixBoundedCarry(t *testing.T) {
-	skip := make([]int64, 1000)
-	for i := range skip {
-		skip[i] = int64(i)
-	}
-	input := bytes.Repeat([]byte("x\n"), 2000)
+	input := append(bytes.Repeat([]byte("x\n"), 1000), bytes.Repeat([]byte("y\n"), 1000)...)
 	const partSize = 64
+	opts := Options{}
+	opts.Scan.Where = []Predicate{Eq(0, "y")}
 	res, err := StreamReader(bytes.NewReader(input), StreamOptions{
-		Options:       Options{SkipRecords: skip},
+		Options:       opts,
 		PartitionSize: partSize,
 		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
 	})
@@ -252,6 +253,53 @@ func TestStreamReaderRowlessPrefixBoundedCarry(t *testing.T) {
 		t.Fatalf("max carry-over = %d for a rowless prefix; completed records are being re-carried",
 			res.Stats.MaxCarryOver)
 	}
+	if res.Stats.Records != 1000 {
+		t.Fatalf("streamed %d records, want the 1000 the predicate keeps", res.Stats.Records)
+	}
+}
+
+// TestSkipRecordsWholeInputOnly pins that SkipRecords, whose indices
+// count records of the whole input, is applied only by whole-input
+// parses: StreamReader refuses it with ErrConfig before reading (each
+// partition would otherwise skip its own local record indices), and
+// ParseReader parses an input above ReaderStreamThreshold in one shot,
+// matching Parse.
+func TestSkipRecordsWholeInputOnly(t *testing.T) {
+	var sb bytes.Buffer
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&sb, "%d,v%d\n", i, i)
+	}
+	input := sb.Bytes()
+	opts := Options{SkipRecords: []int64{0, 1}}
+	whole, err := Parse(input, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Table.NumRows() != 38 {
+		t.Fatalf("Parse kept %d rows, want 38", whole.Table.NumRows())
+	}
+
+	r := bytes.NewReader(input)
+	_, err = StreamReader(r, StreamOptions{
+		Options:       opts,
+		PartitionSize: 64,
+		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+	})
+	var ce *parparawerr.ConfigError
+	if !errors.Is(err, ErrConfig) || !errors.As(err, &ce) {
+		t.Fatalf("StreamReader with SkipRecords: error %v (%T), want a ConfigError", err, err)
+	}
+	if r.Len() != len(input) {
+		t.Fatalf("StreamReader read %d bytes before refusing SkipRecords", len(input)-r.Len())
+	}
+
+	defer func(old int) { ReaderStreamThreshold = old }(ReaderStreamThreshold)
+	ReaderStreamThreshold = 64
+	res, err := ParseReader(bytes.NewReader(input), opts)
+	if err != nil {
+		t.Fatalf("ParseReader with SkipRecords above the stream threshold: %v", err)
+	}
+	assertTablesEqual(t, "ParseReader", res.Table, whole.Table)
 }
 
 // TestStreamReaderReportsInvalidInput checks the non-erroring
