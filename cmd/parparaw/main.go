@@ -322,13 +322,15 @@ func run(ctx context.Context, formatName string, header bool, delim, comment str
 }
 
 // phaseSplit renders a run's kernel-phase device times (Figure 9's
-// breakdown; a streamed run sums its partitions').
+// breakdown; a streamed run sums its partitions') and the chunks the
+// emit launch walked again after a wrong start-state guess.
 func phaseSplit(s parparaw.Stats) string {
 	var parts []string
 	for _, name := range parparaw.PhaseNames {
 		parts = append(parts, fmt.Sprintf("%s %v", name, s.Phases[name]))
 	}
-	return fmt.Sprintf("\nphases over %d chunks (device time %v): %s", s.Chunks, s.DeviceTime(), strings.Join(parts, ", "))
+	return fmt.Sprintf("\nphases over %d chunks, %d re-emitted (device time %v): %s",
+		s.Chunks, s.ReemittedChunks, s.DeviceTime(), strings.Join(parts, ", "))
 }
 
 func displayName(path string) string {

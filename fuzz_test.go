@@ -207,9 +207,9 @@ func FuzzParse(f *testing.F) {
 					t.Fatalf("pushdown row %d: %q vs post-hoc %q on %q", i, e[i], g[i], input)
 				}
 			}
-			if push.Stats.RowsPruned != post.Stats.RowsPruned {
-				t.Fatalf("RowsPruned %d (pushdown) vs %d (post-hoc) on %q",
-					push.Stats.RowsPruned, post.Stats.RowsPruned, input)
+			if push.Stats.RowsPruned != post.Stats.RowsPruned || push.Stats.BytesSkipped != post.Stats.BytesSkipped {
+				t.Fatalf("RowsPruned %d, BytesSkipped %d (pushdown) vs %d, %d (post-hoc) on %q",
+					push.Stats.RowsPruned, push.Stats.BytesSkipped, post.Stats.RowsPruned, post.Stats.BytesSkipped, input)
 			}
 		}
 

@@ -176,3 +176,30 @@ func (b *Bitmap) StoreChunkWord(w, lo, hi int, x uint64) {
 	}
 	b.words[w] = x
 }
+
+// ClearChunk clears bits [lo, hi), the bits of a chunk covering those
+// symbols, under the ownership rule of StoreChunkWord: a word the chunk
+// owns is stored zero, and a word it shares with a neighbour loses only
+// the chunk's bits through an atomic AND, so the neighbour may store or
+// clear its own bits of the word concurrently. A chunk emitted again
+// after a wrong guess clears its range first, then stores its words.
+func (b *Bitmap) ClearChunk(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	for w := lo / wordBits; w <= (hi-1)/wordBits; w++ {
+		first := w * wordBits
+		if first < lo || (first+wordBits > hi && hi < b.n) {
+			mask := ^uint64(0)
+			if first < lo {
+				mask <<= uint(lo - first)
+			}
+			if first+wordBits > hi {
+				mask &= ^uint64(0) >> uint(first+wordBits-hi)
+			}
+			atomic.AndUint64(&b.words[w], ^mask)
+			continue
+		}
+		b.words[w] = 0
+	}
+}

@@ -175,6 +175,55 @@ func TestStoreChunkWordConcurrent(t *testing.T) {
 // TestStoreChunkWordOwnership pins the ownership rule: a word the chunk
 // owns outright is overwritten, a word it shares with a neighbour is
 // OR-merged, and a word running past Len() belongs to the last chunk.
+// TestClearChunkConcurrent is the redo of a chunk whose first emission
+// was wrong: over a bitmap of all ones, every other chunk clears its
+// range and stores the reference bits concurrently, while its
+// neighbours keep theirs. Each chunk's bits must then be the
+// reference's or all ones, at aligned and unaligned chunk sizes.
+func TestClearChunkConcurrent(t *testing.T) {
+	const n = 10_000
+	rng := rand.New(rand.NewSource(4))
+	ref := New(n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			ref.Set(i)
+		}
+	}
+	for _, chunk := range []int{31, 1000, 1024} {
+		b := New(n)
+		for i := 0; i < n; i++ {
+			b.Set(i)
+		}
+		var wg sync.WaitGroup
+		for c, lo := 0, 0; lo < n; c, lo = c+1, lo+chunk {
+			if c%2 == 1 {
+				continue
+			}
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				b.ClearChunk(lo, hi)
+				for w := lo / wordBits; w <= (hi-1)/wordBits; w++ {
+					var x uint64
+					for i := max(lo, w*wordBits); i < min(hi, w*wordBits+wordBits); i++ {
+						if ref.Get(i) {
+							x |= 1 << (i % wordBits)
+						}
+					}
+					b.StoreChunkWord(w, lo, hi, x)
+				}
+			}(lo, min(lo+chunk, n))
+		}
+		wg.Wait()
+		for i := 0; i < n; i++ {
+			want := (i/chunk)%2 == 1 || ref.Get(i)
+			if b.Get(i) != want {
+				t.Fatalf("chunk %d: bit %d = %v, want %v", chunk, i, b.Get(i), want)
+			}
+		}
+	}
+}
+
 func TestStoreChunkWordOwnership(t *testing.T) {
 	b := New(200) // words 0..3; word 3 holds bits 192..199
 	for w := 0; w < 4; w++ {

@@ -63,7 +63,7 @@ func (p *pipeline) filterRows() error {
 		lo, hi := p.chunkBounds(c)
 		rec := p.recBase[c]
 		for i := lo; i < hi; {
-			s, ok := bm.record.FirstSetInRange(i, hi)
+			s, ok := bm.Record.FirstSetInRange(i, hi)
 			if !ok {
 				break
 			}
@@ -110,7 +110,7 @@ func (p *pipeline) filterRows() error {
 			for pi := range preds {
 				pr := &preds[pi]
 				for !exhausted && col < pr.Column {
-					dpos, ok := bm.field.FirstSetInRange(fs, end)
+					dpos, ok := bm.Field.FirstSetInRange(fs, end)
 					if !ok {
 						exhausted = true
 						break
@@ -121,7 +121,7 @@ func (p *pipeline) filterRows() error {
 				var val []byte
 				if col == pr.Column && !exhausted {
 					fe := end
-					if dpos, ok := bm.field.FirstSetInRange(fs, end); ok {
+					if dpos, ok := bm.Field.FirstSetInRange(fs, end); ok {
 						fe = dpos
 					}
 					val, scratch = p.fieldValue(fs, fe, scratch)
@@ -188,7 +188,7 @@ func (p *pipeline) fieldValue(fs, fe int, scratch []byte) (val, buf []byte) {
 	if fs >= fe {
 		return nil, scratch
 	}
-	ctl := p.bitmaps.control
+	ctl := p.bitmaps.Control
 	if ctl.PopCountRange(fs, fe) == 0 {
 		return p.input[fs:fe], scratch
 	}
@@ -201,13 +201,10 @@ func (p *pipeline) fieldValue(fs, fe int, scratch []byte) (val, buf []byte) {
 	return scratch, scratch
 }
 
-// applyPostFilter prunes the Where-failing rows from the materialised
-// table — the post-hoc half of the pushdown/post-hoc equivalence,
-// taken when the schema is inferred (type inference must see every row)
-// or under NoPushdown. The kept mask is the dropped bitmap reindexed
-// from input records to output records (skip-listed records are absent
-// from the table already).
-func (p *pipeline) applyPostFilter(table *columnar.Table) (*columnar.Table, error) {
+// keptRows reindexes the dropped bitmap from input records to output
+// records (skip-listed records are absent from the table already): the
+// mask of the rows applyPostFilter keeps.
+func (p *pipeline) keptRows() []bool {
 	keep := make([]bool, p.numOutRecords)
 	skip := p.SkipRecords
 	skipPtr, out := 0, 0
@@ -219,10 +216,21 @@ func (p *pipeline) applyPostFilter(table *columnar.Table) (*columnar.Table, erro
 		keep[out] = !p.dropped[r]
 		out++
 	}
-	filtered, err := columnar.FilterRows(table, keep)
+	return keep
+}
+
+// applyPostFilter prunes the Where-failing rows from the materialised
+// table — the post-hoc half of the pushdown/post-hoc equivalence,
+// taken when the schema is inferred (type inference must see every row)
+// or under NoPushdown. The dropped rows' bytes were moved, but they
+// count as skipped as under pushdown: convertColumn summed their spans
+// in each kept column's CSS index.
+func (p *pipeline) applyPostFilter(table *columnar.Table) (*columnar.Table, error) {
+	filtered, err := columnar.FilterRows(table, p.keep)
 	if err != nil {
 		return nil, err
 	}
 	p.stats.Records = int64(filtered.NumRows())
+	p.stats.BytesSkipped += p.postSkipped.Load()
 	return filtered, nil
 }

@@ -96,7 +96,7 @@ func oracleTagPartition(p *pipeline) oracleScatter {
 	var rec, outRec int64 // outRec counts the relevant records before rec
 	col := 0
 	for i := 0; i < n; i++ {
-		isRec, isField := p.bitmaps.record.Get(i), p.bitmaps.field.Get(i)
+		isRec, isField := p.bitmaps.Record.Get(i), p.bitmaps.Field.Get(i)
 		switch {
 		case isRec || isField:
 			colTags[i] = p.sentinel
@@ -115,7 +115,7 @@ func oracleTagPartition(p *pipeline) oracleScatter {
 			}
 			rec++
 			col = 0
-		case p.bitmaps.control.Get(i):
+		case p.bitmaps.Control.Get(i):
 			colTags[i] = p.sentinel
 		default:
 			colTags[i] = keyOf(rec, col)

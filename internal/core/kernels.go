@@ -87,6 +87,20 @@ func (p *pipeline) run() (*columnar.Table, error) {
 // DFA instance per possible start state per chunk, producing each
 // chunk's state-transition vector packed into one 64-bit word (§4.5) —
 // eight bytes of device memory per chunk.
+//
+// On a GPU the extra instances are free; on a CPU they are work, and
+// they converge within about a hundred bytes. So the launch walks each
+// chunk once (dfa.Machine.ChunkWordEmit): the same word, plus the
+// bitmaps, counts and metadata the second kernel would emit from a
+// guessed start state. Every block walks its chunks in order. Its first
+// chunk guesses the machine's start state, and each later chunk the
+// state its predecessor's guessed lane ended in, or the predecessor's
+// first lane that ended outside the invalid sink when the guessed lane
+// ended in it. The start-state scan checks every guess, and
+// emitBitmapsStage walks again only the chunks it missed. A
+// modelled-time device, which stands in for the paper's GPU, and a
+// machine with its fused tables off take no guess: they run the paper's
+// two passes, and the emit launch walks every chunk.
 func (p *pipeline) parseVectors() error {
 	n := len(p.input)
 	p.stats.InputBytes = int64(n)
@@ -94,11 +108,52 @@ func (p *pipeline) parseVectors() error {
 	p.stats.Chunks = p.chunks
 	m := p.Machine
 	p.words = device.AllocDirty[statevec.Word](p.Arena, p.chunks)
-	p.Device.Launch("parse", p.chunks, func(c int) {
-		lo, hi := p.chunkBounds(c)
-		p.words[c] = m.ChunkWord(p.input[lo:hi])
+	p.bitmaps = &dfa.Bitmaps{
+		Record:  bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(n)), n),
+		Field:   bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(n)), n),
+		Control: bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(n)), n),
+	}
+	// An emit walk writes every chunk's entry of these three arrays.
+	p.meta = device.AllocDirty[chunkMeta](p.Arena, p.chunks)
+	p.recBase = device.AllocDirty[int64](p.Arena, p.chunks)
+	p.colBase = device.AllocDirty[offsets.ColumnOffset](p.Arena, p.chunks)
+	if !m.Fused() || p.Device.ModelledTime() {
+		p.Device.Launch("parse", p.chunks, func(c int) {
+			lo, hi := p.chunkBounds(c)
+			p.words[c] = m.ChunkWord(p.input[lo:hi])
+		})
+		return nil
+	}
+	p.guess = device.AllocDirty[uint8](p.Arena, p.chunks)
+	p.Device.LaunchBlocks("parse", p.chunks, func(_, first, limit int) {
+		g := m.Start()
+		for c := first; c < limit; c++ {
+			lo, hi := p.chunkBounds(c)
+			w, ce := m.ChunkWordEmit(p.input, lo, hi, g, p.bitmaps)
+			p.words[c], p.guess[c] = w, g
+			p.storeChunk(c, ce)
+			g = nextGuess(m, w, g)
+		}
 	})
 	return nil
+}
+
+// nextGuess is the start state guessed for the chunk after one whose
+// guessed lane started in g and whose transition word is w: the state
+// that lane ended in, or, when it ended in the invalid sink, the end
+// state of the first lane that did not. It is the sink only when every
+// lane ended there, and then it is right.
+func nextGuess(m *dfa.Machine, w statevec.Word, g uint8) uint8 {
+	next := w.At(g)
+	if !m.IsInvalid(next) {
+		return next
+	}
+	for s := 0; s < m.NumStates(); s++ {
+		if e := w.At(uint8(s)); !m.IsInvalid(e) {
+			return e
+		}
+	}
+	return next
 }
 
 // scanStates resolves every chunk's true start state from the packed
@@ -132,14 +187,18 @@ func (p *pipeline) scanStates() error {
 }
 
 // emitBitmapsStage is the second parse kernel (§3.1-3.2): each chunk,
-// now knowing its start state, simulates a single DFA instance and
-// emits the record/field/control bitmap indexes plus per-chunk offset
-// metadata. In remainder mode it also locates the carry-over boundary.
+// now knowing its start state, simulates a single DFA instance
+// (dfa.Machine.Emit) and emits the record/field/control bitmap indexes
+// plus per-chunk offset metadata. When the parse launch guessed, only
+// the chunks whose guess the scan proved wrong walk again, each first
+// clearing the bits its guessed lane set; a run that took no guess
+// walks every chunk. In remainder mode it also locates the carry-over
+// boundary.
 func (p *pipeline) emitBitmapsStage() error {
 	p.emitBitmaps()
 	if p.Trailing == TrailingRemainder {
 		n := len(p.input)
-		if last, ok := p.bitmaps.record.LastSetInRange(0, n); ok {
+		if last, ok := p.bitmaps.Record.LastSetInRange(0, n); ok {
 			p.remainder = n - last - 1
 		} else {
 			p.remainder = n
@@ -204,6 +263,9 @@ func (p *pipeline) offsetScans() error {
 func (p *pipeline) convertColumns() error {
 	outFields := p.outputFields(p.headerNames)
 	columns := make([]*columnar.Column, len(p.selected))
+	if p.postFilter {
+		p.keep = p.keptRows()
+	}
 
 	workers := p.ConvertWorkers
 	if workers > len(p.selected) {
@@ -268,6 +330,24 @@ func (p *pipeline) convertColumn(out, orig int, arena *device.Arena, outFields [
 	}
 	if err := p.alignIndex(cssCol, ix, out); err != nil {
 		return nil, err
+	}
+	if p.keep != nil {
+		// The post filter drops rows whose bytes the move pass moved;
+		// they count as skipped all the same, as under pushdown: each
+		// dropped field's span up to the next field's start, which is
+		// its data plus, in the inline and vector modes, the delimiter
+		// kept after it.
+		var dropped int64
+		for r, k := range p.keep {
+			if !k {
+				end := int64(len(cssCol.Data))
+				if r+1 < ix.NumFields() {
+					end = ix.Starts[r+1]
+				}
+				dropped += end - ix.Starts[r]
+			}
+		}
+		p.postSkipped.Add(dropped)
 	}
 	field := outFields[out]
 	if p.Schema == nil {
@@ -374,112 +454,56 @@ func (p *pipeline) convertColumnsParallel(workers int, outFields []columnar.Fiel
 	return nil
 }
 
-// emitBitmaps is the body of the second parse kernel: each chunk
-// simulates a single DFA instance from its known start state and records
-// every symbol's interpretation in the three bitmap indexes. Per-chunk
-// record counts and rel/abs column offsets (§3.2) are collected in the
-// same sweep (the paper derives them from the bitmaps with popc;
-// counting during emission is arithmetically identical and saves a
-// pass) and written straight into recBase and colBase, which
-// offsetScans then scans in place. The bitmap words, chunk metadata and
-// offset arrays are arena-backed.
-//
-// The record, field and control bits of the backing word under the
-// cursor accumulate in registers and are written once, when the cursor
-// sets a bit in a later word and at the chunk's end, through
-// Bitmap.StoreChunkWord: a plain store for a word the chunk owns, an
-// atomic OR only for the at most two words it shares with its
-// neighbours. Words with no bit set are never written; device.Alloc
-// zeroed them.
-//
-// On the fused fast path each byte costs one fused-table load, and the
-// skip-ahead scanners jump over runs of data-emitting self-loops (field
-// text) eight bytes per test: no bitmap bit is set and no metadata
-// changes inside such a run, so the cursor simply advances.
+// emitBitmaps is the body of the second parse kernel. Per-chunk record
+// counts and rel/abs column offsets (§3.2) go straight into recBase and
+// colBase, which offsetScans then scans in place. Neighbouring chunks
+// share at most two bitmap words, which both the walk
+// (Bitmap.StoreChunkWord) and the redo's clear (Bitmap.ClearChunk)
+// merge atomically, so a redone chunk never disturbs a neighbour's
+// bits at any chunk size.
 func (p *pipeline) emitBitmaps() {
-	n := len(p.input)
 	m := p.Machine
-	bms := &bitmaps{
-		record:  bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(n)), n),
-		field:   bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(n)), n),
-		control: bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(n)), n),
+	if p.guess == nil {
+		p.stats.ReemittedChunks = p.chunks
+		p.Device.Launch("parse", p.chunks, func(c int) {
+			lo, hi := p.chunkBounds(c)
+			_, ce := m.Emit(p.input, lo, hi, p.startState[c], p.bitmaps)
+			p.storeChunk(c, ce)
+		})
+		return
 	}
-	p.bitmaps = bms
-	// The kernel writes every chunk's entry of these three arrays.
-	p.meta = device.AllocDirty[chunkMeta](p.Arena, p.chunks)
-	p.recBase = device.AllocDirty[int64](p.Arena, p.chunks)
-	p.colBase = device.AllocDirty[offsets.ColumnOffset](p.Arena, p.chunks)
-	fused := m.Fused()
-	skip := m.SkipScanners()
-	p.Device.Launch("parse", p.chunks, func(c int) {
+	missed := 0
+	for c, g := range p.guess {
+		if g != p.startState[c] {
+			missed++
+		}
+	}
+	redo := device.AllocDirty[int32](p.Arena, missed)
+	missed = 0
+	for c, g := range p.guess {
+		if g != p.startState[c] {
+			redo[missed] = int32(c)
+			missed++
+		}
+	}
+	p.stats.ReemittedChunks = missed
+	p.Device.Launch("parse", missed, func(k int) {
+		c := int(redo[k])
 		lo, hi := p.chunkBounds(c)
-		s := p.startState[c]
-		cm := chunkMeta{}
-		var recs int64
-		relCol := 0
-		w := lo >> 6
-		var rec, fld, ctl uint64
-		for i := lo; i < hi; {
-			if skip != nil {
-				if sc := skip[s]; sc != nil {
-					i = sc.Next(p.input, i, hi)
-					if i >= hi {
-						break
-					}
-				}
-			}
-			var e dfa.Emission
-			if fused {
-				s, e = m.Step(s, p.input[i])
-			} else {
-				g := m.Group(p.input[i])
-				e = m.Emission(s, g)
-				s = m.NextByGroup(s, g)
-			}
-			if e != dfa.EmitData {
-				if i>>6 != w {
-					if ctl != 0 {
-						bms.storeChunkWords(w, lo, hi, rec, fld, ctl)
-					}
-					w, rec, fld, ctl = i>>6, 0, 0, 0
-				}
-				bit := uint64(1) << (i & 63)
-				ctl |= bit
-				switch {
-				case e.IsRecordDelim():
-					rec |= bit
-					recs++
-					if !cm.sawRec {
-						cm.sawRec = true
-						cm.relFirst = relCol
-					} else {
-						cm.mm.Observe(relCol + 1)
-					}
-					relCol = 0
-				case e.IsFieldDelim():
-					fld |= bit
-					relCol++
-				}
-			}
-			i++
-		}
-		if ctl != 0 {
-			bms.storeChunkWords(w, lo, hi, rec, fld, ctl)
-		}
-		kind := offsets.Rel
-		if cm.sawRec {
-			kind = offsets.Abs
-		}
-		p.recBase[c] = recs
-		p.colBase[c] = offsets.ColumnOffset{Kind: kind, Value: relCol}
-		p.meta[c] = cm
+		p.bitmaps.ClearChunk(lo, hi)
+		_, ce := m.Emit(p.input, lo, hi, p.startState[c], p.bitmaps)
+		p.storeChunk(c, ce)
 	})
 }
 
-// storeChunkWords writes backing word w of all three bitmaps for the
-// chunk covering symbols [lo, hi).
-func (b *bitmaps) storeChunkWords(w, lo, hi int, rec, fld, ctl uint64) {
-	b.record.StoreChunkWord(w, lo, hi, rec)
-	b.field.StoreChunkWord(w, lo, hi, fld)
-	b.control.StoreChunkWord(w, lo, hi, ctl)
+// storeChunk writes chunk c's counts into the offset scans' arrays and
+// its column-count metadata.
+func (p *pipeline) storeChunk(c int, ce dfa.ChunkEmit) {
+	kind := offsets.Rel
+	if ce.SawRecord {
+		kind = offsets.Abs
+	}
+	p.recBase[c] = ce.Records
+	p.colBase[c] = offsets.ColumnOffset{Kind: kind, Value: ce.Fields}
+	p.meta[c] = chunkMeta{relFirst: ce.Leading, sawRec: ce.SawRecord, mm: ce.Columns}
 }

@@ -2,7 +2,10 @@
 //
 //	parse     multi-DFA state-transition vectors per chunk, packed into
 //	          one 64-bit word each, then a single DFA pass emitting the
-//	          record/field/control bitmap indexes
+//	          record/field/control bitmap indexes. On a real device with
+//	          fused tables one walk per chunk does both, emitting from a
+//	          guessed start state, and the second pass re-walks only
+//	          the chunks the scan proves were guessed wrong
 //	scan      start-state scan over the packed vectors, carrying the one
 //	          true start state through tiles of chunks, and the in-place
 //	          record/column offset scans

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/columnar"
 	"repro/internal/css"
 	"repro/internal/device"
+	"repro/internal/dfa"
 	"repro/internal/offsets"
 	"repro/internal/statevec"
 )
@@ -61,12 +63,13 @@ type pipeline struct {
 
 	chunks     int
 	words      []statevec.Word // parseVectors → scanStates
+	guess      []uint8         // parseVectors → emitBitmaps; nil when no guess was taken
 	startState []uint8
 	endState   uint8
 	trailing   bool
 	remainder  int
 
-	bitmaps *bitmaps
+	bitmaps *dfa.Bitmaps
 	meta    []chunkMeta
 
 	// Per-chunk record counts and rel/abs column offsets as emitBitmaps
@@ -88,6 +91,10 @@ type pipeline struct {
 	postFilter bool    // prune failing rows from the materialised table instead
 	dropped    []bool  // per input record: failed the Where conjunction
 	dropRank   []int64 // exclusive prefix count of dropped records (pushdown only)
+	keep       []bool  // per output record: kept by the post filter (postFilter only)
+	// postSkipped sums the bytes the move pass moved for the dropped
+	// rows, over the columns the convert workers finish (postFilter only).
+	postSkipped atomic.Int64
 
 	// tagSymbols → partitionScatter (the fused tag-scatter of tag.go).
 	tileChunks int     // chunks per tile

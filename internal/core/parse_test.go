@@ -608,17 +608,22 @@ func TestParseChunkSizeInvariance(t *testing.T) {
 
 // TestParseDefaultChunkSizeByDevice: ChunkSize 0 means the paper's
 // 31-byte chunk on a modelled-time device, which stands in for the
-// paper's GPU, and DefaultChunkSize on a real one.
+// paper's GPU, and DefaultChunkSize on a real one. The modelled device
+// also keeps the paper's two parse walks, so its emit launch walks every
+// chunk again. The real one guesses every start state right: its ten
+// chunks form one launch block that starts at the input's start, and
+// each guess follows the previous chunk's exact lane.
 func TestParseDefaultChunkSizeByDevice(t *testing.T) {
 	in := []byte(strings.Repeat("1941,199.99,\"Book,case\"\n", 400))
 	n := len(in)
 	for _, tc := range []struct {
-		name  string
-		dev   *device.Device
-		chunk int
+		name    string
+		dev     *device.Device
+		chunk   int
+		twoPass bool
 	}{
-		{"real", device.New(device.Config{Workers: 4}), DefaultChunkSize},
-		{"modelled", device.New(device.Config{Workers: 2, VirtualWorkers: 64}), PaperChunkSize},
+		{"real", device.New(device.Config{Workers: 4}), DefaultChunkSize, false},
+		{"modelled", device.New(device.Config{Workers: 2, VirtualWorkers: 64}), PaperChunkSize, true},
 	} {
 		res, err := Parse(in, Options{Device: tc.dev})
 		if err != nil {
@@ -626,6 +631,13 @@ func TestParseDefaultChunkSizeByDevice(t *testing.T) {
 		}
 		if want := (n + tc.chunk - 1) / tc.chunk; res.Stats.Chunks != want {
 			t.Errorf("%s: %d chunks for %d bytes, want %d (chunk %d)", tc.name, res.Stats.Chunks, n, want, tc.chunk)
+		}
+		want := 0
+		if tc.twoPass {
+			want = res.Stats.Chunks
+		}
+		if res.Stats.ReemittedChunks != want {
+			t.Errorf("%s: re-emitted %d of %d chunks, want %d", tc.name, res.Stats.ReemittedChunks, res.Stats.Chunks, want)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func (p *pipeline) reportBadRecords() int64 {
 	skipPtr := 0
 	for rec := int64(0); rec < p.numRecords; rec++ {
 		end, nextStart := n, n // trailing record: no delimiter
-		if delim, ok := p.bitmaps.record.FirstSetInRange(start, n); ok {
+		if delim, ok := p.bitmaps.Record.FirstSetInRange(start, n); ok {
 			end, nextStart = delim, delim+1
 		}
 		inSkipList := skipPtr < len(skip) && skip[skipPtr] == rec

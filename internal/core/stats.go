@@ -18,6 +18,12 @@ type Stats struct {
 	OutputBytes int64
 	// Chunks is the number of data-parallel chunks.
 	Chunks int
+	// ReemittedChunks is the number of chunks the emit launch walked
+	// again because the parse launch had emitted them from a start
+	// state the scan proved wrong. It equals Chunks on a run that takes
+	// no guess: a modelled-time device, or a machine with its fused
+	// tables off.
+	ReemittedChunks int
 	// Records is the number of output records: the rows of the returned
 	// table, or of the tables a streamed run emitted. Rows pruned by the
 	// Where predicates are not counted.
@@ -39,10 +45,12 @@ type Stats struct {
 	// BytesSkipped is the number of bytes of complete records that the
 	// partition scatter never moved: structural bytes (delimiters,
 	// quotes), the data of unselected columns, and the data of rows
-	// pruned by Where or SkipRecords. Bytes of an incomplete trailing
-	// record carried to the next streaming partition are counted there.
-	// Higher is better: it is input volume the device only had to index,
-	// not move.
+	// pruned by Where or SkipRecords. Rows that Where prunes after
+	// materialisation (an inferred schema, or NoPushdown) count as if
+	// pushed down, so both paths report the same number. Bytes of an
+	// incomplete trailing record carried to the next streaming
+	// partition are counted there. Higher is better: it is input volume
+	// the device only had to index, not move.
 	BytesSkipped int64
 	// QuarantinedRecords is the number of rejected records diverted to
 	// the bad-record callback (0 when none was installed).
@@ -120,6 +128,7 @@ func (s *Stats) Add(o Stats) {
 	s.InputBytes += o.InputBytes
 	s.OutputBytes += o.OutputBytes
 	s.Chunks += o.Chunks
+	s.ReemittedChunks += o.ReemittedChunks
 	s.Records += o.Records
 	s.Columns = max(s.Columns, o.Columns)
 	if o.MaxColumns > 0 && (s.MaxColumns == 0 || o.MinColumns < s.MinColumns) {

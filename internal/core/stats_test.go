@@ -12,7 +12,7 @@ import (
 // minimum over the runs that saw a record.
 func TestStatsAdd(t *testing.T) {
 	full := Stats{
-		InputBytes: 100, OutputBytes: 40, Chunks: 4, Records: 10, Columns: 3,
+		InputBytes: 100, OutputBytes: 40, Chunks: 4, ReemittedChunks: 1, Records: 10, Columns: 3,
 		MinColumns: 2, MaxColumns: 3, RowsPruned: 5, BytesSkipped: 30,
 		QuarantinedRecords: 1, Phases: map[string]time.Duration{"parse": 2, "scan": 1},
 		DeviceBytes: 64, Duration: 7, Partitions: 2, InFlight: 2, MaxCarryOver: 9,
@@ -27,15 +27,15 @@ func TestStatsAdd(t *testing.T) {
 		{"none", nil, Stats{}},
 		{"one run is itself", []Stats{full}, full},
 		{"sums", []Stats{
-			{InputBytes: 1, OutputBytes: 2, Chunks: 3, Records: 4, RowsPruned: 5, BytesSkipped: 6,
+			{InputBytes: 1, OutputBytes: 2, Chunks: 3, ReemittedChunks: 2, Records: 4, RowsPruned: 5, BytesSkipped: 6,
 				QuarantinedRecords: 7, DeviceBytes: 8, Duration: 9, Partitions: 10, SerialFallbacks: 11,
 				Retries: 12, RetriedBytes: 13, QuarantinedPartitions: 14,
 				ReadBusy: 15, BoundaryBusy: 16, ParseBusy: 17, EmitBusy: 18},
-			{InputBytes: 10, OutputBytes: 20, Chunks: 30, Records: 40, RowsPruned: 50, BytesSkipped: 60,
+			{InputBytes: 10, OutputBytes: 20, Chunks: 30, ReemittedChunks: 20, Records: 40, RowsPruned: 50, BytesSkipped: 60,
 				QuarantinedRecords: 70, DeviceBytes: 80, Duration: 90, Partitions: 100, SerialFallbacks: 110,
 				Retries: 120, RetriedBytes: 130, QuarantinedPartitions: 140,
 				ReadBusy: 150, BoundaryBusy: 160, ParseBusy: 170, EmitBusy: 180},
-		}, Stats{InputBytes: 11, OutputBytes: 22, Chunks: 33, Records: 44, RowsPruned: 55, BytesSkipped: 66,
+		}, Stats{InputBytes: 11, OutputBytes: 22, Chunks: 33, ReemittedChunks: 22, Records: 44, RowsPruned: 55, BytesSkipped: 66,
 			QuarantinedRecords: 77, DeviceBytes: 88, Duration: 99, Partitions: 110, SerialFallbacks: 121,
 			Retries: 132, RetriedBytes: 143, QuarantinedPartitions: 154,
 			ReadBusy: 165, BoundaryBusy: 176, ParseBusy: 187, EmitBusy: 198}},

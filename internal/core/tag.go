@@ -5,19 +5,12 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/bitmap"
 	"repro/internal/css"
 	"repro/internal/device"
+	"repro/internal/dfa"
 	"repro/internal/offsets"
 	"repro/internal/scan"
 )
-
-// bitmaps are the three bit-per-symbol indexes of §3.1.
-type bitmaps struct {
-	record  *bitmap.Bitmap // symbol delimits a record
-	field   *bitmap.Bitmap // symbol delimits a field
-	control *bitmap.Bitmap // symbol is not part of any field value
-}
 
 // chunkMeta is the per-chunk column-count metadata collected by the
 // emission pass. The chunk's record count and rel/abs column offset go
@@ -302,14 +295,14 @@ func (p *pipeline) walkTile(t int, move bool) {
 // of the current word at hand to classify each set bit. The walk pops
 // bits off pend inline and calls advance only when a word runs dry.
 type structCursor struct {
-	bm       *bitmaps
+	bm       *dfa.Bitmaps
 	hi       int
 	cw       int    // current word index
 	pend     uint64 // unconsumed control bits of word cw below hi
 	rec, fld uint64 // record and field bits of word cw
 }
 
-func newStructCursor(bm *bitmaps, lo, hi int) structCursor {
+func newStructCursor(bm *dfa.Bitmaps, lo, hi int) structCursor {
 	s := structCursor{bm: bm, hi: hi, cw: lo >> 6}
 	if lo < hi {
 		s.load()
@@ -319,12 +312,12 @@ func newStructCursor(bm *bitmaps, lo, hi int) structCursor {
 }
 
 func (s *structCursor) load() {
-	s.pend = s.bm.control.Word(s.cw)
+	s.pend = s.bm.Control.Word(s.cw)
 	if rem := s.hi - s.cw<<6; rem < 64 {
 		s.pend &= 1<<uint(rem) - 1
 	}
-	s.rec = s.bm.record.Word(s.cw)
-	s.fld = s.bm.field.Word(s.cw)
+	s.rec = s.bm.Record.Word(s.cw)
+	s.fld = s.bm.Field.Word(s.cw)
 }
 
 // advance loads the next word holding a control bit below hi, reporting

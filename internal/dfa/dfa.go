@@ -95,6 +95,8 @@ type Machine struct {
 	groupTab [256]uint8           // byte -> group
 	fused    []uint16             // fused[b*numStates+s] = next | emission<<8
 	skip     []*device.RunScanner // per-state interesting-byte scanners
+	pairSkip []*device.RunScanner // per-(emitting, other) state pair, [g*|S|+o]
+	sink     []bool               // every byte maps the state to itself
 	vecSkip  []*device.RunScanner // per-live-set scanners for the vector kernel
 	fusedOn  bool
 	skipOn   bool
@@ -191,20 +193,14 @@ func (m *Machine) Row(g uint32) []State {
 	return m.trans[int(g)*m.numStates : (int(g)+1)*m.numStates]
 }
 
-// ChunkVector simulates one DFA instance per state over the chunk and
-// returns the resulting state-transition vector (§3.1, Figure 3):
-// out[i] = state reached from start state i after reading all of chunk.
-func (m *Machine) ChunkVector(chunk []byte) statevec.Vector {
-	v := statevec.Identity(m.numStates)
-	m.advanceVector(v, chunk)
-	return v
-}
-
-// ChunkWord is ChunkVector packed into one statevec.Word — the parse
-// kernel's entry point. The |S| DFA instances run over a stack array
-// through the same fused or split loop as ChunkVector, and the result
-// is packed once, so a chunk costs eight bytes of device memory and no
-// allocation.
+// ChunkWord simulates one DFA instance per state over the chunk and
+// returns the resulting state-transition vector (§3.1, Figure 3) packed
+// into one statevec.Word: lane i holds the state reached from start
+// state i after reading all of chunk. The |S| instances run over a
+// stack array, through the fused or the split loop, and the result is
+// packed once, so a chunk costs eight bytes of device memory and no
+// allocation. It is the first parse kernel of the paper's two passes;
+// ChunkWordEmit returns the same word from a walk that also emits.
 func (m *Machine) ChunkWord(chunk []byte) statevec.Word {
 	var v [statevec.MaxStates]uint8
 	for i := range v {

@@ -16,7 +16,10 @@
 //     (inside quoted or unquoted field data);
 //   - vecSkip[live] is the multi-DFA analogue keyed by the set of
 //     states live in a transition vector (transitions only; the vector
-//     kernel emits nothing).
+//     kernel emits nothing);
+//   - pairSkip[g*|S|+o] serves the one-walk parse (emit.go): the next
+//     byte that is interesting to an emitting state g or moves a second
+//     state o.
 //
 // SetFastPath restores the split per-byte path for ablation and parity
 // testing.
@@ -66,6 +69,39 @@ func (m *Machine) compileSkip() {
 			}
 		}
 		m.skip[s] = device.NewRunScanner(interesting)
+	}
+
+	// The speculative walk (emit.go) steps an emitting lane g with a
+	// second, transition-only lane o. A byte is skippable for the pair
+	// when it is boring to g and a self-loop for o, so the pair needs g
+	// skippable and o's catch-all a self-loop. On the diagonal (o == g)
+	// and for a sink o, which no byte moves, that is g's own set.
+	m.sink = make([]bool, ns)
+	for s := 0; s < ns; s++ {
+		m.sink[s] = true
+		for g := 0; g <= catch; g++ {
+			if m.trans[g*ns+s] != State(s) {
+				m.sink[s] = false
+			}
+		}
+	}
+	m.pairSkip = make([]*device.RunScanner, ns*ns)
+	for g := 0; g < ns; g++ {
+		if m.skip[g] == nil {
+			continue
+		}
+		for o := 0; o < ns; o++ {
+			if m.trans[catch*ns+o] != State(o) {
+				continue
+			}
+			var interesting []byte
+			for grp, sym := range m.symbols {
+				if !m.boringFor(g, grp) || m.trans[grp*ns+o] != State(o) {
+					interesting = append(interesting, sym)
+				}
+			}
+			m.pairSkip[g*ns+o] = device.NewRunScanner(interesting)
+		}
 	}
 
 	// The vector kernel tracks |S| instances at once, so a byte is

@@ -1,9 +1,11 @@
 package dfa
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitmap"
 	"repro/internal/statevec"
 )
 
@@ -93,6 +95,25 @@ func TestSkipScannersConservative(t *testing.T) {
 				if next != State(s) || emit != EmitData {
 					t.Fatalf("%s: state %q skips byte %#x but it transitions to %q emitting %v",
 						name, m.StateName(State(s)), b, m.StateName(next), emit)
+				}
+			}
+		}
+		// A pair scanner may skip a byte only when it is a data-emitting
+		// self-loop for the emitting state g and a self-loop for o.
+		ns := m.NumStates()
+		for k, sc := range m.pairSkip {
+			if sc == nil {
+				continue
+			}
+			g, o := State(k/ns), State(k%ns)
+			for b := 0; b < 256; b++ {
+				if sc.Contains(byte(b)) {
+					continue
+				}
+				next, emit := m.Step(g, byte(b))
+				if next != g || emit != EmitData || m.Next(o, byte(b)) != o {
+					t.Fatalf("%s: pair (%q, %q) skips byte %#x, which moves one of them or emits %v",
+						name, m.StateName(g), m.StateName(o), b, emit)
 				}
 			}
 		}
@@ -222,6 +243,118 @@ func TestChunkWordFusedParity(t *testing.T) {
 				if got := pm.ChunkWord(in); got != want {
 					t.Fatalf("%s %s: ChunkWord(%q) = %#x, packed ChunkVector = %#x",
 						name, path, in, uint64(got), uint64(want))
+				}
+			}
+		}
+	}
+}
+
+// referenceEmit is the single-lane emit walk spelled out over the split
+// tables: one bit set per non-data emission, and the chunk counts
+// derived from the walk.
+func referenceEmit(m *Machine, input []byte, lo, hi int, s State, bm *Bitmaps) (State, ChunkEmit) {
+	var out ChunkEmit
+	for i := lo; i < hi; i++ {
+		g := m.Group(input[i])
+		em := m.Emission(s, g)
+		s = m.NextByGroup(s, g)
+		if em.IsData() {
+			continue
+		}
+		bm.Control.Set(i)
+		switch {
+		case em.IsRecordDelim():
+			bm.Record.Set(i)
+			out.Records++
+			if !out.SawRecord {
+				out.SawRecord, out.Leading = true, out.Fields
+			} else {
+				out.Columns.Observe(out.Fields + 1)
+			}
+			out.Fields = 0
+		case em.IsFieldDelim():
+			bm.Field.Set(i)
+			out.Fields++
+		}
+	}
+	return s, out
+}
+
+func newTestBitmaps(n int) *Bitmaps {
+	return &Bitmaps{Record: bitmap.New(n), Field: bitmap.New(n), Control: bitmap.New(n)}
+}
+
+func equalBitmaps(a, b *Bitmaps) bool {
+	for _, pair := range [][2]*bitmap.Bitmap{{a.Record, b.Record}, {a.Field, b.Field}, {a.Control, b.Control}} {
+		for w := 0; w < bitmap.WordsFor(pair[0].Len()); w++ {
+			if pair[0].Word(w) != pair[1].Word(w) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestSpeculativeWalkParity holds the one-walk parse kernel to the two
+// walks it replaces: for every machine, fast-path setting, guessed
+// state and input, ChunkWordEmit's word equals ChunkWord's (and the
+// packed reference vector), and its bitmaps and counts equal a
+// single-lane emit from the guess, as does Emit's. The chunk sits at an
+// unaligned offset inside a larger buffer, so its first and last bitmap
+// words are shared ones and no bit outside it may be set.
+func TestSpeculativeWalkParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	inputs := fusedTestInputs(rng)
+	// Text-heavy inputs, so the pair and single-lane stages skip long
+	// runs and meet their structural bytes in every 8-byte window slot.
+	const text = "abcdefghijklmnopqrstuvwxyz  0123456789,,\n\"\t|#{}:[]"
+	for i := 0; i < 20; i++ {
+		in := make([]byte, 200+rng.Intn(1200))
+		for j := range in {
+			in[j] = text[rng.Intn(len(text))]
+		}
+		inputs = append(inputs, in)
+	}
+	const pad = 13
+	for name, m := range fusedTestMachines() {
+		split := m.SetFastPath(false, false)
+		paths := map[string]*Machine{
+			"fused+skip": m,
+			"fused":      m.SetFastPath(true, false),
+			"split":      split,
+		}
+		for _, in := range inputs {
+			buf := append(append(bytes.Repeat([]byte{'x'}, pad), in...), "tail"...)
+			lo, hi := pad, pad+len(in)
+			want := statevec.Pack(split.ChunkVector(in))
+			for path, pm := range paths {
+				if got := pm.ChunkWord(in); got != want {
+					t.Fatalf("%s %s: ChunkWord(%q) = %#x, want %#x", name, path, in, uint64(got), uint64(want))
+				}
+				for g := 0; g < m.NumStates(); g++ {
+					ref := newTestBitmaps(len(buf))
+					wantEnd, wantOut := referenceEmit(m, buf, lo, hi, State(g), ref)
+
+					bm := newTestBitmaps(len(buf))
+					word, out := pm.ChunkWordEmit(buf, lo, hi, State(g), bm)
+					if word != want {
+						t.Fatalf("%s %s guess %d: ChunkWordEmit(%q) word = %#x, want %#x",
+							name, path, g, in, uint64(word), uint64(want))
+					}
+					if out != wantOut || !equalBitmaps(bm, ref) {
+						t.Fatalf("%s %s guess %d: ChunkWordEmit(%q) emits %+v, single-lane emit %+v (bitmaps equal: %v)",
+							name, path, g, in, out, wantOut, equalBitmaps(bm, ref))
+					}
+					if word.At(State(g)) != wantEnd {
+						t.Fatalf("%s %s guess %d: guessed lane ends in %d, single-lane emit in %d", name, path, g, word.At(State(g)), wantEnd)
+					}
+
+					bm = newTestBitmaps(len(buf))
+					end, out := pm.Emit(buf, lo, hi, State(g), bm)
+					if end != wantEnd || out != wantOut || !equalBitmaps(bm, ref) {
+						t.Fatalf("%s %s from %d: Emit(%q) = %d, %+v; reference %d, %+v (bitmaps equal: %v)",
+							name, path, g, in, end, out, wantEnd, wantOut, equalBitmaps(bm, ref))
+					}
 				}
 			}
 		}

@@ -11,9 +11,10 @@
 //
 // The pipeline keeps each chunk's vector packed into one 64-bit Word and
 // resolves start states with StartStates, which carries the single true
-// start state through the chunks instead of scanning whole vectors.
-// Vector and Compose remain the reference the packed path is tested
-// against.
+// start state through the chunks instead of scanning whole vectors. The
+// composite itself has no runtime reader: Compose and the full
+// composite scan live in the tests, as the reference StartStates and
+// the DFA's chunk words are checked against.
 package statevec
 
 import (
@@ -41,25 +42,6 @@ func Identity(states int) Vector {
 		v[i] = uint8(i)
 	}
 	return v
-}
-
-// Compose returns a∘b into dst: dst[i] = b[a[i]] — "run chunk A from
-// state i, then run chunk B from wherever A ended" (§3.1). dst may alias
-// a. a and b must have equal length.
-func Compose(dst, a, b Vector) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic(fmt.Sprintf("statevec: length mismatch dst=%d a=%d b=%d", len(dst), len(a), len(b)))
-	}
-	for i := range a {
-		dst[i] = b[a[i]]
-	}
-}
-
-// Composed returns a freshly allocated a∘b.
-func Composed(a, b Vector) Vector {
-	dst := make(Vector, len(a))
-	Compose(dst, a, b)
-	return dst
 }
 
 // Clone returns a copy of v.

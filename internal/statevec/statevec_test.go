@@ -1,6 +1,7 @@
 package statevec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,26 @@ import (
 	"repro/internal/device"
 	"repro/internal/scan"
 )
+
+// Compose returns a∘b into dst: dst[i] = b[a[i]] — "run chunk A from
+// state i, then run chunk B from wherever A ended" (§3.1). dst may alias
+// a. a and b must have equal length. It is the reference the packed
+// scan is checked against.
+func Compose(dst, a, b Vector) {
+	if len(a) != len(b) || len(dst) != len(a) {
+		panic(fmt.Sprintf("statevec: length mismatch dst=%d a=%d b=%d", len(dst), len(a), len(b)))
+	}
+	for i := range a {
+		dst[i] = b[a[i]]
+	}
+}
+
+// Composed returns a freshly allocated a∘b.
+func Composed(a, b Vector) Vector {
+	dst := make(Vector, len(a))
+	Compose(dst, a, b)
+	return dst
+}
 
 func randVector(rng *rand.Rand, states int) Vector {
 	v := make(Vector, states)

@@ -199,9 +199,10 @@ func (e Encoding) internal() utfx.Encoding {
 // with Stats.Add — and is the one counters type of every entry point:
 // Parse, the streaming calls, ParseReader on both routes and the
 // daemon's /metrics totals. A parse fills the per-parse fields
-// (InputBytes, Chunks, Records, Columns, MinColumns, MaxColumns,
-// InvalidInput, RowsPruned, BytesSkipped, QuarantinedRecords, Phases,
-// DeviceBytes, Duration); a streamed run folds its partitions' Stats
+// (InputBytes, Chunks, ReemittedChunks, Records, Columns, MinColumns,
+// MaxColumns, InvalidInput, RowsPruned, BytesSkipped,
+// QuarantinedRecords, Phases, DeviceBytes, Duration); a streamed run
+// folds its partitions' Stats
 // and adds the ring's own counters (Partitions, InFlight, MaxCarryOver,
 // SerialFallbacks, Retries, RetriedBytes, QuarantinedPartitions,
 // OutputBytes and the stage busy times). DeviceTime() sums Phases and

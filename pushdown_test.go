@@ -5,7 +5,7 @@ package parparaw
 // pruned before partitioning, Schema fixed) and the post-materialisation
 // path (the core NoPushdown, rows dropped from the finished table) must
 // produce byte-identical tables — schema, column buffers, null bitmaps,
-// rejected bitmap — and agreeing RowsPruned counters. The sweep covers
+// rejected bitmap — and agreeing RowsPruned and BytesSkipped counters. The sweep covers
 // all three tagging modes, projection shapes, UTF-16 input, and the
 // streaming pipeline at InFlight ∈ {1, GOMAXPROCS}. An independent
 // oracle leg filters an unfiltered parse by hand and compares rows, so
@@ -47,7 +47,7 @@ func pushdownWhereSets() []struct {
 
 // TestPushdownParity sweeps tagging modes × Where sets × projection
 // shapes and asserts the pushdown and post-materialisation paths agree
-// byte for byte, with identical pruning counters.
+// byte for byte, with identical pruning and skipped-byte counters.
 func TestPushdownParity(t *testing.T) {
 	spec := workload.Taxi() // constant columns: legal in every mode
 	input := spec.Generate(96<<10, 7)
@@ -76,9 +76,9 @@ func TestPushdownParity(t *testing.T) {
 					t.Fatalf("%s: post-hoc parse: %v", label, err)
 				}
 				assertTablesIdentical(t, label, push.Table, post.Table)
-				if push.Stats.RowsPruned != post.Stats.RowsPruned {
-					t.Fatalf("%s: RowsPruned %d (pushdown) vs %d (post-hoc)",
-						label, push.Stats.RowsPruned, post.Stats.RowsPruned)
+				if push.Stats.RowsPruned != post.Stats.RowsPruned || push.Stats.BytesSkipped != post.Stats.BytesSkipped {
+					t.Fatalf("%s: RowsPruned %d, BytesSkipped %d (pushdown) vs %d, %d (post-hoc)", label,
+						push.Stats.RowsPruned, push.Stats.BytesSkipped, post.Stats.RowsPruned, post.Stats.BytesSkipped)
 				}
 				if push.Stats.Records+push.Stats.RowsPruned != post.Stats.Records+post.Stats.RowsPruned {
 					t.Fatalf("%s: surviving+pruned rows disagree", label)

@@ -234,6 +234,7 @@ type IngestSummary struct {
 	QuarantinedPartitions int   `json:"quarantined_partitions,omitempty"`
 	QuarantinedRecords    int64 `json:"quarantined_records,omitempty"`
 	SerialFallbacks       int   `json:"serial_fallbacks,omitempty"`
+	ReemittedChunks       int   `json:"reemitted_chunks,omitempty"`
 	DurationNs            int64 `json:"duration_ns"`
 	DeviceBytes           int64 `json:"device_bytes"`
 
@@ -541,6 +542,7 @@ func summaryFrom(res *StreamResult, tenant string, hit bool) *IngestSummary {
 		QuarantinedPartitions: st.QuarantinedPartitions,
 		QuarantinedRecords:    st.QuarantinedRecords,
 		SerialFallbacks:       st.SerialFallbacks,
+		ReemittedChunks:       st.ReemittedChunks,
 		DurationNs:            int64(st.Duration),
 		DeviceBytes:           st.DeviceBytes,
 		CacheHit:              hit,
@@ -637,6 +639,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("parparawd_quarantined_partitions_total", "Partitions quarantined.", int64(t.QuarantinedPartitions))
 	counter("parparawd_quarantined_records_total", "Malformed records diverted.", t.QuarantinedRecords)
 	counter("parparawd_serial_fallbacks_total", "Partitions parsed on the serial carry path.", int64(t.SerialFallbacks))
+	counter("parparawd_reemitted_chunks_total", "Chunks emitted again after a wrong start-state guess.", int64(t.ReemittedChunks))
 	counter("parparawd_invalid_inputs_total", "Runs whose DFA flagged invalid input.", s.m.invalidInputs.Load())
 	counter("parparawd_admission_rejects_total", "Requests rejected by the device-bytes budget.", s.m.admissionRejects.Load())
 

@@ -327,6 +327,7 @@ func (t *summaryTotals) add(s *IngestSummary) {
 	t.QuarantinedPartitions += s.QuarantinedPartitions
 	t.QuarantinedRecords += s.QuarantinedRecords
 	t.SerialFallbacks += s.SerialFallbacks
+	t.ReemittedChunks += s.ReemittedChunks
 }
 
 // series names each summed counter by its /metrics series.
@@ -341,5 +342,6 @@ func (t *summaryTotals) series() map[string]int64 {
 		"parparawd_quarantined_partitions_total": int64(t.QuarantinedPartitions),
 		"parparawd_quarantined_records_total":    t.QuarantinedRecords,
 		"parparawd_serial_fallbacks_total":       int64(t.SerialFallbacks),
+		"parparawd_reemitted_chunks_total":       int64(t.ReemittedChunks),
 	}
 }

@@ -612,6 +612,7 @@ func TestServerMetricsSeriesNames(t *testing.T) {
 		"parparawd_quarantined_partitions_total",
 		"parparawd_quarantined_records_total",
 		"parparawd_serial_fallbacks_total",
+		"parparawd_reemitted_chunks_total",
 		"parparawd_invalid_inputs_total",
 		"parparawd_admission_rejects_total",
 		"parparawd_admitted_device_bytes",

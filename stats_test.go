@@ -33,9 +33,12 @@ func counterInput(header bool, n int, tail string) []byte {
 // TestCounterDifferential: a streamed run counts what a whole-input
 // parse of the same bytes counts. Its Stats are its partitions' Stats
 // folded with Add, so every carried byte, pruned row and column count
-// must be counted once, whatever the partition size.
+// must be counted once, whatever the partition size. With an inferred
+// schema the whole-input parse prunes Where's rows after
+// materialisation while the stream's later partitions push the
+// predicate down, and BytesSkipped must still agree.
 func TestCounterDifferential(t *testing.T) {
-	schema := NewSchema(Field{Name: "id", Type: Int64}, Field{Name: "name", Type: String}, Field{Name: "amount", Type: Float64})
+	fixed := NewSchema(Field{Name: "id", Type: Int64}, Field{Name: "name", Type: String}, Field{Name: "amount", Type: Float64})
 	const records = 300
 	wheres := []struct {
 		name  string
@@ -52,16 +55,25 @@ func TestCounterDifferential(t *testing.T) {
 		{"terminated", ""},
 		{"open-quote", "300,\"open,1.5"},
 	}
-	for _, header := range []bool{false, true} {
-		for _, in := range inputs {
-			input := counterInput(header, records, in.tail)
-			for _, w := range wheres {
-				for _, sel := range [][]int{nil, {2, 0}} {
-					opts := Options{Schema: schema, HasHeader: header}
-					opts.Scan.Where = w.where
-					opts.Scan.Select = sel
-					name := fmt.Sprintf("header=%v/%s/%s/select=%v", header, in.name, w.name, sel)
-					checkCounterParity(t, name, opts, input)
+	for _, schema := range []*Schema{fixed, nil} {
+		for _, header := range []bool{false, true} {
+			for _, in := range inputs {
+				input := counterInput(header, records, in.tail)
+				for _, w := range wheres {
+					for _, sel := range [][]int{nil, {2, 0}} {
+						if schema == nil && sel != nil {
+							// A streamed run cannot combine an inferred
+							// schema with Select yet: the schema it freezes
+							// after the first partition holds only the
+							// selected columns, so partition 1 fails.
+							continue
+						}
+						opts := Options{Schema: schema, HasHeader: header}
+						opts.Scan.Where = w.where
+						opts.Scan.Select = sel
+						name := fmt.Sprintf("inferred=%v/header=%v/%s/%s/select=%v", schema == nil, header, in.name, w.name, sel)
+						checkCounterParity(t, name, opts, input)
+					}
 				}
 			}
 		}
