@@ -94,9 +94,8 @@ func TestStreamParityAcrossModes(t *testing.T) {
 				// 1021 is odd and prime: partitions end mid-record, mid-quote
 				// and mid-code-unit.
 				streamed, err := Stream(in.data, StreamOptions{
-					Options:       opts,
-					PartitionSize: 1021,
-					Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+					Options:      opts,
+					StreamConfig: StreamConfig{PartitionSize: 1021},
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -420,13 +420,12 @@ func BenchmarkEngineParseParallel(b *testing.B) {
 func BenchmarkStreamSteadyState(b *testing.B) {
 	spec := benchSpecs[0]
 	input := spec.Generate(benchSize, 42)
-	bus := NewBus(BusConfig{TimeScale: 1e6})
 	b.SetBytes(int64(len(input)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var deviceBytes int64
 	for i := 0; i < b.N; i++ {
-		res, err := Stream(input, StreamOptions{PartitionSize: 128 << 10, Bus: bus})
+		res, err := Stream(input, StreamOptions{StreamConfig: StreamConfig{PartitionSize: 128 << 10}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -448,16 +447,14 @@ func BenchmarkStreamScaling(b *testing.B) {
 		schema := schemaFromInternal(spec.Schema)
 		for _, inFlight := range dedupWorkerCounts(1, 2, 4, runtime.GOMAXPROCS(0)) {
 			b.Run(fmt.Sprintf("%s/inflight=%d", spec.Name, inFlight), func(b *testing.B) {
-				bus := NewBus(BusConfig{TimeScale: 1e6})
 				b.SetBytes(int64(len(input)))
 				b.ReportAllocs()
 				b.ResetTimer()
 				var deviceBytes int64
 				for i := 0; i < b.N; i++ {
 					res, err := Stream(input, StreamOptions{
-						Options:       Options{Schema: schema, InFlight: inFlight},
-						PartitionSize: 128 << 10,
-						Bus:           bus,
+						Options:      Options{Schema: schema, InFlight: inFlight},
+						StreamConfig: StreamConfig{PartitionSize: 128 << 10},
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -542,18 +539,17 @@ func BenchmarkFig11Skewed(b *testing.B) {
 }
 
 // BenchmarkFig12PartitionSize streams the input end-to-end at different
-// partition sizes (Figure 12). The simulated bus is time-scaled so the
-// bench measures the pipeline mechanics, not sleeps.
+// partition sizes (Figure 12): the pipeline mechanics, without the
+// modelled transfers the fig12 experiment prices.
 func BenchmarkFig12PartitionSize(b *testing.B) {
 	spec := benchSpecs[0]
 	input := spec.Generate(benchSize, 42)
 	for _, part := range []int{32 << 10, 128 << 10, 512 << 10} {
 		b.Run(fmt.Sprintf("partition=%dKB", part>>10), func(b *testing.B) {
 			b.SetBytes(int64(len(input)))
-			bus := NewBus(BusConfig{TimeScale: 1e6})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Stream(input, StreamOptions{PartitionSize: part, Bus: bus}); err != nil {
+				if _, err := Stream(input, StreamOptions{StreamConfig: StreamConfig{PartitionSize: part}}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -221,9 +221,11 @@ func run(ctx context.Context, formatName string, header bool, delim, comment str
 			return err
 		}
 		res, err := parparaw.StreamReaderContext(ctx, input, parparaw.StreamOptions{
-			Options:       opts,
-			PartitionSize: partBytes,
-			Retry:         parparaw.RetryPolicy{MaxAttempts: retry},
+			Options: opts,
+			StreamConfig: parparaw.StreamConfig{
+				PartitionSize: partBytes,
+				Retry:         parparaw.RetryPolicy{MaxAttempts: retry},
+			},
 		})
 		if err != nil {
 			// A failed stream still reports the partial progress it
@@ -242,7 +244,7 @@ func run(ctx context.Context, formatName string, header bool, delim, comment str
 		if err != nil {
 			return err
 		}
-		stats = fmt.Sprintf("streamed %d partitions (%d in flight), max carry-over %d B, bus in/out %d/%d B, device mem %d B",
+		stats = fmt.Sprintf("streamed %d partitions (%d in flight), max carry-over %d B, in/out %d/%d B, device mem %d B",
 			res.Stats.Partitions, res.Stats.InFlight, res.Stats.MaxCarryOver, res.Stats.InputBytes, res.Stats.OutputBytes, res.Stats.DeviceBytes)
 		if verbose {
 			s := res.Stats

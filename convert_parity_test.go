@@ -272,10 +272,7 @@ func TestConvertWorkersParityStreaming(t *testing.T) {
 		stream := func(workers int) *Table {
 			t.Helper()
 			e := coreEngine(t, Options{Schema: schema, Mode: mode}, convertWorkers(workers))
-			res, err := e.Stream(input, StreamConfig{
-				PartitionSize: 4 << 10,
-				Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
-			})
+			res, err := e.Stream(input, StreamConfig{PartitionSize: 4 << 10})
 			if err != nil {
 				t.Fatalf("%s/workers=%d: stream failed: %v", mode, workers, err)
 			}

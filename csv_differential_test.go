@@ -292,8 +292,7 @@ func TestCSVDifferentialMatrix(t *testing.T) {
 									Mode:     mode,
 									InFlight: inFlight,
 								},
-								PartitionSize: psize,
-								Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
+								StreamConfig: StreamConfig{PartitionSize: psize},
 							})
 							if err != nil {
 								t.Fatalf("%s Stream: %v", ctx, err)

@@ -732,8 +732,7 @@ func TestGrammarParityModesAndStreaming(t *testing.T) {
 							Mode:     mode,
 							InFlight: inFlight,
 						},
-						PartitionSize: 96,
-						Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
+						StreamConfig: StreamConfig{PartitionSize: 96},
 					})
 					if err != nil {
 						t.Fatalf("%v/InFlight=%d Stream: %v", mode, inFlight, err)

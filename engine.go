@@ -224,9 +224,7 @@ func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, 
 		}
 		return e.ParseContext(ctx, append(head, rest...))
 	}
-	sres, err := e.StreamReaderContext(ctx, io.MultiReader(bytes.NewReader(head), r), StreamConfig{
-		Bus: NewBus(instantBus),
-	})
+	sres, err := e.StreamReaderContext(ctx, io.MultiReader(bytes.NewReader(head), r), StreamConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -237,47 +235,6 @@ func (e *Engine) ParseReaderContext(ctx context.Context, r io.Reader) (*Result, 
 	return &Result{Table: combined, Header: sres.Header, Stats: sres.Stats}, nil
 }
 
-// StreamConfig holds the per-run knobs of an Engine streaming call: the
-// partition size (Figure 12's x-axis), the simulated interconnect, and
-// the streaming ring's depth, ordering, and memory budget. Zero
-// values select DefaultPartitionSize, a PCIe 3.0 x16 model, and the
-// engine's compiled Options.InFlight.
-type StreamConfig struct {
-	PartitionSize int
-	Bus           *Bus
-	// InFlight overrides the engine's Options.InFlight for this run
-	// (0 keeps it): the number of partitions concurrently in flight in
-	// the ring, 1 parsing one partition at a time on one recycled arena.
-	InFlight int
-	// Unordered emits each partition's table as soon as its parse
-	// completes instead of buffering for input order;
-	// StreamResult.Order then records the permutation. Only callers
-	// consuming partitions independently should set it.
-	Unordered bool
-	// DeviceBudget, when positive, bounds the estimated device bytes of
-	// the partitions concurrently in flight: the ring stops admitting
-	// new partitions while the budget would be exceeded (one partition
-	// is always admitted, so the run progresses under any budget —
-	// unless StrictBudget).
-	DeviceBudget int64
-	// StrictBudget fails the run with a typed error matching ErrBudget
-	// when a single partition's estimated footprint alone exceeds
-	// DeviceBudget, instead of admitting it anyway.
-	StrictBudget bool
-	// Retry is the transient-failure policy for the input reader; the
-	// zero value disables retrying (see RetryPolicy).
-	Retry RetryPolicy
-	// OnBadRecord, when non-nil, receives every rejected record's raw
-	// bytes and offset (see StreamOptions.OnBadRecord). Must be safe for
-	// concurrent calls when InFlight > 1.
-	OnBadRecord func(BadRecord)
-	// SkipBadPartitions quarantines failing partitions instead of
-	// failing the run (see StreamOptions.SkipBadPartitions): only a
-	// serial-carry fallback partition (an unsettled first partition, or
-	// UTF-16 input) may take the head of the next record with it.
-	SkipBadPartitions bool
-}
-
 // Stream parses an in-memory input through the end-to-end streaming
 // pipeline of §4.4. It is StreamReader over the input's bytes; the
 // pipeline consumes them chunk by chunk exactly as it would a file.
@@ -285,18 +242,12 @@ func (e *Engine) Stream(input []byte, cfg StreamConfig) (*StreamResult, error) {
 	return e.StreamReader(bytes.NewReader(input), cfg)
 }
 
-// StreamContext is Stream with a cancellation context: see
-// StreamReaderContext for the cancellation contract.
-func (e *Engine) StreamContext(ctx context.Context, input []byte, cfg StreamConfig) (*StreamResult, error) {
-	return e.StreamReaderContext(ctx, bytes.NewReader(input), cfg)
-}
-
 // StreamReader parses everything r yields through the end-to-end
 // streaming pipeline of §4.4: fixed-size partitions are pulled from the
-// reader, transferred to the (simulated) device, parsed, and their
-// columnar data returned — with the three stages of consecutive
-// partitions overlapped to exploit the bus's full-duplex capability.
-// Records straddling partition boundaries are carried over intact.
+// reader and parsed, up to Options.InFlight of them at once, and their
+// tables emitted in input order — with the read of the next partition
+// overlapping the parses in flight. Records straddling partition
+// boundaries are carried over intact.
 //
 // The full input is never materialised: peak host buffering is bounded
 // by O(PartitionSize + largest carry-over), independent of the input's
@@ -334,10 +285,6 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 	if partSize <= 0 {
 		partSize = DefaultPartitionSize
 	}
-	bus := cfg.Bus
-	if bus == nil {
-		bus = NewBus(BusConfig{})
-	}
 
 	base := e.plan.BaseExec(nil)
 	if base.DetectEncoding {
@@ -357,35 +304,27 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 		r = io.MultiReader(bytes.NewReader(head[skip:n]), r)
 	}
 
+	base.OnBadRecord = cfg.OnBadRecord
+
+	// The compiled options already cap the depth and pin it to 1 on a
+	// modelled-time device.
 	opts := e.plan.Options()
-	inFlight := cfg.InFlight
-	if inFlight <= 0 {
-		inFlight = opts.InFlight
-	}
-	if inFlight > core.MaxInFlight {
-		inFlight = core.MaxInFlight
-	}
-	if opts.Device.ModelledTime() {
-		inFlight = 1
-	}
+	inFlight := opts.InFlight
 
 	rp := &ringParser{
-		plan:        e.plan,
-		base:        base,
-		first:       true,
-		trimming:    base.HasHeader || base.SkipRows > 0,
-		schema:      base.Schema,
-		direct:      base.Encoding == utfx.ASCII || base.Encoding == utfx.UTF8,
-		ctx:         ctx,
-		mistrust:    &e.boundaryMistrust,
-		onBadRecord: cfg.OnBadRecord,
+		plan:     e.plan,
+		base:     base,
+		first:    true,
+		trimming: base.HasHeader || base.SkipRows > 0,
+		schema:   base.Schema,
+		direct:   base.Encoding == utfx.ASCII || base.Encoding == utfx.UTF8,
+		ctx:      ctx,
+		mistrust: &e.boundaryMistrust,
 	}
 	scfg := stream.Config{
 		PartitionSize:     partSize,
-		Bus:               bus.b,
 		Ctx:               ctx,
 		InFlight:          inFlight,
-		Unordered:         cfg.Unordered,
 		DeviceBudget:      cfg.DeviceBudget,
 		StrictBudget:      cfg.StrictBudget,
 		SkipBadPartitions: cfg.SkipBadPartitions,
@@ -429,7 +368,7 @@ func streamResultFrom(rp *ringParser, res *stream.Result) *StreamResult {
 	if res == nil {
 		return nil
 	}
-	out := &StreamResult{Header: rp.header, Order: res.Order, Stats: res.Stats}
+	out := &StreamResult{Header: rp.header, Stats: res.Stats}
 	out.Tables = make([]*Table, len(res.Tables))
 	for i, t := range res.Tables {
 		out.Tables[i] = &Table{t: t}
@@ -461,9 +400,6 @@ type ringParser struct {
 	// at boundaryMistrustLimit the pre-scan is permanently distrusted
 	// and Boundary declines, forcing the serial carry path.
 	mistrust *atomic.Int32
-	// onBadRecord diverts rejected records (converted to the public
-	// BadRecord shape) to the caller's callback.
-	onBadRecord func(BadRecord)
 	// direct reports that partitions parse their raw bytes directly —
 	// no UTF-16 transcode — so the DFA boundary pre-scan is exact.
 	direct   bool
@@ -516,12 +452,6 @@ func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (
 	exec.Ctx = p.ctx
 	exec.Partition = part.Index
 	exec.BaseOffset = part.Base
-	if p.onBadRecord != nil {
-		cb := p.onBadRecord
-		exec.OnBadRecord = func(r core.BadRecord) {
-			cb(BadRecord{Partition: r.Partition, Row: r.Row, Offset: r.Offset, Raw: r.Raw})
-		}
-	}
 	res, err := p.plan.Execute(part.Input, exec)
 	if err != nil {
 		return stream.PartitionResult{}, err
@@ -553,16 +483,36 @@ func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (
 			return stream.PartitionResult{CompleteBytes: len(part.Input) - res.Remainder, Stats: res.Stats}, nil
 		}
 		p.header = res.Header
-		if p.schema == nil {
+		if p.schema == nil && !part.Final {
 			// Freeze the inferred schema so later partitions agree.
-			p.schema = res.Table.Schema()
+			p.schema = inputSchema(res.Table, p.plan.Options(), res.Stats.MaxColumns)
 		}
 		p.first = false
 	}
 	return stream.PartitionResult{Table: res.Table, CompleteBytes: len(part.Input) - res.Remainder, Stats: res.Stats}, nil
 }
 
-// instantBus configures an effectively delay-free interconnect for
-// internal streaming routes (ParseReader) that exist for memory
-// bounding, not bus modelling.
-var instantBus = BusConfig{Latency: -1, TimeScale: 1e9}
+// inputSchema returns the schema a later partition must parse with to
+// agree with t, the first partition's table, whose types were inferred.
+// Exec.Schema is indexed by input column, but t holds only the selected
+// columns, in selection order: each selected field goes back to its
+// input index, and String placeholders named colN fill the columns the
+// selection drops. The width is the column count the first partition
+// resolved: ExpectedColumns when set, else the widest record seen.
+func inputSchema(t *columnar.Table, opts core.Options, widest int) *columnar.Schema {
+	if opts.SelectColumns == nil {
+		return t.Schema()
+	}
+	width := widest
+	if opts.ExpectedColumns > 0 {
+		width = opts.ExpectedColumns
+	}
+	fields := make([]columnar.Field, width)
+	for i := range fields {
+		fields[i] = columnar.Field{Name: fmt.Sprintf("col%d", i), Type: columnar.String}
+	}
+	for out, in := range opts.SelectColumns {
+		fields[in] = t.Schema().Fields[out]
+	}
+	return columnar.NewSchema(fields...)
+}

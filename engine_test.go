@@ -194,7 +194,7 @@ func TestEngineStreamMatchesParse(t *testing.T) {
 	// Two runs through the same engine: the second reuses the first's
 	// pooled arena.
 	for i := 0; i < 2; i++ {
-		res, err := e.Stream(input, StreamConfig{PartitionSize: 1024, Bus: NewBus(BusConfig{TimeScale: 1e6})})
+		res, err := e.Stream(input, StreamConfig{PartitionSize: 1024})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

@@ -67,16 +67,16 @@ func ExampleEngine_Parse() {
 
 // ExampleStreamReader parses straight from an io.Reader through the
 // §4.4 streaming pipeline: fixed-size partitions are pulled from the
-// reader as the device consumes them, records straddling partition
+// reader as the parses consume them, records straddling partition
 // boundaries are carried over intact, and Combined stitches the
 // per-partition tables into one — cell for cell what Parse would have
 // produced on the whole input.
 func ExampleStreamReader() {
 	input := "id,word\n1,alpha\n2,beta\n3,gamma\n4,delta\n"
 	res, err := parparaw.StreamReader(strings.NewReader(input), parparaw.StreamOptions{
-		Options:       parparaw.Options{HasHeader: true},
-		PartitionSize: 12, // tiny, to force several partitions even here
-		Bus:           parparaw.NewBus(parparaw.BusConfig{Latency: -1, TimeScale: 1e9}),
+		Options: parparaw.Options{HasHeader: true},
+		// Tiny partitions, to force several even here.
+		StreamConfig: parparaw.StreamConfig{PartitionSize: 12},
 	})
 	if err != nil {
 		log.Fatal(err)

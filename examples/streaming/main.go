@@ -1,8 +1,8 @@
 // Streaming: parse a larger-than-device-memory input through the
-// end-to-end streaming pipeline of §4.4 — partitions are transferred to
-// the (simulated) device, parsed, and returned with all three stages of
-// consecutive partitions overlapped; records straddling partition
-// boundaries are carried over intact. Run with:
+// end-to-end streaming pipeline of §4.4 — partitions are read, parsed
+// several at a time, and emitted in input order, with the read of the
+// next partition overlapping the parses in flight; records straddling
+// partition boundaries are carried over intact. Run with:
 //
 //	go run ./examples/streaming
 package main
@@ -29,10 +29,7 @@ func main() {
 	// never buffered in one piece (peak host memory stays at
 	// O(PartitionSize + carry-over) however large the source is).
 	res, err := parparaw.StreamReader(bytes.NewReader(input), parparaw.StreamOptions{
-		Options:       parparaw.Options{},
-		PartitionSize: 256 << 10, // 256 KB partitions
-		// Scale the simulated PCIe delays down so the example is instant.
-		Bus: parparaw.NewBus(parparaw.BusConfig{TimeScale: 1000}),
+		StreamConfig: parparaw.StreamConfig{PartitionSize: 256 << 10}, // 256 KB partitions
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -42,10 +39,10 @@ func main() {
 		sizeOf(len(input)), res.Stats.Partitions)
 	fmt.Printf("records: %d   max carry-over: %d bytes\n",
 		res.NumRows(), res.Stats.MaxCarryOver)
-	fmt.Printf("bus traffic: %d bytes in, %d bytes out (full duplex)\n",
+	fmt.Printf("%d bytes in, %d bytes of columns out\n",
 		res.Stats.InputBytes, res.Stats.OutputBytes)
-	fmt.Printf("device parse busy: %v of %v end-to-end\n\n",
-		res.Stats.ParseBusy, res.Stats.Duration)
+	fmt.Printf("parse busy, summed over %d in-flight parses: %v of %v end-to-end\n\n",
+		res.Stats.InFlight, res.Stats.ParseBusy, res.Stats.Duration)
 
 	// Per-partition tables concatenate into one.
 	table, err := res.Combined()

@@ -129,9 +129,8 @@ func TestFastPathParityStreaming(t *testing.T) {
 	want := tableRows(ref.Table)
 	for _, v := range fastPathVariants {
 		res, err := Stream(input, StreamOptions{
-			Options:       withFastPath(Options{Schema: ref.Table.Schema()}, v.fused, v.skip),
-			PartitionSize: 8 << 10,
-			Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
+			Options:      withFastPath(Options{Schema: ref.Table.Schema()}, v.fused, v.skip),
+			StreamConfig: StreamConfig{PartitionSize: 8 << 10},
 		})
 		if err != nil {
 			t.Fatalf("%s: stream failed: %v", v.name, err)

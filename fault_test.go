@@ -26,8 +26,6 @@ import (
 // errors.Is, or a clean quarantine. Every scenario also asserts the
 // engine stays usable afterwards (arenas recycled, no goroutine leak).
 
-func chaosBus() *Bus { return NewBus(BusConfig{TimeScale: 1e9, Latency: -1}) }
-
 func chaosInput(records int) []byte {
 	var sb bytes.Buffer
 	for i := 0; i < records; i++ {
@@ -37,6 +35,19 @@ func chaosInput(records int) []byte {
 }
 
 func chaosDepths() []int { return dedupWorkerCounts(1, 2, runtime.GOMAXPROCS(0)) }
+
+// chaosEngine compiles opts with a ring of the given depth (0 is the
+// GOMAXPROCS-derived default): the depth is the engine's
+// Options.InFlight, so each depth gets its own engine.
+func chaosEngine(t *testing.T, opts Options, inFlight int) *Engine {
+	t.Helper()
+	opts.InFlight = inFlight
+	eng, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
 
 // chaosRetry is the policy the suite uses when faults are supposed to
 // be survivable: generous attempts, no real sleeping (BaseDelay at the
@@ -58,11 +69,7 @@ func TestFaultTransientReadsParity(t *testing.T) {
 	input := chaosInput(3000)
 	base := testleak.Count()
 	for _, mode := range []TaggingMode{RecordTagged, InlineTerminated, VectorDelimited} {
-		eng, err := NewEngine(Options{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus()})
+		want, err := chaosEngine(t, Options{Mode: mode}, 0).Stream(input, StreamConfig{PartitionSize: 4 << 10})
 		if err != nil {
 			t.Fatalf("mode=%v: fault-free reference: %v", mode, err)
 		}
@@ -70,6 +77,7 @@ func TestFaultTransientReadsParity(t *testing.T) {
 			t.Fatalf("mode=%v: reference rows = %d", mode, want.NumRows())
 		}
 		for _, inFlight := range chaosDepths() {
+			eng := chaosEngine(t, Options{Mode: mode}, inFlight)
 			for seed := uint64(1); seed <= 3; seed++ {
 				label := fmt.Sprintf("mode=%v inflight=%d seed=%d", mode, inFlight, seed)
 				fr := &faultinject.FlakyReader{
@@ -80,8 +88,6 @@ func TestFaultTransientReadsParity(t *testing.T) {
 				}
 				got, err := eng.StreamReader(fr, StreamConfig{
 					PartitionSize: 4 << 10,
-					Bus:           chaosBus(),
-					InFlight:      inFlight,
 					Retry:         chaosRetry(),
 				})
 				if err != nil {
@@ -104,10 +110,7 @@ func TestFaultPermanentReadTyped(t *testing.T) {
 	input := chaosInput(3000)
 	base := testleak.Count()
 	for _, inFlight := range chaosDepths() {
-		eng, err := NewEngine(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := chaosEngine(t, Options{}, inFlight)
 		fr := &faultinject.FlakyReader{
 			R:           bytes.NewReader(input),
 			Seed:        7,
@@ -115,8 +118,6 @@ func TestFaultPermanentReadTyped(t *testing.T) {
 		}
 		res, err := eng.StreamReader(fr, StreamConfig{
 			PartitionSize: 4 << 10,
-			Bus:           chaosBus(),
-			InFlight:      inFlight,
 			Retry:         chaosRetry(),
 		})
 		if !errors.Is(err, parparawerr.ErrInput) {
@@ -133,7 +134,7 @@ func TestFaultPermanentReadTyped(t *testing.T) {
 			t.Errorf("inflight=%d: no partial result alongside the typed error", inFlight)
 		}
 		// The engine must stay usable after the failed run.
-		if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus(), InFlight: inFlight}); err != nil {
+		if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10}); err != nil {
 			t.Errorf("inflight=%d: engine broken after read failure: %v", inFlight, err)
 		} else if clean.NumRows() != 3000 {
 			t.Errorf("inflight=%d: post-failure run rows = %d", inFlight, clean.NumRows())
@@ -165,15 +166,8 @@ func TestFaultRingPanicTyped(t *testing.T) {
 	for _, inFlight := range chaosDepths() {
 		t.Run(fmt.Sprintf("inflight=%d", inFlight), func(t *testing.T) {
 			fired := armOneShotRingPanic(t, 2, "injected ring panic")
-			eng, err := NewEngine(Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := eng.Stream(input, StreamConfig{
-				PartitionSize: 4 << 10,
-				Bus:           chaosBus(),
-				InFlight:      inFlight,
-			})
+			eng := chaosEngine(t, Options{}, inFlight)
+			res, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10})
 			if !fired() {
 				t.Fatal("panic hook never fired; partition numbering changed?")
 			}
@@ -197,7 +191,7 @@ func TestFaultRingPanicTyped(t *testing.T) {
 				t.Error("no partial result alongside the contained panic")
 			}
 			faultinject.SetRingParse(nil)
-			if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus(), InFlight: inFlight}); err != nil {
+			if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10}); err != nil {
 				t.Errorf("engine broken after contained panic: %v", err)
 			} else if clean.NumRows() != 3000 {
 				t.Errorf("post-panic run rows = %d", clean.NumRows())
@@ -219,17 +213,16 @@ func TestFaultRingPanicQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus()})
+	want, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, inFlight := range chaosDepths() {
 		t.Run(fmt.Sprintf("inflight=%d", inFlight), func(t *testing.T) {
 			fired := armOneShotRingPanic(t, 2, "injected quarantine panic")
+			eng := chaosEngine(t, Options{}, inFlight)
 			res, err := eng.Stream(input, StreamConfig{
 				PartitionSize:     4 << 10,
-				Bus:               chaosBus(),
-				InFlight:          inFlight,
 				SkipBadPartitions: true,
 			})
 			if !fired() {
@@ -253,6 +246,12 @@ func TestFaultRingPanicQuarantine(t *testing.T) {
 				}
 				assertTablesIdentical(t, fmt.Sprintf("surviving partition %d", ref), tbl, want.Tables[ref])
 			}
+			faultinject.SetRingParse(nil)
+			if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10}); err != nil {
+				t.Errorf("engine broken after quarantine: %v", err)
+			} else if clean.NumRows() != 3000 {
+				t.Errorf("post-quarantine run rows = %d", clean.NumRows())
+			}
 		})
 	}
 	testleak.After(t, base)
@@ -274,14 +273,9 @@ func TestFaultConvertPanic(t *testing.T) {
 					}
 				})
 				t.Cleanup(func() { faultinject.SetConvertColumn(nil) })
-				eng, err := NewEngine(Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng := chaosEngine(t, Options{}, inFlight)
 				res, err := eng.Stream(input, StreamConfig{
 					PartitionSize:     4 << 10,
-					Bus:               chaosBus(),
-					InFlight:          inFlight,
 					SkipBadPartitions: skip,
 				})
 				if !fired.Load() {
@@ -307,7 +301,7 @@ func TestFaultConvertPanic(t *testing.T) {
 					}
 				}
 				faultinject.SetConvertColumn(nil)
-				if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus(), InFlight: inFlight}); err != nil {
+				if clean, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10}); err != nil {
 					t.Errorf("engine broken after convert panic: %v", err)
 				} else if clean.NumRows() != 3000 {
 					t.Errorf("post-panic run rows = %d", clean.NumRows())
@@ -332,18 +326,17 @@ func TestFaultBudgetPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10, Bus: chaosBus()})
+	want, err := eng.Stream(input, StreamConfig{PartitionSize: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, inFlight := range chaosDepths() {
 		t.Run(fmt.Sprintf("inflight=%d", inFlight), func(t *testing.T) {
+			eng := chaosEngine(t, Options{}, inFlight)
 			// Strict: the inflated estimate alone exceeds the budget -> typed failure.
 			_, err := eng.Stream(input, StreamConfig{
 				PartitionSize: 4 << 10,
-				Bus:           chaosBus(),
-				InFlight:      inFlight,
 				DeviceBudget:  1 << 20,
 				StrictBudget:  true,
 			})
@@ -361,8 +354,6 @@ func TestFaultBudgetPressure(t *testing.T) {
 			// Lenient: throttled to one partition at a time, but complete and identical.
 			got, err := eng.Stream(input, StreamConfig{
 				PartitionSize: 4 << 10,
-				Bus:           chaosBus(),
-				InFlight:      inFlight,
 				DeviceBudget:  1 << 20,
 			})
 			if err != nil {
@@ -387,15 +378,8 @@ func TestFaultStalledReaderDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Millisecond)
 	defer cancel()
-	eng, err := NewEngine(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.StreamReaderContext(ctx, fr, StreamConfig{
-		PartitionSize: 2 << 10,
-		Bus:           chaosBus(),
-		InFlight:      2,
-	})
+	eng := chaosEngine(t, Options{}, 2)
+	res, err := eng.StreamReaderContext(ctx, fr, StreamConfig{PartitionSize: 2 << 10})
 	if err == nil {
 		t.Skip("run beat the deadline; nothing to assert")
 	}
@@ -427,16 +411,11 @@ func TestFaultOnBadRecordDivert(t *testing.T) {
 	input := sb.Bytes()
 	base := testleak.Count()
 	for _, inFlight := range chaosDepths() {
-		eng, err := NewEngine(Options{RejectInconsistent: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := chaosEngine(t, Options{RejectInconsistent: true}, inFlight)
 		var mu sync.Mutex
 		got := map[int64]string{}
 		res, err := eng.Stream(input, StreamConfig{
 			PartitionSize: 4 << 10,
-			Bus:           chaosBus(),
-			InFlight:      inFlight,
 			OnBadRecord: func(r BadRecord) {
 				mu.Lock()
 				got[r.Offset] = string(r.Raw)

@@ -106,10 +106,7 @@ func FuzzStreamReader(f *testing.F) {
 		if cols := whole.Table.NumColumns(); cols > 0 {
 			opts.Scan.Where = whereFromFuzz(uint8(partRaw>>8), int(chunkRaw)%cols, input)
 		}
-		streamed, err := coreEngine(t, opts, convertWorkers(workers)).StreamReader(bytes.NewReader(input), StreamConfig{
-			PartitionSize: partSize,
-			Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
-		})
+		streamed, err := coreEngine(t, opts, convertWorkers(workers)).StreamReader(bytes.NewReader(input), StreamConfig{PartitionSize: partSize})
 		if err != nil {
 			t.Fatalf("StreamReader failed on %q (part=%d): %v", input, partSize, err)
 		}

@@ -2,10 +2,10 @@ package parparaw
 
 // In-flight ring parity: the ring depth (Options.InFlight) must be
 // invisible in the output. Every test here compares a deeper ring run
-// against depth 1 (one slot, one arena) byte for byte —
-// ordered emit, the unordered permutation, the boundary pre-scan's
-// serial fallback (UTF-16, first-partition trimming), tiny partitions,
-// and engine-level concurrency stacked on the ring. Run with -race.
+// against depth 1 (one slot, one arena) byte for byte — ordered emit,
+// the boundary pre-scan's serial fallback (UTF-16, first-partition
+// trimming), tiny partitions, and engine-level concurrency stacked on
+// the ring. Run with -race.
 
 import (
 	"bytes"
@@ -28,14 +28,12 @@ func inFlightCounts() []int {
 
 // streamInFlight runs one streaming parse at the given ring depth and
 // returns the full result, failing the test on any error.
-func streamInFlight(t *testing.T, label string, input []byte, opts Options, partSize, inFlight int, unordered bool) *StreamResult {
+func streamInFlight(t *testing.T, label string, input []byte, opts Options, partSize, inFlight int) *StreamResult {
 	t.Helper()
 	opts.InFlight = inFlight
 	res, err := Stream(input, StreamOptions{
-		Options:       opts,
-		PartitionSize: partSize,
-		Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
-		Unordered:     unordered,
+		Options:      opts,
+		StreamConfig: StreamConfig{PartitionSize: partSize},
 	})
 	if err != nil {
 		t.Fatalf("%s: stream failed: %v", label, err)
@@ -81,7 +79,7 @@ func TestInFlightParityStreaming(t *testing.T) {
 	input := workload.Taxi().Generate(48<<10, 7)
 	schema := schemaFromInternal(workload.Taxi().Schema)
 	opts := Options{Schema: schema}
-	want := streamInFlight(t, "serial", input, opts, 4<<10, 1, false)
+	want := streamInFlight(t, "serial", input, opts, 4<<10, 1)
 	if want.NumRows() == 0 {
 		t.Fatal("serial reference produced no rows")
 	}
@@ -90,12 +88,9 @@ func TestInFlightParityStreaming(t *testing.T) {
 	}
 	for _, n := range inFlightCounts()[1:] {
 		label := fmt.Sprintf("inflight=%d", n)
-		got := streamInFlight(t, label, input, opts, 4<<10, n, false)
+		got := streamInFlight(t, label, input, opts, 4<<10, n)
 		if got.Stats.InFlight != n {
 			t.Errorf("%s: stats in-flight = %d", label, got.Stats.InFlight)
-		}
-		if got.Order != nil {
-			t.Errorf("%s: ordered run set Order %v", label, got.Order)
 		}
 		assertStreamsIdentical(t, label, got, want)
 	}
@@ -108,13 +103,13 @@ func TestInFlightParityQuoted(t *testing.T) {
 	input := workload.Yelp().Generate(32<<10, 21)
 	schema := schemaFromInternal(workload.Yelp().Schema)
 	opts := Options{Schema: schema}
-	want := streamInFlight(t, "serial", input, opts, 2<<10, 1, false)
+	want := streamInFlight(t, "serial", input, opts, 2<<10, 1)
 	if want.NumRows() == 0 {
 		t.Fatal("serial reference produced no rows")
 	}
 	for _, n := range inFlightCounts()[1:] {
 		label := fmt.Sprintf("yelp/inflight=%d", n)
-		assertStreamsIdentical(t, label, streamInFlight(t, label, input, opts, 2<<10, n, false), want)
+		assertStreamsIdentical(t, label, streamInFlight(t, label, input, opts, 2<<10, n), want)
 	}
 }
 
@@ -131,13 +126,13 @@ func TestInFlightParityHeaderTinyPartitions(t *testing.T) {
 	input := []byte(sb.String())
 	opts := Options{HasHeader: true, SkipRows: 1}
 	for _, partSize := range []int{64, 256, 1 << 10} {
-		want := streamInFlight(t, fmt.Sprintf("serial/part=%d", partSize), input, opts, partSize, 1, false)
+		want := streamInFlight(t, fmt.Sprintf("serial/part=%d", partSize), input, opts, partSize, 1)
 		if len(want.Header) != 3 {
 			t.Fatalf("part=%d: header %v", partSize, want.Header)
 		}
 		for _, n := range inFlightCounts()[1:] {
 			label := fmt.Sprintf("part=%d/inflight=%d", partSize, n)
-			assertStreamsIdentical(t, label, streamInFlight(t, label, input, opts, partSize, n, false), want)
+			assertStreamsIdentical(t, label, streamInFlight(t, label, input, opts, partSize, n), want)
 		}
 	}
 }
@@ -159,46 +154,19 @@ func TestInFlightUTF16FallsBackSerial(t *testing.T) {
 		{name: "utf16", data: encodeUTF16LE(text.String(), false), opts: Options{Encoding: UTF16LE}},
 		{name: "utf16-bom", data: encodeUTF16LE(text.String(), true), opts: Options{DetectEncoding: true}},
 	} {
-		want := streamInFlight(t, tc.name+"/serial", tc.data, tc.opts, 1<<10, 1, false)
+		want := streamInFlight(t, tc.name+"/serial", tc.data, tc.opts, 1<<10, 1)
 		if want.NumRows() != 200 {
 			t.Fatalf("%s: serial reference rows = %d", tc.name, want.NumRows())
 		}
 		for _, n := range inFlightCounts()[1:] {
 			label := fmt.Sprintf("%s/inflight=%d", tc.name, n)
-			got := streamInFlight(t, label, tc.data, tc.opts, 1<<10, n, false)
+			got := streamInFlight(t, label, tc.data, tc.opts, 1<<10, n)
 			assertStreamsIdentical(t, label, got, want)
 			if wantFB := got.Stats.Partitions - 1; got.Stats.SerialFallbacks != wantFB {
 				t.Errorf("%s: serial fallbacks = %d, want %d (every non-final partition)",
 					label, got.Stats.SerialFallbacks, wantFB)
 			}
 		}
-	}
-}
-
-// TestInFlightUnorderedPermutation checks the opt-in unordered emit:
-// Order must be a valid permutation of partition indices, and placing
-// each table at its recorded index must reproduce the ordered run
-// exactly.
-func TestInFlightUnorderedPermutation(t *testing.T) {
-	input := workload.Taxi().Generate(32<<10, 13)
-	schema := schemaFromInternal(workload.Taxi().Schema)
-	opts := Options{Schema: schema}
-	want := streamInFlight(t, "ordered", input, opts, 2<<10, 1, false)
-	got := streamInFlight(t, "unordered", input, opts, 2<<10, 4, true)
-	if len(got.Order) != len(got.Tables) {
-		t.Fatalf("Order has %d entries for %d tables", len(got.Order), len(got.Tables))
-	}
-	if len(got.Tables) != len(want.Tables) {
-		t.Fatalf("%d tables, ordered run has %d", len(got.Tables), len(want.Tables))
-	}
-	seen := make([]bool, len(want.Tables))
-	for i, idx := range got.Order {
-		if idx < 0 || idx >= len(seen) || seen[idx] {
-			t.Fatalf("Order %v is not a permutation of partition indices", got.Order)
-		}
-		seen[idx] = true
-		assertTablesIdentical(t, fmt.Sprintf("unordered table %d (partition %d)", i, idx),
-			got.Tables[i], want.Tables[idx])
 	}
 }
 
@@ -209,7 +177,7 @@ func TestInFlightUnorderedPermutation(t *testing.T) {
 func TestInFlightConcurrentEngine(t *testing.T) {
 	input := workload.Taxi().Generate(24<<10, 17)
 	schema := schemaFromInternal(workload.Taxi().Schema)
-	want := streamInFlight(t, "serial", input, Options{Schema: schema}, 2<<10, 1, false)
+	want := streamInFlight(t, "serial", input, Options{Schema: schema}, 2<<10, 1)
 	e, err := NewEngine(Options{Schema: schema, InFlight: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -224,10 +192,7 @@ func TestInFlightConcurrentEngine(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
-				res, err := e.StreamReader(bytes.NewReader(input), StreamConfig{
-					PartitionSize: 2 << 10,
-					Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
-				})
+				res, err := e.StreamReader(bytes.NewReader(input), StreamConfig{PartitionSize: 2 << 10})
 				if err != nil {
 					errc <- fmt.Errorf("goroutine %d run %d: %w", g, i, err)
 					return
@@ -260,15 +225,14 @@ func TestInFlightValidation(t *testing.T) {
 	input := workload.Taxi().Generate(8<<10, 3)
 	schema := schemaFromInternal(workload.Taxi().Schema)
 
-	clamped := streamInFlight(t, "clamped", input, Options{Schema: schema}, 1<<10, 10_000, false)
+	clamped := streamInFlight(t, "clamped", input, Options{Schema: schema}, 1<<10, 10_000)
 	if clamped.Stats.InFlight != core.MaxInFlight {
 		t.Errorf("InFlight=10000 ran at depth %d, want clamp to %d", clamped.Stats.InFlight, core.MaxInFlight)
 	}
 
 	modelled, err := Stream(input, StreamOptions{
-		Options:       Options{Schema: schema, InFlight: 4, VirtualWorkers: 8},
-		PartitionSize: 1 << 10,
-		Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
+		Options:      Options{Schema: schema, InFlight: 4, VirtualWorkers: 8},
+		StreamConfig: StreamConfig{PartitionSize: 1 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -172,6 +172,12 @@ func (p *pipeline) resolveSelection() error {
 	for i := range p.colMap {
 		p.colMap[i] = p.sentinel
 	}
+	if p.numRecords == 0 && p.Schema == nil && p.ExpectedColumns == 0 {
+		// No record fixed the inferred column count, so no selection is
+		// out of range: the run returns the empty table of the selected
+		// width.
+		return nil
+	}
 	for out, orig := range p.selected {
 		if orig < 0 || orig >= p.numColumns {
 			return fmt.Errorf("core: selected column %d outside input's %d columns", orig, p.numColumns)

@@ -266,13 +266,37 @@ func TestParseTrailingEmptyLastField(t *testing.T) {
 	}
 }
 
+// TestParseEmptyInput: an input without a record parses to an empty
+// table. No record fixes the inferred column count, so any selection is
+// in range, and the table has the selected width.
 func TestParseEmptyInput(t *testing.T) {
-	res, err := Parse(nil, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Table.NumRows() != 0 || res.Table.NumColumns() != 0 {
-		t.Errorf("empty input: %dx%d", res.Table.NumRows(), res.Table.NumColumns())
+	for _, c := range []struct {
+		name   string
+		input  string
+		header bool
+		sel    []int
+		names  []string
+	}{
+		{"empty", "", false, nil, nil},
+		{"empty-select", "", false, []int{2, 0}, []string{"col2", "col0"}},
+		{"header-only-select", "a,b,c\n", true, []int{2, 0}, []string{"c", "a"}},
+	} {
+		opts := testOpts()
+		opts.HasHeader = c.header
+		opts.SelectColumns = c.sel
+		res, err := Parse([]byte(c.input), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Table.NumRows() != 0 || res.Table.NumColumns() != len(c.names) {
+			t.Errorf("%s: %dx%d, want 0x%d", c.name, res.Table.NumRows(), res.Table.NumColumns(), len(c.names))
+			continue
+		}
+		for i, name := range c.names {
+			if got := res.Table.Schema().Fields[i].Name; got != name {
+				t.Errorf("%s: column %d named %q, want %q", c.name, i, got, name)
+			}
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ type Stats struct {
 	// kernels ran over (after row skipping and header consumption); a
 	// streamed run counts the raw bytes it read from its source.
 	InputBytes int64
-	// OutputBytes is the columnar data volume a streamed run moved back
-	// over the bus (0 for a single parse).
+	// OutputBytes is the columnar data volume (Table.DataBytes) a
+	// streamed run emitted (0 for a single parse).
 	OutputBytes int64
 	// Chunks is the number of data-parallel chunks.
 	Chunks int
@@ -72,8 +72,7 @@ type Stats struct {
 	// streamed run sums the peaks of the arenas its ring slots drew, so
 	// the memory cost of depth is InFlight × one partition's footprint.
 	DeviceBytes int64
-	// Duration is the wall-clock time of the run, including simulated
-	// transfers for a streamed run.
+	// Duration is the wall-clock time of the run.
 	Duration time.Duration
 
 	// The counters below are the streaming ring's own; a single parse
@@ -101,10 +100,11 @@ type Stats struct {
 	// quarantined (SkipBadPartitions) instead of failing the run.
 	QuarantinedPartitions int
 	// ReadBusy, BoundaryBusy, ParseBusy and EmitBusy are the time the
-	// ring spent pulling input (including host-to-device transfer
-	// charges), pre-scanning record boundaries, parsing partitions, and
-	// charging device-to-host transfers. ParseBusy sums concurrent
-	// partition parses, so it may exceed Duration when InFlight > 1.
+	// ring spent reading input from its source, pre-scanning record
+	// boundaries, parsing partitions, and emitting them (folding each
+	// partition's Stats and appending its table). ParseBusy sums
+	// concurrent partition parses, so it may exceed Duration when
+	// InFlight > 1.
 	ReadBusy, BoundaryBusy, ParseBusy, EmitBusy time.Duration
 }
 

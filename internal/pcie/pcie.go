@@ -1,19 +1,16 @@
-// Package pcie simulates the PCIe interconnect of §4.4. The paper's
-// end-to-end streaming exploits two properties of the bus: (1) it is
-// full-duplex — host-to-device and device-to-host transfers proceed
-// simultaneously at full bandwidth — and (2) transfers in the *same*
-// direction serialise. The simulator reproduces exactly these two
-// properties with configurable per-direction bandwidth and per-transfer
-// latency, and accounts busy time per direction so experiments can report
-// bus utilisation (§6 compares end-to-end time against the pure
-// transfer time of the input).
+// Package pcie is the cost model of the PCIe interconnect of §4.4. The
+// paper's end-to-end streaming exploits two properties of the bus: (1)
+// it is full-duplex — host-to-device and device-to-host transfers
+// proceed simultaneously at full bandwidth — and (2) transfers in the
+// *same* direction serialise. This package prices one transfer
+// (TransferDuration) with configurable per-direction bandwidth and
+// per-transfer latency; stream.Simulate schedules those prices under
+// the two properties. Only the Figure 12/13 experiments read it: the
+// runtime streaming ring moves partitions through host memory and never
+// waits on a modelled transfer.
 package pcie
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "time"
 
 // Direction identifies a transfer direction.
 type Direction int
@@ -32,7 +29,7 @@ func (d Direction) String() string {
 	return "DtoH"
 }
 
-// Config describes the simulated bus.
+// Config describes the modelled bus.
 type Config struct {
 	// BandwidthHtoD and BandwidthDtoH are bytes per second per direction.
 	// Zero selects DefaultBandwidth.
@@ -41,9 +38,6 @@ type Config struct {
 	// Latency is the fixed per-transfer setup cost. Zero selects
 	// DefaultLatency; negative disables.
 	Latency time.Duration
-	// TimeScale divides all simulated delays, letting tests and CI sweeps
-	// run the same schedule faster. 0 means 1 (real modelled time).
-	TimeScale float64
 }
 
 // Default parameters model a PCIe 3.0 x16 link (§5 uses one): ~12 GB/s
@@ -53,19 +47,10 @@ const (
 	DefaultLatency   = 20 * time.Microsecond
 )
 
-// Bus is a simulated full-duplex interconnect. The zero value is not
+// Bus is a modelled full-duplex interconnect. The zero value is not
 // usable; construct with New.
 type Bus struct {
-	cfg  Config
-	dirs [2]direction
-}
-
-type direction struct {
-	mu        sync.Mutex // serialises same-direction transfers
-	statMu    sync.Mutex
-	busy      time.Duration
-	bytes     int64
-	transfers int64
+	cfg Config
 }
 
 // New returns a Bus with the given configuration.
@@ -82,9 +67,6 @@ func New(cfg Config) *Bus {
 	if cfg.Latency < 0 {
 		cfg.Latency = 0
 	}
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = 1
-	}
 	return &Bus{cfg: cfg}
 }
 
@@ -95,57 +77,11 @@ func Default() *Bus { return New(Config{}) }
 func (b *Bus) Config() Config { return b.cfg }
 
 // TransferDuration returns the modelled duration for moving n bytes in
-// the given direction (before time scaling).
+// the given direction.
 func (b *Bus) TransferDuration(dir Direction, n int64) time.Duration {
 	bw := b.cfg.BandwidthHtoD
 	if dir == DeviceToHost {
 		bw = b.cfg.BandwidthDtoH
 	}
 	return b.cfg.Latency + time.Duration(float64(n)/bw*float64(time.Second))
-}
-
-// Transfer blocks for the modelled duration of moving n bytes in the
-// given direction. Same-direction transfers serialise; opposite
-// directions overlap — the full-duplex property the streaming pipeline
-// exploits.
-func (b *Bus) Transfer(dir Direction, n int64) {
-	if n < 0 {
-		panic(fmt.Sprintf("pcie: negative transfer size %d", n))
-	}
-	d := &b.dirs[dir]
-	modelled := b.TransferDuration(dir, n)
-	d.mu.Lock()
-	time.Sleep(time.Duration(float64(modelled) / b.cfg.TimeScale))
-	d.mu.Unlock()
-
-	d.statMu.Lock()
-	d.busy += modelled
-	d.bytes += n
-	d.transfers++
-	d.statMu.Unlock()
-}
-
-// Stats reports the accumulated traffic of one direction.
-type Stats struct {
-	Busy      time.Duration // modelled busy time
-	Bytes     int64
-	Transfers int64
-}
-
-// DirectionStats returns the accumulated stats for dir.
-func (b *Bus) DirectionStats(dir Direction) Stats {
-	d := &b.dirs[dir]
-	d.statMu.Lock()
-	defer d.statMu.Unlock()
-	return Stats{Busy: d.busy, Bytes: d.bytes, Transfers: d.transfers}
-}
-
-// Reset clears the accumulated statistics.
-func (b *Bus) Reset() {
-	for i := range b.dirs {
-		d := &b.dirs[i]
-		d.statMu.Lock()
-		d.busy, d.bytes, d.transfers = 0, 0, 0
-		d.statMu.Unlock()
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/device"
@@ -49,7 +50,6 @@ func TestCancelMidStream(t *testing.T) {
 			pool := &testArenaPool{}
 			cfg := Config{
 				PartitionSize: 64,
-				Bus:           testBus(),
 				Ctx:           ctx,
 				InFlight:      inFlight,
 			}
@@ -91,13 +91,17 @@ func TestCancelBeforeStart(t *testing.T) {
 	base := testleak.Count()
 	for _, inFlight := range []int{1, 4} {
 		pool := &testArenaPool{}
-		cfg := Config{PartitionSize: 64, Bus: testBus(), Ctx: ctx, InFlight: inFlight}
+		cfg := Config{PartitionSize: 64, Ctx: ctx, InFlight: inFlight}
 		if inFlight > 1 {
 			cfg.Arenas = pool
 		}
-		_, err := Run(cfg, newRingLineParser(), BytesSource(input))
+		p := newRingLineParser()
+		_, err := Run(cfg, p, BytesSource(input))
 		if !errors.Is(err, parparawerr.ErrCanceled) {
 			t.Fatalf("inflight=%d: err = %v, want ErrCanceled", inFlight, err)
+		}
+		if p.parses != 0 {
+			t.Errorf("inflight=%d: %d partitions parsed after the context was canceled", inFlight, p.parses)
 		}
 		pool.mu.Lock()
 		if pool.got != pool.put {
@@ -118,7 +122,6 @@ func TestDeadlineExpiry(t *testing.T) {
 	pool := &testArenaPool{}
 	res, err := Run(Config{
 		PartitionSize: 64,
-		Bus:           testBus(),
 		Ctx:           ctx,
 		InFlight:      4,
 		Arenas:        pool,
@@ -137,5 +140,37 @@ func TestDeadlineExpiry(t *testing.T) {
 		t.Errorf("arena imbalance: %d out, %d back", pool.got, pool.put)
 	}
 	pool.mu.Unlock()
+	testleak.After(t, base)
+}
+
+// TestCancelDuringRetryBackoff: a deadline that passes while the source
+// waits out a retry backoff ends the wait at once with ErrCanceled,
+// instead of sleeping through the remaining attempts and failing with
+// ErrInput.
+func TestCancelDuringRetryBackoff(t *testing.T) {
+	base := testleak.Count()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := Run(Config{
+		PartitionSize: 64,
+		Ctx:           ctx,
+		Retry:         RetryPolicy{MaxAttempts: 6, BaseDelay: 200 * time.Millisecond, MaxDelay: 200 * time.Millisecond},
+	}, newRingLineParser(), NewSource(iotest.ErrReader(errors.New("flaky read"))))
+	elapsed := time.Since(start)
+	if !errors.Is(err, parparawerr.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrCanceled unwrapping to DeadlineExceeded", err)
+	}
+	var ce *parparawerr.CanceledError
+	if errors.As(err, &ce) && ce.Partition != 0 {
+		t.Errorf("canceled at partition %d, want 0", ce.Partition)
+	}
+	// Five backoffs of 200ms would take a second.
+	if elapsed > 500*time.Millisecond {
+		t.Errorf("run returned after %v; the backoff ignored the deadline", elapsed)
+	}
+	if res == nil {
+		t.Fatal("no partial result alongside the cancellation")
+	}
 	testleak.After(t, base)
 }

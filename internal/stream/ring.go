@@ -18,8 +18,8 @@
 // At depth 1 the ring is Figure 7's double buffer, the schedule
 // Simulate models: the scheduler's read of partition i+1 (host buffer)
 // overlaps the parse of partition i (the slot's arena), so the read of
-// i+2 waits on parse i; the emit stage's return of partition i overlaps
-// the parse of partition i+1, so parse i+2 waits on return i.
+// i+2 waits on parse i; the emit of partition i overlaps the parse of
+// partition i+1, so parse i+2 waits on emit i.
 //
 // Memory stays bounded at ring depth × partition footprint: at most
 // InFlight partitions hold an arena at once (arenas recycle through a
@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/faultinject"
-	"repro/internal/pcie"
 	"repro/parparawerr"
 )
 
@@ -184,10 +183,9 @@ func (b *deviceBudget) refund(est, arenaPeak int64) {
 }
 
 // Run streams the source through the ring. It returns the per-partition
-// tables in input order (unless Config.Unordered). On failure the
-// returned Result, when non-nil, holds the tables emitted and the
-// statistics accumulated before the failure — partial progress a caller
-// can still report.
+// tables in input order. On failure the returned Result, when non-nil,
+// holds the tables emitted and the statistics accumulated before the
+// failure — partial progress a caller can still report.
 //
 // Output does not depend on the depth: the carry chain is the same at
 // every depth (the pre-scan computes the very remainder the parse would
@@ -206,11 +204,8 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 	if pool == nil {
 		pool = freshArenas{}
 	}
-	bus := cfg.Bus
-	if bus == nil {
-		bus = pcie.Default()
-	}
 	ctx := cfg.ctx()
+	src.ctx = ctx
 	start := time.Now()
 
 	inFlight := max(cfg.InFlight, 1)
@@ -284,9 +279,12 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 		var fill []byte
 		var nextBase int64 // stream offset of the next partition's first byte
 		for i := 0; ; i++ {
+			// ctx is checked beside quit: the watcher may not have run
+			// yet, and an already canceled run must parse nothing.
 			canceled := func() bool {
 				select {
 				case <-quit:
+				case <-ctx.Done():
 				default:
 					return false
 				}
@@ -307,9 +305,6 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 			rb := time.Now()
 			data, last, err := src.Fill(fill, need)
 			fill = data
-			if err == nil {
-				bus.Transfer(pcie.HostToDevice, int64(len(data)))
-			}
 			sched.ReadBusy += time.Since(rb)
 			if err != nil {
 				results <- parsedPart{idx: i, err: tagInputError(err, i)}
@@ -415,13 +410,11 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 
 	// Emit stage, on the caller's goroutine: retires partitions as they
 	// arrive — recycling their arena and slot immediately, since tables
-	// live on the host heap — and releases tables in input order (or
-	// arrival order when Unordered, recording the permutation).
+	// live on the host heap — and releases tables in input order.
 	// Quarantine decisions for dispatched partitions are made here, where
 	// the typed error is first seen. results closes once the scheduler
 	// and every worker have finished.
 	var tables []*columnar.Table
-	var order []int
 	var firstErr error
 	errIdx := -1
 	pending := make(map[int]parsedPart)
@@ -430,23 +423,15 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 		if p.skipped {
 			return
 		}
+		eb := time.Now()
 		// Folding at emit keeps Records equal to the emitted tables'
 		// rows, on partial results too.
 		stats.Add(p.res.Stats)
-		var outBytes int64
 		if p.res.Table != nil {
-			outBytes = p.res.Table.DataBytes()
-		}
-		eb := time.Now()
-		bus.Transfer(pcie.DeviceToHost, outBytes)
-		stats.EmitBusy += time.Since(eb)
-		stats.OutputBytes += outBytes
-		if p.res.Table != nil {
+			stats.OutputBytes += p.res.Table.DataBytes()
 			tables = append(tables, p.res.Table)
-			if cfg.Unordered {
-				order = append(order, p.idx)
-			}
 		}
+		stats.EmitBusy += time.Since(eb)
 	}
 	for p := range results {
 		if p.arena != nil {
@@ -483,10 +468,6 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 		if firstErr != nil {
 			continue
 		}
-		if cfg.Unordered {
-			emit(p)
-			continue
-		}
 		pending[p.idx] = p
 		for {
 			q, ok := pending[next]
@@ -508,7 +489,7 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 	stats.Retries, stats.RetriedBytes = src.RetryStats()
 	// The run-level values are the ring's own, not sums over partitions.
 	stats.InputBytes, stats.DeviceBytes, stats.Duration = sched.InputBytes, deviceBytes, time.Since(start)
-	res := &Result{Tables: tables, Order: order, Stats: stats}
+	res := &Result{Tables: tables, Stats: stats}
 	if firstErr != nil {
 		return res, firstErr
 	}

@@ -120,7 +120,7 @@ func collectLines(tables []*columnar.Table) []string {
 func TestRingMatchesSerialOrdered(t *testing.T) {
 	input, want := ringTestInput(200)
 	for _, partSize := range []int{7, 16, 64, 100, len(input), len(input) * 2} {
-		serial, err := Run(Config{PartitionSize: partSize, Bus: testBus()}, newRingLineParser(), BytesSource(input))
+		serial, err := Run(Config{PartitionSize: partSize}, newRingLineParser(), BytesSource(input))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,6 @@ func TestRingMatchesSerialOrdered(t *testing.T) {
 			pool := &testArenaPool{}
 			res, err := Run(Config{
 				PartitionSize: partSize,
-				Bus:           testBus(),
 				InFlight:      inFlight,
 				Arenas:        pool,
 			}, newRingLineParser(), BytesSource(input))
@@ -144,8 +143,17 @@ func TestRingMatchesSerialOrdered(t *testing.T) {
 					t.Fatalf("part=%d inflight=%d: record %d = %q, want %q", partSize, inFlight, i, got[i], want[i])
 				}
 			}
-			if res.Order != nil {
-				t.Errorf("ordered run set Order: %v", res.Order)
+			if s := res.Stats; s.EmitBusy <= 0 || s.EmitBusy > s.Duration || s.ReadBusy > s.Duration {
+				t.Errorf("part=%d inflight=%d: emit busy %v, read busy %v over %v wall",
+					partSize, inFlight, s.EmitBusy, s.ReadBusy, s.Duration)
+			}
+			var dataBytes int64
+			for _, tbl := range res.Tables {
+				dataBytes += tbl.DataBytes()
+			}
+			if res.Stats.OutputBytes != dataBytes {
+				t.Errorf("part=%d inflight=%d: output bytes = %d, emitted tables hold %d",
+					partSize, inFlight, res.Stats.OutputBytes, dataBytes)
 			}
 			if res.Stats.Partitions != serial.Stats.Partitions {
 				t.Errorf("part=%d inflight=%d: partitions = %d, serial = %d",
@@ -173,47 +181,6 @@ func TestRingMatchesSerialOrdered(t *testing.T) {
 	}
 }
 
-// TestRingUnorderedIsPermutation checks the opt-in unordered mode: the
-// emitted tables must be a permutation of the ordered run's, with Order
-// recording a valid permutation of partition indices.
-func TestRingUnorderedIsPermutation(t *testing.T) {
-	input, want := ringTestInput(300)
-	res, err := Run(Config{
-		PartitionSize: 64,
-		Bus:           testBus(),
-		InFlight:      4,
-		Unordered:     true,
-		Arenas:        &testArenaPool{},
-	}, newRingLineParser(), BytesSource(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Order) != len(res.Tables) {
-		t.Fatalf("Order has %d entries for %d tables", len(res.Order), len(res.Tables))
-	}
-	seen := map[int]bool{}
-	for _, idx := range res.Order {
-		if idx < 0 || idx >= res.Stats.Partitions || seen[idx] {
-			t.Fatalf("Order %v is not a valid permutation of partition indices", res.Order)
-		}
-		seen[idx] = true
-	}
-	got := collectLines(res.Tables)
-	if len(got) != len(want) {
-		t.Fatalf("%d records, want %d", len(got), len(want))
-	}
-	wantSet := map[string]int{}
-	for _, w := range want {
-		wantSet[w]++
-	}
-	for _, g := range got {
-		if wantSet[g] == 0 {
-			t.Fatalf("unexpected record %q", g)
-		}
-		wantSet[g]--
-	}
-}
-
 // TestRingSerialFallback forces every boundary ambiguous: the ring must
 // degrade to the serial carry path — same records, fallbacks counted.
 func TestRingSerialFallback(t *testing.T) {
@@ -222,7 +189,6 @@ func TestRingSerialFallback(t *testing.T) {
 	p.ambiguous = true
 	res, err := Run(Config{
 		PartitionSize: 32,
-		Bus:           testBus(),
 		InFlight:      4,
 		Arenas:        &testArenaPool{},
 	}, p, BytesSource(input))
@@ -251,7 +217,6 @@ func TestRingDeviceBudgetThrottles(t *testing.T) {
 	input, want := ringTestInput(150)
 	res, err := Run(Config{
 		PartitionSize: 64,
-		Bus:           testBus(),
 		InFlight:      4,
 		DeviceBudget:  16, // far below one partition's footprint
 		Arenas:        &testArenaPool{},
@@ -280,7 +245,6 @@ func TestRingParserError(t *testing.T) {
 		pool := &testArenaPool{}
 		_, err := Run(Config{
 			PartitionSize: 32,
-			Bus:           testBus(),
 			InFlight:      4,
 			Arenas:        pool,
 		}, p, BytesSource(input))
@@ -306,7 +270,6 @@ func TestRingBoundaryParseDisagreement(t *testing.T) {
 	p := &lyingBoundaryParser{inner: newRingLineParser()}
 	_, err := Run(Config{
 		PartitionSize: 32,
-		Bus:           testBus(),
 		InFlight:      2,
 		Arenas:        &testArenaPool{},
 	}, p, BytesSource(input))
@@ -331,7 +294,6 @@ func (p *lyingBoundaryParser) Boundary(input []byte) (int, bool) {
 func TestRingEmptyInput(t *testing.T) {
 	res, err := Run(Config{
 		PartitionSize: 16,
-		Bus:           testBus(),
 		InFlight:      4,
 		Arenas:        &testArenaPool{},
 	}, newRingLineParser(), BytesSource(nil))

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"time"
 
@@ -28,7 +29,7 @@ type RetryPolicy struct {
 	// Retryable classifies errors worth retrying. Nil retries every
 	// error (still bounded by MaxAttempts). io.EOF is never retried.
 	Retryable func(error) bool
-	// Sleep replaces time.Sleep for the backoff (tests). Nil sleeps.
+	// Sleep replaces the backoff wait (tests).
 	Sleep func(time.Duration)
 }
 
@@ -75,6 +76,8 @@ type Source struct {
 	peeked bool
 
 	retry RetryPolicy
+	// ctx cuts a retry backoff short: a canceled run fails at once.
+	ctx context.Context
 	// pending is an error returned by a Read alongside data: the data
 	// is consumed first and the error re-surfaces on the next read.
 	pending error
@@ -88,7 +91,7 @@ type Source struct {
 }
 
 // NewSource wraps an io.Reader.
-func NewSource(r io.Reader) *Source { return &Source{r: r} }
+func NewSource(r io.Reader) *Source { return &Source{r: r, ctx: context.Background()} }
 
 // BytesSource adapts an in-memory input. It exists for callers (and
 // tests) that already hold the whole input; the pipeline still consumes
@@ -154,13 +157,27 @@ func (s *Source) read(p []byte) (int, error) {
 			return 0, s.failed
 		}
 		s.retries++
-		if d := s.retry.backoff(failures); d > 0 {
-			if s.retry.Sleep != nil {
-				s.retry.Sleep(d)
-			} else {
-				time.Sleep(d)
-			}
+		if err := s.wait(s.retry.backoff(failures)); err != nil {
+			s.failed = err
+			return 0, err
 		}
+	}
+}
+
+// wait sleeps out one retry backoff, or returns a typed cancellation as
+// soon as the run's context ends.
+func (s *Source) wait(d time.Duration) error {
+	if s.retry.Sleep != nil {
+		s.retry.Sleep(d)
+		return nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-s.ctx.Done():
+		return parparawerr.Canceled(parparawerr.NoPartition, s.ctx.Err())
 	}
 }
 

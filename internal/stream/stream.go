@@ -1,10 +1,12 @@
 // Package stream implements the end-to-end streaming pipeline of §4.4 /
 // Figure 7: raw input is pulled from a Source one partition at a time;
-// each partition is transferred to the device, parsed, and its columnar
-// data returned — with the stages of consecutive partitions overlapped,
-// exploiting the bus's full-duplex capability. Peak host buffering is
+// each partition is parsed and its columnar data emitted, with the
+// stages of consecutive partitions overlapped. Peak host buffering is
 // O(PartitionSize + carry-over), independent of the input's total size
 // — the property that lets the system ingest inputs larger than memory.
+// The ring moves partitions through host memory; the PCIe transfers the
+// paper overlaps are priced only by Simulate, for the Figure 12/13
+// experiments.
 //
 // The carry-over handles records straddling partition boundaries: the
 // incomplete tail of partition i is prepended to partition i+1's input.
@@ -16,7 +18,7 @@
 // slots, each holding one partition and its device arena (ring.go).
 // At depth 1 — one slot, one recycled arena — the ring keeps Figure 7's
 // double-buffered schedule: the scheduler reads partition i+1 while a
-// worker parses partition i, and the emit stage returns partition i
+// worker parses partition i, and the emit stage emits partition i
 // while partition i+1 parses. Deeper rings also overlap the parses.
 //
 // Failure model (PR 8): every failure class surfaces as a typed
@@ -42,7 +44,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/faultinject"
-	"repro/internal/pcie"
 	"repro/parparawerr"
 )
 
@@ -117,8 +118,6 @@ type Config struct {
 	// PartitionSize is the bytes of raw input per partition (Figure 12's
 	// x-axis). Must be positive.
 	PartitionSize int
-	// Bus is the simulated interconnect; nil uses pcie.Default().
-	Bus *pcie.Bus
 	// Ctx cancels the run: the pipeline stops admitting partitions,
 	// joins its goroutines, returns every arena, and reports a typed
 	// parparawerr.ErrCanceled (alongside the partial Result). Nil means
@@ -134,10 +133,6 @@ type Config struct {
 	// reset and reused by every partition — the paper's fixed device
 	// footprint (§4.4).
 	InFlight int
-	// Unordered emits each partition's table as soon as its parse
-	// completes instead of buffering for input order; Result.Order then
-	// records the input index of each emitted table.
-	Unordered bool
 	// DeviceBudget, when positive, bounds the estimated device bytes of
 	// the partitions concurrently in flight: the ring stops admitting
 	// new partitions while the budget is exceeded (at least one stays
@@ -185,14 +180,10 @@ type freshArenas struct{}
 func (freshArenas) Get() *device.Arena { return device.NewArena() }
 func (freshArenas) Put(*device.Arena)  {}
 
-// Result is the outcome of a streaming run: one table per partition (in
-// input order, unless Config.Unordered) plus run statistics.
+// Result is the outcome of a streaming run: one table per partition, in
+// input order, plus run statistics.
 type Result struct {
 	Tables []*columnar.Table
-	// Order maps each emitted table to its partition's input index; it
-	// is set only for unordered runs (nil means Tables is in input
-	// order).
-	Order []int
 	// Stats counts the run: the emitted partitions' Stats folded with
 	// core.Stats.Add, plus the ring's own counters. InputBytes is the raw
 	// bytes read, DeviceBytes the sum of the drawn arenas' peaks, and
@@ -239,8 +230,14 @@ func safeParse(parser Parser, arena *device.Arena, part Partition) (res Partitio
 }
 
 // tagInputError stamps the failing partition's index into a typed
-// source failure and wraps it with the stream prefix.
+// source failure and wraps it with the stream prefix. A cancellation
+// that cut a retry backoff short reads like any other cancellation.
 func tagInputError(err error, idx int) error {
+	var ce *parparawerr.CanceledError
+	if errors.As(err, &ce) {
+		ce.Partition = idx
+		return fmt.Errorf("stream: %w", err)
+	}
 	var ie *parparawerr.InputError
 	if errors.As(err, &ie) && ie.Partition == parparawerr.NoPartition {
 		ie.Partition = idx

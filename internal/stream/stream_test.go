@@ -2,17 +2,13 @@ package stream
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/device"
-	"repro/internal/pcie"
 )
-
-func testBus() *pcie.Bus {
-	return pcie.New(pcie.Config{BandwidthHtoD: 1e9, BandwidthDtoH: 1e9, Latency: -1, TimeScale: 1e6})
-}
 
 // parseFunc adapts a function to Parser. Its Boundary declines, so
 // every partition parses on the serial carry path.
@@ -37,7 +33,7 @@ func TestRunReassemblesRecordsAcrossPartitions(t *testing.T) {
 
 	for _, partSize := range []int{7, 16, 64, 100, len(input), len(input) * 2} {
 		p := newRingLineParser()
-		res, err := Run(Config{PartitionSize: partSize, Bus: testBus()}, p, BytesSource(input))
+		res, err := Run(Config{PartitionSize: partSize}, p, BytesSource(input))
 		if err != nil {
 			t.Fatalf("partSize=%d: %v", partSize, err)
 		}
@@ -77,7 +73,7 @@ func TestRunCarryOverContent(t *testing.T) {
 	// parser must see the carried bytes prepended.
 	input := []byte("abcdefgh\nijklmnop\n")
 	p := newRingLineParser()
-	_, err := Run(Config{PartitionSize: 10, Bus: testBus()}, p, BytesSource(input))
+	_, err := Run(Config{PartitionSize: 10}, p, BytesSource(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +94,7 @@ func TestRunGiantRecordSpanningPartitions(t *testing.T) {
 	record := strings.Repeat("y", 350)
 	input := []byte(record + "\nz\n")
 	p := newRingLineParser()
-	res, err := Run(Config{PartitionSize: 100, Bus: testBus()}, p, BytesSource(input))
+	res, err := Run(Config{PartitionSize: 100}, p, BytesSource(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +115,7 @@ func TestRunGiantRecordSpanningPartitions(t *testing.T) {
 
 func TestRunEmptyInput(t *testing.T) {
 	p := newRingLineParser()
-	res, err := Run(Config{PartitionSize: 10, Bus: testBus()}, p, BytesSource(nil))
+	res, err := Run(Config{PartitionSize: 10}, p, BytesSource(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +129,7 @@ func TestRunParserError(t *testing.T) {
 	parser := parseFunc(func(part Partition) (PartitionResult, error) {
 		return PartitionResult{}, boom
 	})
-	_, err := Run(Config{PartitionSize: 4, Bus: testBus()}, parser, BytesSource([]byte("abcdefgh")))
+	_, err := Run(Config{PartitionSize: 4}, parser, BytesSource([]byte("abcdefgh")))
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -143,7 +139,7 @@ func TestRunBadCompleteBytes(t *testing.T) {
 	parser := parseFunc(func(part Partition) (PartitionResult, error) {
 		return PartitionResult{CompleteBytes: len(part.Input) + 5}, nil
 	})
-	if _, err := Run(Config{PartitionSize: 4, Bus: testBus()}, parser, BytesSource([]byte("abcdefgh"))); err == nil {
+	if _, err := Run(Config{PartitionSize: 4}, parser, BytesSource([]byte("abcdefgh"))); err == nil {
 		t.Fatal("want error for out-of-range CompleteBytes")
 	}
 }
@@ -154,14 +150,37 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 }
 
-// TestStreamingScheduleOverlap is the Figure 7 behaviour test: with a bus
-// whose transfers are slow, total pipeline time at depth 1 (one slot,
-// one arena) must be well below a *measured* serial execution of the
-// same stages, proving the three stages of consecutive partitions
-// overlap. Comparing against a serial run performed under the same
-// machine load (rather than against the nominal sum of sleep durations)
-// keeps the test stable when timers are inflated by a busy CI host —
-// the inflation applies to both runs.
+// slowReader delivers data at one block per delay, like a source
+// slower than the parser's appetite: a Read never crosses a block end,
+// and the Read that reaches one sleeps first.
+type slowReader struct {
+	data  []byte
+	off   int
+	block int
+	delay time.Duration
+}
+
+func (r *slowReader) Read(p []byte) (int, error) {
+	if r.off == len(r.data) {
+		return 0, io.EOF
+	}
+	end := min((r.off/r.block+1)*r.block, len(r.data), r.off+len(p))
+	if end%r.block == 0 || end == len(r.data) {
+		time.Sleep(r.delay)
+	}
+	n := copy(p, r.data[r.off:end])
+	r.off += n
+	return n, nil
+}
+
+// TestStreamingScheduleOverlap is the Figure 7 behaviour test: with a
+// slow source and a slow parser, total pipeline time at depth 1 (one
+// slot, one arena) must be well below a *measured* serial execution of
+// the same stages, proving that the read of partition i+1 overlaps the
+// parse of partition i. Comparing against a serial run performed under
+// the same machine load (rather than against the nominal sum of sleep
+// durations) keeps the test stable when timers are inflated by a busy
+// CI host — the inflation applies to both runs.
 func TestStreamingScheduleOverlap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing-sensitive; race instrumentation distorts the schedule")
@@ -169,16 +188,17 @@ func TestStreamingScheduleOverlap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short mode")
 	}
-	// Real (unscaled) bus: 15ms per partition per direction. The bus is
-	// slow and the partitions small because the serial baseline below
-	// only sleeps, while Run also copies every partition (source fill,
-	// carry-over assembly): at 15 MB partitions those copies took tens
-	// of milliseconds on a 2-core host busy with other test packages,
-	// enough to erase the overlap margin. At 1.5 MB they stay well under
-	// a millisecond, so both runs time the same modelled schedule.
-	bus := pcie.New(pcie.Config{BandwidthHtoD: 1e8, BandwidthDtoH: 1e8, Latency: -1, TimeScale: 1})
-	const partSize = 1_500_000 // 15ms at 100 MB/s
-	const partitions = 5
+	// The partitions are small because the serial baseline below only
+	// sleeps, while Run also copies every partition (source fill,
+	// carry-over assembly) and the toy parser splits it into lines: at
+	// 1.5 MB that work added about 7ms to every 15ms parse on a 2-core
+	// host, enough to erase most of the overlap margin. At 150 KB it
+	// stays well under a millisecond, so both runs time the same
+	// schedule. Records of 100 bytes end exactly at every partition
+	// boundary, so no carry shifts a partition across the reader's
+	// blocks.
+	const partSize = 150_000
+	const partitions = 10
 	input := make([]byte, partitions*partSize)
 	for i := range input {
 		input[i] = 'a'
@@ -186,31 +206,38 @@ func TestStreamingScheduleOverlap(t *testing.T) {
 			input[i] = '\n'
 		}
 	}
-	// Each parse sleeps 15ms; its line table (data plus offsets) holds
-	// at least a partition's bytes, so each return takes >= 15ms too.
-	parseDelay := 15 * time.Millisecond
+	// The source takes 15ms to deliver each partition, and each parse
+	// sleeps 15ms.
+	const delay = 15 * time.Millisecond
 
-	// Nominal: serial 5 × 45ms = 225ms, pipelined ~(15 + 5×15 + 15)ms =
-	// 105ms. A loaded single-core CI host can inflate either run
-	// arbitrarily, so measure a serial baseline alongside each attempt
-	// and accept any attempt showing a ≥20% win.
+	// Nominal: serial 10 × 30ms = 300ms, pipelined ~(15 + 10×15)ms =
+	// 165ms, so the 240ms bound leaves 75ms of headroom. A loaded
+	// single-core CI host can inflate either run arbitrarily, so
+	// measure a serial baseline alongside each attempt and accept any
+	// attempt showing a ≥20% win.
 	var lastPipe, lastSerial time.Duration
 	for attempt := 0; attempt < 3; attempt++ {
 		serialStart := time.Now()
 		for i := 0; i < partitions; i++ {
-			bus.Transfer(pcie.HostToDevice, partSize)
-			time.Sleep(parseDelay)
-			bus.Transfer(pcie.DeviceToHost, partSize)
+			time.Sleep(delay) // read
+			time.Sleep(delay) // parse
 		}
 		serial := time.Since(serialStart)
 
-		res, err := Run(Config{PartitionSize: partSize, Bus: bus, InFlight: 1},
-			&slowRingParser{newRingLineParser(), parseDelay}, BytesSource(input))
+		src := NewSource(&slowReader{data: input, block: partSize, delay: delay})
+		res, err := Run(Config{PartitionSize: partSize, InFlight: 1},
+			&slowRingParser{newRingLineParser(), delay}, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.ParseBusy < partitions*parseDelay {
-			t.Fatalf("parse busy = %v, want >= %v", res.Stats.ParseBusy, partitions*parseDelay)
+		if res.Stats.Partitions != partitions {
+			t.Fatalf("partitions = %d, want %d", res.Stats.Partitions, partitions)
+		}
+		if res.Stats.ReadBusy < partitions*delay {
+			t.Fatalf("read busy = %v, want >= %v", res.Stats.ReadBusy, partitions*delay)
+		}
+		if res.Stats.ParseBusy < partitions*delay {
+			t.Fatalf("parse busy = %v, want >= %v", res.Stats.ParseBusy, partitions*delay)
 		}
 		if res.Stats.OutputBytes < partitions*partSize {
 			t.Fatalf("output bytes = %d, want >= %d", res.Stats.OutputBytes, partitions*partSize)

@@ -16,8 +16,10 @@
 //
 // The paper's substrate is a CUDA GPU; this implementation executes the
 // same kernels on a simulated massively parallel device scheduled across
-// OS threads, and models the PCIe interconnect for the end-to-end
-// streaming mode. See DESIGN.md for the full substitution table.
+// OS threads. The streaming mode moves partitions through host memory;
+// only the Figure 12/13 experiments price the PCIe transfers the paper
+// overlaps, with a cost model. See DESIGN.md for the full substitution
+// table.
 //
 // # Quick start
 //
@@ -114,8 +116,8 @@ type Options struct {
 	// record-boundary pre-scan finalises partition i+1's input without
 	// waiting for partition i's parse and an emit stage releases tables
 	// in input order. 0 uses a GOMAXPROCS-derived default; 1 parses one
-	// partition at a time on one recycled arena, still overlapping its
-	// transfers with the neighbouring parses (Figure 7). Output is
+	// partition at a time on one recycled arena, still overlapping the
+	// read of the next partition with its parse (Figure 7). Output is
 	// byte-identical at every setting; only Parse paths that stream
 	// (Stream, StreamReader, large ParseReader inputs) are affected. In
 	// modelled-time mode (VirtualWorkers) the ring is forced to 1,
@@ -226,8 +228,8 @@ var PhaseNames = core.PhaseNames
 
 // Parse parses delimiter-separated input into a columnar table using
 // the massively parallel pipeline of §3. The entire input is processed
-// on-device; for inputs that should be streamed through bounded memory
-// with overlapped transfers, use StreamReader. Every Parse call
+// on-device; for inputs that should be streamed through bounded memory,
+// partition by partition, use StreamReader. Every Parse call
 // compiles its options from scratch — callers parsing repeatedly with
 // one configuration (or serving concurrent callers) should construct an
 // Engine once and use Engine.Parse.

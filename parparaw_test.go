@@ -170,8 +170,7 @@ func TestStreamMatchesParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamed, err := Stream(input, StreamOptions{
-		PartitionSize: 1024,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+		StreamConfig: StreamConfig{PartitionSize: 1024},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,9 +206,8 @@ func TestStreamWithHeaderAndInference(t *testing.T) {
 		sb.WriteString("1,2.5\n")
 	}
 	res, err := Stream(sb.Bytes(), StreamOptions{
-		Options:       Options{HasHeader: true},
-		PartitionSize: 256,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+		Options:      Options{HasHeader: true},
+		StreamConfig: StreamConfig{PartitionSize: 256},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -173,41 +173,64 @@ func TestPushdownParityUTF16(t *testing.T) {
 // TestPushdownStreamingParity pins the streaming route: a streamed parse
 // with Where must combine to the whole-input pushdown result, partition
 // boundaries invisible, at serial and concurrent ring depths — and the
-// summed Stats.RowsPruned must match the whole-input count.
+// summed Stats.RowsPruned must match the whole-input count. The
+// inferred leg holds the schema the stream freezes after its first
+// partition, which must index every input column although the
+// partition's table holds only the selected ones.
 func TestPushdownStreamingParity(t *testing.T) {
 	spec := workload.Taxi()
 	input := spec.Generate(192<<10, 11)
-	schema := schemaFromInternal(spec.Schema)
 
-	opts := Options{Schema: schema}
-	opts.Scan.Select = []int{0, 3, 10}
-	opts.Scan.Where = []Predicate{Eq(0, "1"), IntRange(3, 1, 3)}
-	want, err := Parse(input, opts)
-	if err != nil {
-		t.Fatalf("whole-input parse: %v", err)
-	}
-	for _, inFlight := range dedupWorkerCounts(1, runtime.GOMAXPROCS(0)) {
-		sopts := opts
-		sopts.InFlight = inFlight
-		res, err := StreamReader(bytes.NewReader(input), StreamOptions{
-			Options:       sopts,
-			PartitionSize: 16 << 10,
-			Bus:           NewBus(BusConfig{TimeScale: 1e9, Latency: -1}),
-		})
+	fixed := Options{Schema: schemaFromInternal(spec.Schema)}
+	fixed.Scan.Select = []int{0, 3, 10}
+	fixed.Scan.Where = []Predicate{Eq(0, "1"), IntRange(3, 1, 3)}
+	inferred := fixed
+	inferred.Schema = nil
+	for _, leg := range []struct {
+		name string
+		opts Options
+		// partition is the streamed partition size. The inferred leg's
+		// is large enough for the first partition to infer the whole
+		// input's types, so the stream's frozen types match the parse's.
+		partition int
+	}{
+		{"fixed", fixed, 16 << 10},
+		{"inferred", inferred, 64 << 10},
+	} {
+		e, err := NewEngine(leg.opts)
 		if err != nil {
-			t.Fatalf("inflight=%d: stream: %v", inFlight, err)
+			t.Fatalf("%s: %v", leg.name, err)
 		}
-		combined, err := res.Combined()
+		want, err := e.Parse(input)
 		if err != nil {
-			t.Fatalf("inflight=%d: combined: %v", inFlight, err)
+			t.Fatalf("%s: whole-input parse: %v", leg.name, err)
 		}
-		assertTablesIdentical(t, fmt.Sprintf("stream/inflight=%d", inFlight), combined, want.Table)
-		if res.Stats.RowsPruned != want.Stats.RowsPruned {
-			t.Fatalf("inflight=%d: streamed RowsPruned %d, whole-input %d",
-				inFlight, res.Stats.RowsPruned, want.Stats.RowsPruned)
-		}
-		if res.Stats.BytesSkipped == 0 {
-			t.Fatalf("inflight=%d: BytesSkipped = 0 under projection+predicates", inFlight)
+		for _, inFlight := range dedupWorkerCounts(1, runtime.GOMAXPROCS(0)) {
+			label := fmt.Sprintf("%s/inflight=%d", leg.name, inFlight)
+			sopts := leg.opts
+			sopts.InFlight = inFlight
+			res, err := StreamReader(bytes.NewReader(input), StreamOptions{
+				Options:      sopts,
+				StreamConfig: StreamConfig{PartitionSize: leg.partition},
+			})
+			if err != nil {
+				t.Fatalf("%s: stream: %v", label, err)
+			}
+			if res.Stats.Partitions < 3 {
+				t.Fatalf("%s: %d partitions; the frozen schema is not exercised", label, res.Stats.Partitions)
+			}
+			combined, err := res.Combined()
+			if err != nil {
+				t.Fatalf("%s: combined: %v", label, err)
+			}
+			assertTablesIdentical(t, "stream/"+label, combined, want.Table)
+			if res.Stats.RowsPruned != want.Stats.RowsPruned {
+				t.Fatalf("%s: streamed RowsPruned %d, whole-input %d",
+					label, res.Stats.RowsPruned, want.Stats.RowsPruned)
+			}
+			if res.Stats.BytesSkipped == 0 {
+				t.Fatalf("%s: BytesSkipped = 0 under projection+predicates", label)
+			}
 		}
 	}
 }

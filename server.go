@@ -424,14 +424,10 @@ func (s *Server) releaseAdmission(est int64) {
 }
 
 // admissionEstimate is the device-bytes estimate a request charges: its
-// effective partition size times the plan's ring depth, scaled by the
-// pipeline's working-set factor.
+// effective partition size times the plan's ring depth (the depth the
+// ring runs at), scaled by the pipeline's working-set factor.
 func (s *Server) admissionEstimate(e *Engine, partitionSize int) int64 {
-	inFlight := e.plan.Options().InFlight
-	if inFlight < 1 {
-		inFlight = 1
-	}
-	return int64(partitionSize) * int64(inFlight) * admissionFootprintFactor
+	return int64(partitionSize) * int64(e.plan.Options().InFlight) * admissionFootprintFactor
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -472,11 +468,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		body = s.cfg.WrapBody(body)
 	}
 	res, err := engine.StreamReaderContext(r.Context(), body, StreamConfig{
-		PartitionSize: req.partitionSize,
-		// The daemon streams for bounded memory, not interconnect
-		// modelling: an instantaneous bus keeps simulated transfer
-		// delays out of real clients' latencies.
-		Bus:               NewBus(instantBus),
+		PartitionSize:     req.partitionSize,
 		Retry:             s.cfg.Retry,
 		SkipBadPartitions: req.quarantine,
 	})

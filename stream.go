@@ -7,45 +7,35 @@ import (
 	"time"
 
 	"repro/internal/columnar"
-	"repro/internal/pcie"
+	"repro/internal/core"
 )
 
 // DefaultPartitionSize is the streaming partition size used when
-// StreamOptions.PartitionSize is zero. The paper's Figure 12 finds the
+// StreamConfig.PartitionSize is zero. The paper's Figure 12 finds the
 // end-to-end sweet spot at 128-256 MB for multi-gigabyte inputs; 32 MB
 // is a balanced default for laptop-scale runs.
 const DefaultPartitionSize = 32 << 20
 
-// Bus is a simulated full-duplex interconnect (§4.4). Host-to-device and
-// device-to-host transfers overlap at full bandwidth; same-direction
-// transfers serialise. The default models a PCIe 3.0 x16 link.
-type Bus struct {
-	b *pcie.Bus
-}
+// Bus is a no-op: nothing reads it.
+//
+// Deprecated: the streaming pipeline does not model PCIe transfers.
+// Bus, BusConfig, NewBus and StreamConfig.Bus remain only so that
+// existing callers compile, and will be removed.
+type Bus struct{}
 
-// BusConfig describes a simulated interconnect.
+// BusConfig is a no-op: nothing reads it.
+//
+// Deprecated: see Bus.
 type BusConfig struct {
-	// BandwidthHtoD and BandwidthDtoH are bytes per second per
-	// direction. Zero selects ~12 GB/s (PCIe 3.0 x16 effective).
 	BandwidthHtoD, BandwidthDtoH float64
-	// Latency is the per-transfer setup cost. Zero selects 20 µs;
-	// negative disables.
-	Latency time.Duration
-	// TimeScale divides all simulated delays so experiments can replay
-	// the paper's multi-gigabyte schedules in reasonable wall-clock
-	// time. Zero means 1 (real modelled time).
-	TimeScale float64
+	Latency                      time.Duration
+	TimeScale                    float64
 }
 
-// NewBus returns a simulated bus.
-func NewBus(cfg BusConfig) *Bus {
-	return &Bus{b: pcie.New(pcie.Config{
-		BandwidthHtoD: cfg.BandwidthHtoD,
-		BandwidthDtoH: cfg.BandwidthDtoH,
-		Latency:       cfg.Latency,
-		TimeScale:     cfg.TimeScale,
-	})}
-}
+// NewBus returns nil.
+//
+// Deprecated: see Bus.
+func NewBus(BusConfig) *Bus { return nil }
 
 // RetryPolicy makes a streaming run resilient to transient reader
 // failures: a failed read is retried in place — the stream's byte
@@ -53,7 +43,8 @@ func NewBus(cfg BusConfig) *Bus {
 // failed attempt, with no loss and no duplication — up to MaxAttempts
 // times with capped exponential backoff. Errors the classifier rejects
 // (and exhausted retries) surface as a typed error matching ErrInput,
-// carrying the exact byte offset consumed before the failure.
+// carrying the exact byte offset consumed before the failure. A
+// canceled context ends a backoff at once, with ErrCanceled.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts for one failing read
 	// position (1 failed read + MaxAttempts-1 retries). Values <= 1
@@ -75,29 +66,20 @@ type RetryPolicy struct {
 // pipeline memory and is only valid for the duration of the callback;
 // copy it to retain it. For UTF-16 input, Offset and Raw refer to
 // positions in the partition's UTF-8 transcription.
-type BadRecord struct {
-	Partition int
-	Row       int64
-	Offset    int64
-	Raw       []byte
-}
+type BadRecord = core.BadRecord
 
-// StreamOptions configure a streaming parse.
-type StreamOptions struct {
-	// Options are the per-partition parse options. A nil Schema is
-	// inferred from the first partition and then fixed for the rest, so
-	// all partitions produce compatible tables.
-	Options
+// StreamConfig holds the per-run knobs of a streaming call. The zero
+// value streams DefaultPartitionSize partitions with no budget, no
+// retries and no quarantine. The ring's depth is not a per-run knob:
+// it is the engine's compiled Options.InFlight.
+type StreamConfig struct {
 	// PartitionSize is the bytes of raw input per partition (Figure
 	// 12's x-axis). 0 uses DefaultPartitionSize.
 	PartitionSize int
-	// Bus is the simulated interconnect; nil uses a PCIe 3.0 x16 model.
+	// Bus is ignored.
+	//
+	// Deprecated: see Bus.
 	Bus *Bus
-	// Unordered emits each partition's table as soon as its parse
-	// completes instead of buffering for input order; StreamResult.Order
-	// then records the input index of each emitted table. Only
-	// Options.InFlight > 1 can complete partitions out of order.
-	Unordered bool
 	// DeviceBudget, when positive, bounds the estimated device bytes of
 	// the partitions concurrently in flight: the ring stops admitting
 	// new partitions while the budget would be exceeded. One partition
@@ -116,7 +98,7 @@ type StreamOptions struct {
 	// field under RejectMalformed) with its raw bytes and offset — the
 	// graceful-degradation divert channel. Diverted records also remain
 	// flagged in their table's rejected vector. The callback runs on a
-	// partition-parse goroutine; under InFlight > 1 calls may be
+	// partition-parse goroutine; under Options.InFlight > 1 calls may be
 	// concurrent, so the callback must be safe for concurrent use.
 	OnBadRecord func(BadRecord)
 	// SkipBadPartitions quarantines partitions whose parse fails with a
@@ -132,19 +114,23 @@ type StreamOptions struct {
 	SkipBadPartitions bool
 }
 
+// StreamOptions configure a one-shot streaming parse: the parse
+// options an Engine compiles, and the per-run StreamConfig. A nil
+// Schema is inferred from the first partition and then fixed for the
+// rest, so all partitions produce compatible tables.
+type StreamOptions struct {
+	Options
+	StreamConfig
+}
+
 // StreamStats is the Stats of a streaming run. It is the same type
 // as Stats, kept as a name for callers that spell it.
 type StreamStats = Stats
 
 // StreamResult is a completed streaming parse.
 type StreamResult struct {
-	// Tables holds one table per partition, in input order — unless the
-	// run was Unordered, in which case tables appear in completion
-	// order and Order records the permutation.
+	// Tables holds one table per partition, in input order.
 	Tables []*Table
-	// Order maps each emitted table to its partition's input index; it
-	// is non-nil only for Unordered runs with at least one table.
-	Order []int
 	// Header holds the column names from the first partition when
 	// Options.HasHeader was set.
 	Header []string
@@ -178,26 +164,19 @@ func (r *StreamResult) NumRows() int {
 }
 
 // Stream parses an in-memory input end-to-end through the streaming
-// pipeline of §4.4: the input is consumed in partitions; each is
-// transferred to the (simulated) device, parsed, and its columnar data
-// returned — with the three stages of consecutive partitions overlapped
-// to exploit the bus's full-duplex capability. Records straddling
-// partition boundaries are carried over intact. It is a thin wrapper
-// over StreamReader; inputs that should never be materialised in one
-// buffer go straight to StreamReader.
+// pipeline of §4.4: the input is consumed in partitions, each parsed and
+// its table emitted, with the read of the next partition overlapping
+// the parses in flight. Records straddling partition boundaries are
+// carried over intact. It is a thin wrapper over StreamReader; inputs
+// that should never be materialised in one buffer go straight to
+// StreamReader.
 func Stream(input []byte, opts StreamOptions) (*StreamResult, error) {
 	return StreamReader(bytes.NewReader(input), opts)
 }
 
-// StreamContext is Stream with a cancellation context: see
-// Engine.StreamReaderContext for the cancellation contract.
-func StreamContext(ctx context.Context, input []byte, opts StreamOptions) (*StreamResult, error) {
-	return StreamReaderContext(ctx, bytes.NewReader(input), opts)
-}
-
 // StreamReader parses everything r yields through the end-to-end
 // streaming pipeline of §4.4, pulling fixed-size partitions from the
-// reader as the device consumes them. The full input is never
+// reader as the parses consume them. The full input is never
 // materialised: peak host buffering is bounded by O(PartitionSize +
 // largest carry-over), so files and network sources larger than memory
 // stream through fine. Byte-order-mark detection, the header record,
@@ -220,16 +199,7 @@ func StreamReaderContext(ctx context.Context, r io.Reader, opts StreamOptions) (
 	if err != nil {
 		return nil, err
 	}
-	return e.StreamReaderContext(ctx, r, StreamConfig{
-		PartitionSize:     opts.PartitionSize,
-		Bus:               opts.Bus,
-		Unordered:         opts.Unordered,
-		DeviceBudget:      opts.DeviceBudget,
-		StrictBudget:      opts.StrictBudget,
-		Retry:             opts.Retry,
-		OnBadRecord:       opts.OnBadRecord,
-		SkipBadPartitions: opts.SkipBadPartitions,
-	})
+	return e.StreamReaderContext(ctx, r, opts.StreamConfig)
 }
 
 // ReaderStreamThreshold is the input size in bytes above which
@@ -245,8 +215,8 @@ var ReaderStreamThreshold = 2 * DefaultPartitionSize
 // ParseReader parses everything r yields. Inputs up to
 // ReaderStreamThreshold bytes are buffered and parsed in one shot
 // (identical to Parse); larger inputs are routed through the streaming
-// pipeline with DefaultPartitionSize partitions and an instantaneous
-// bus, then folded into one table, so ParseReader never materialises
+// pipeline with DefaultPartitionSize partitions, then folded into one
+// table, so ParseReader never materialises
 // more than O(threshold + output) host memory for the raw input. Inputs
 // whose options carry SkipRecords, or whose format cannot be streamed,
 // are buffered and parsed in one shot at any size. On the streamed

@@ -107,9 +107,8 @@ func TestStreamReaderParityAcrossModes(t *testing.T) {
 					opts.Mode = mode
 					src := &maxReadReader{t: t, r: bytes.NewReader(tc.data), limit: ps}
 					res, err := StreamReader(src, StreamOptions{
-						Options:       opts,
-						PartitionSize: ps,
-						Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+						Options:      opts,
+						StreamConfig: StreamConfig{PartitionSize: ps},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -151,9 +150,8 @@ func TestStreamReaderTinyFirstPartition(t *testing.T) {
 	}
 	for _, ps := range []int{3, 5, 11} {
 		res, err := StreamReader(bytes.NewReader(input), StreamOptions{
-			Options:       opts,
-			PartitionSize: ps,
-			Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+			Options:      opts,
+			StreamConfig: StreamConfig{PartitionSize: ps},
 		})
 		if err != nil {
 			t.Fatalf("part=%d: %v", ps, err)
@@ -183,8 +181,7 @@ func TestStreamReaderShortReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := StreamReader(&shortReadReader{r: bytes.NewReader(input), k: 13}, StreamOptions{
-		PartitionSize: 256,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+		StreamConfig: StreamConfig{PartitionSize: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,9 +214,8 @@ func TestStreamReaderCommentHeavyInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := StreamReader(bytes.NewReader(input), StreamOptions{
-		Options:       Options{Format: f},
-		PartitionSize: 128,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+		Options:      Options{Format: f},
+		StreamConfig: StreamConfig{PartitionSize: 128},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,9 +238,8 @@ func TestStreamReaderRowlessPrefixBoundedCarry(t *testing.T) {
 	opts := Options{}
 	opts.Scan.Where = []Predicate{Eq(0, "y")}
 	res, err := StreamReader(bytes.NewReader(input), StreamOptions{
-		Options:       opts,
-		PartitionSize: partSize,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+		Options:      opts,
+		StreamConfig: StreamConfig{PartitionSize: partSize},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,9 +276,8 @@ func TestSkipRecordsWholeInputOnly(t *testing.T) {
 
 	r := bytes.NewReader(input)
 	_, err = StreamReader(r, StreamOptions{
-		Options:       opts,
-		PartitionSize: 64,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+		Options:      opts,
+		StreamConfig: StreamConfig{PartitionSize: 64},
 	})
 	var ce *parparawerr.ConfigError
 	if !errors.Is(err, ErrConfig) || !errors.As(err, &ce) {
@@ -317,8 +311,7 @@ func TestStreamReaderReportsInvalidInput(t *testing.T) {
 	input := sb.Bytes()
 
 	res, err := StreamReader(bytes.NewReader(input), StreamOptions{
-		PartitionSize: 256,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+		StreamConfig: StreamConfig{PartitionSize: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,8 +335,7 @@ func TestStreamReaderReportsInvalidInput(t *testing.T) {
 // service sees: empty sources and sources containing only a header.
 func TestStreamReaderEmptyAndHeaderOnly(t *testing.T) {
 	res, err := StreamReader(strings.NewReader(""), StreamOptions{
-		PartitionSize: 64,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+		StreamConfig: StreamConfig{PartitionSize: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,9 +345,8 @@ func TestStreamReaderEmptyAndHeaderOnly(t *testing.T) {
 	}
 
 	res, err = StreamReader(strings.NewReader("a,b\n"), StreamOptions{
-		Options:       Options{HasHeader: true},
-		PartitionSize: 2,
-		Bus:           NewBus(BusConfig{TimeScale: 1e6}),
+		Options:      Options{HasHeader: true},
+		StreamConfig: StreamConfig{PartitionSize: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
