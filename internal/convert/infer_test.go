@@ -98,9 +98,9 @@ func buildTaggedColumn(values []string) (*css.Column, *css.Index) {
 	var off int64
 	for _, v := range values {
 		ix.Starts = append(ix.Starts, off)
-		ix.Lengths = append(ix.Lengths, int64(len(v)))
-		col.Data = append(col.Data, v...)
 		off += int64(len(v))
+		ix.Ends = append(ix.Ends, off)
+		col.Data = append(col.Data, v...)
 	}
 	return col, ix
 }

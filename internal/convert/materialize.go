@@ -130,7 +130,7 @@ func materializeString(d *device.Device, phase string, col *css.Column, ix *css.
 	// Stage lengths (empty fields take the default value's length).
 	d.LaunchBlocks(phase, n, func(_, first, limit int) {
 		for k := first; k < limit; k++ {
-			l := int(ix.Lengths[k])
+			l := int(ix.Ends[k] - ix.Starts[k])
 			if l == 0 && pol.Default != nil {
 				l = defaultLen
 			}

@@ -19,7 +19,7 @@ import (
 // tag-scatter's outputs, or nil when a stage finished the run early
 // (nothing to partition). The arena is reset first: a recycled arena
 // hands out dirty buffers, so an output position the move pass fails to
-// write shows up as a stale byte.
+// write shows up as a stale byte (see runPoisoned).
 func runToPartition(t *testing.T, arena *device.Arena, input []byte, opts Options) *pipeline {
 	t.Helper()
 	plan, err := Compile(opts)
@@ -45,11 +45,41 @@ func runToPartition(t *testing.T, arena *device.Arena, input []byte, opts Option
 	return p
 }
 
+// poisonArena resets a with every recycled int64 buffer filled with -1.
+// It takes the int64 buffers off the free lists, smallest first, until a
+// take finds none left (and reserves one element, recycled with the
+// rest by the final Reset).
+func poisonArena(a *device.Arena) {
+	a.Reset()
+	for {
+		_, reused := a.Allocs()
+		buf := device.AllocDirty[int64](a, 1)
+		buf = buf[:cap(buf)]
+		for i := range buf {
+			buf[i] = -1
+		}
+		if _, r := a.Allocs(); r == reused {
+			break
+		}
+	}
+	a.Reset()
+}
+
+// runPoisoned is runToPartition on buffers a first run of the same case
+// left behind, poisoned: every field offset the move pass fails to
+// write reads -1, never a stale value that happens to be right.
+func runPoisoned(t *testing.T, arena *device.Arena, input []byte, opts Options) *pipeline {
+	t.Helper()
+	runToPartition(t, arena, input, opts)
+	poisonArena(arena)
+	return runToPartition(t, arena, input, opts)
+}
+
 // oracleScatter is what the fused tag-scatter must produce, computed the
 // way the paper's tag and partition phases do it.
 type oracleScatter struct {
 	syms           []byte
-	recLens        []int64 // run-length encoding of the sorted record tags
+	recOffs        []int64 // per column: 0, then the running sum of the sorted record tags' run lengths
 	aux            []bool
 	hist, colStart []int64
 	kept           int
@@ -61,9 +91,10 @@ type oracleScatter struct {
 // mode payload in one sequential walk — no chunks, tiles or run fills —
 // and then partitions the tags stably with the paper's LSD radix sort.
 // In RecordTagged mode it run-length encodes every column's sorted
-// record tags into per-record lengths, as §3.3 does. It reads only the
-// stage outputs before tagging: the bitmaps, the column map and record
-// counts, and the Where drops.
+// record tags into per-record lengths and scans them into the column's
+// field offsets, as §3.3 does. It reads only the stage outputs before
+// tagging: the bitmaps, the column map and record counts, and the
+// Where drops.
 func oracleTagPartition(p *pipeline) oracleScatter {
 	n := len(p.input)
 	colTags := make([]uint32, n)
@@ -150,7 +181,7 @@ func oracleTagPartition(p *pipeline) oracleScatter {
 		recs := make([]uint32, n)
 		radixGather(d, "oracle", recs, recTags, perm)
 		numOut := p.numOutRecords
-		out.recLens = make([]int64, int64(p.sentinel)*numOut)
+		lens := make([]int64, int64(p.sentinel)*numOut)
 		for k := int64(0); k < int64(p.sentinel); k++ {
 			lo, hi := out.colStart[k], out.colStart[k]+out.hist[k]
 			for i := lo; i < hi; {
@@ -158,8 +189,15 @@ func oracleTagPartition(p *pipeline) oracleScatter {
 				for j < hi && recs[j] == recs[i] {
 					j++
 				}
-				out.recLens[k*numOut+int64(recs[i])] += j - i
+				lens[k*numOut+int64(recs[i])] += j - i
 				i = j
+			}
+		}
+		out.recOffs = make([]int64, int64(p.sentinel)*(numOut+1))
+		for k := int64(0); k < int64(p.sentinel); k++ {
+			offs := out.recOffs[k*(numOut+1) : (k+1)*(numOut+1)]
+			for r, l := range lens[k*numOut : (k+1)*numOut] {
+				offs[r+1] = offs[r] + l
 			}
 		}
 	case css.VectorDelimited:
@@ -220,12 +258,12 @@ func fusedInput(rng *rand.Rand, records, cols int, ragged bool, tail int) []byte
 // TestFusedScatterMatchesOracle pins the fused tag-scatter to the
 // paper's per-symbol tagging plus stable radix partition: sortedSyms,
 // sortedAux, hist, colStart, the kept and skipped symbol counts, the
-// reject vector, and recLens against the run-length encoding of the
-// sorted record tags must be identical across the tagging modes,
+// reject vector, and recOffs against the scanned run-length encoding of
+// the sorted record tags must be identical across the tagging modes,
 // column selection, Where pushdown, SkipRecords, RejectInconsistent on
 // ragged input, chunk sizes that make a tile 4096, 585, 132 and 1
 // chunks, and inputs whose records, quoted fields and trailing record
-// cross tile boundaries.
+// cross tile boundaries. Every case runs on poisoned buffers.
 func TestFusedScatterMatchesOracle(t *testing.T) {
 	const cols = 4
 	rng := rand.New(rand.NewSource(12))
@@ -288,7 +326,7 @@ func TestFusedScatterMatchesOracle(t *testing.T) {
 						opts.ExpectedColumns = cols
 					}
 					v.set(&opts)
-					p := runToPartition(t, arena, in.data, opts)
+					p := runPoisoned(t, arena, in.data, opts)
 					if p == nil {
 						t.Fatalf("%s: run finished before partitioning", name)
 					}
@@ -311,8 +349,8 @@ func compareWithOracle(t *testing.T, name string, p *pipeline) {
 	if !slices.Equal(p.sortedSyms, want.syms) {
 		t.Fatalf("%s: sortedSyms differ at %d", name, firstDiff(p.sortedSyms, want.syms))
 	}
-	if !slices.Equal(p.recLens, want.recLens) {
-		t.Fatalf("%s: recLens differ at %d", name, firstDiff(p.recLens, want.recLens))
+	if !slices.Equal(p.recOffs, want.recOffs) {
+		t.Fatalf("%s: recOffs differ at %d", name, firstDiff(p.recOffs, want.recOffs))
 	}
 	if !slices.Equal(p.sortedAux, want.aux) {
 		t.Fatalf("%s: sortedAux differ at %d", name, firstDiff(p.sortedAux, want.aux))
@@ -325,7 +363,7 @@ func compareWithOracle(t *testing.T, name string, p *pipeline) {
 // TestFusedScatterSymsOnly pins, by hand, the payload combinations of the
 // delimiter-keeping modes: InlineTerminated moves symbols alone (each
 // field closed by the terminator), VectorDelimited symbols plus the
-// delimiter vector; neither fills recLens.
+// delimiter vector; neither fills recOffs.
 func TestFusedScatterSymsOnly(t *testing.T) {
 	input := []byte("ab,c\nde,f\n")
 	cases := []struct {
@@ -339,7 +377,7 @@ func TestFusedScatterSymsOnly(t *testing.T) {
 	arena := device.NewArena()
 	for _, tc := range cases {
 		for _, chunk := range []int{1, 3, 4096} {
-			p := runToPartition(t, arena, input, Options{
+			p := runPoisoned(t, arena, input, Options{
 				Device:     device.New(device.Config{Workers: 2}),
 				ChunkSize:  chunk,
 				Mode:       tc.mode,
@@ -354,8 +392,8 @@ func TestFusedScatterSymsOnly(t *testing.T) {
 			if !slices.Equal(p.sortedAux, tc.aux) {
 				t.Errorf("%v/chunk%d: sortedAux %v, want %v", tc.mode, chunk, p.sortedAux, tc.aux)
 			}
-			if p.recLens != nil {
-				t.Errorf("%v/chunk%d: recLens filled in a syms-only mode", tc.mode, chunk)
+			if p.recOffs != nil {
+				t.Errorf("%v/chunk%d: recOffs filled in a syms-only mode", tc.mode, chunk)
 			}
 			if !slices.Equal(p.hist, []int64{6, 4, 0}) || !slices.Equal(p.colStart, []int64{0, 6, 10}) {
 				t.Errorf("%v/chunk%d: hist %v colStart %v, want [6 4 0] [0 6 10]", tc.mode, chunk, p.hist, p.colStart)
@@ -368,8 +406,8 @@ func TestFusedScatterSymsOnly(t *testing.T) {
 // projection pushdown relies on: symbols of unselected columns are
 // counted under the sentinel key but never moved, the kept columns pack
 // into a dense prefix of exactly colStart[sentinel] symbols, and each
-// selected column's CSS is the one a parse without selection builds for
-// that source column.
+// selected column's CSS and field offsets are the ones a parse without
+// selection builds for that source column.
 func TestFusedScatterSentinelUnmoved(t *testing.T) {
 	const cols = 4
 	input := fusedInput(rand.New(rand.NewSource(37)), 50, cols, false, 0)
@@ -379,9 +417,9 @@ func TestFusedScatterSentinelUnmoved(t *testing.T) {
 			ChunkSize: chunk,
 			Mode:      css.RecordTagged,
 		}
-		full := runToPartition(t, device.NewArena(), input, opts)
+		full := runPoisoned(t, device.NewArena(), input, opts)
 		opts.SelectColumns = []int{3, 1}
-		sel := runToPartition(t, device.NewArena(), input, opts)
+		sel := runPoisoned(t, device.NewArena(), input, opts)
 		if full == nil || sel == nil {
 			t.Fatalf("chunk%d: run finished before partitioning", chunk)
 		}
@@ -401,9 +439,9 @@ func TestFusedScatterSentinelUnmoved(t *testing.T) {
 			}
 			lo, hi := sel.colStart[k], sel.colStart[k]+sel.hist[k]
 			flo, fhi := full.colStart[kf], full.colStart[kf]+full.hist[kf]
-			n := sel.numOutRecords
-			lens, flens := sel.recLens[int64(k)*n:int64(k+1)*n], full.recLens[int64(kf)*n:int64(kf+1)*n]
-			if !slices.Equal(sel.sortedSyms[lo:hi], full.sortedSyms[flo:fhi]) || !slices.Equal(lens, flens) {
+			n := sel.numOutRecords + 1
+			offs, foffs := sel.recOffs[int64(k)*n:int64(k+1)*n], full.recOffs[int64(kf)*n:int64(kf+1)*n]
+			if !slices.Equal(sel.sortedSyms[lo:hi], full.sortedSyms[flo:fhi]) || !slices.Equal(offs, foffs) {
 				t.Fatalf("chunk%d: column %d's CSS differs from the unselected parse's", chunk, c)
 			}
 		}
@@ -445,8 +483,9 @@ func firstDiff[T comparable](a, b []T) int {
 // the fused tag-scatter: the tag stage's arena growth on a 1 MiB
 // RecordTagged parse stays below a quarter of the input, so no O(n)
 // per-symbol tag buffer is left, and the whole parse's device peak per
-// input byte stays under a bound that a per-symbol record-tag buffer
-// exceeds on taxi.
+// input byte stays under a bound that taxi exceeds with a per-symbol
+// record-tag buffer, and also with per-field lengths scanned into a
+// separate index.
 func TestFusedScatterNoPerSymbolBuffers(t *testing.T) {
 	for _, spec := range []workload.Spec{workload.Yelp(), workload.Taxi()} {
 		input := spec.Generate(1<<20, 7)
@@ -459,11 +498,121 @@ func TestFusedScatterNoPerSymbolBuffers(t *testing.T) {
 		if grow := arena.PhasePeak("tagSymbols") - arena.PhasePeak("offsetScans"); grow >= n/4 {
 			t.Errorf("%s: tag stage grew the arena by %d bytes on a %d-byte input; per-symbol tag buffer?", spec.Name, grow, n)
 		}
-		// Measured with one 8-byte length per field: yelp 2.28×, taxi
-		// 5.72× the input (size-class rounding included). With a 4-byte
-		// record tag per kept symbol the peak was 6.30× and 9.84×.
-		if per := float64(res.Stats.DeviceBytes) / float64(n); per > 8 {
-			t.Errorf("%s: device peak %.2f× input, want ≤ 8×", spec.Name, per)
+		// Measured with the move pass writing one 8-byte offset per
+		// field, which is the CSS index: yelp 2.14×, taxi 3.59× the
+		// input (size-class rounding included). With one 8-byte length
+		// per field scanned into a separate array of starts the peak
+		// was 2.29× and 5.72×; with a 4-byte record tag per kept symbol,
+		// 6.30× and 9.84×.
+		if per := float64(res.Stats.DeviceBytes) / float64(n); per > 5 {
+			t.Errorf("%s: device peak %.2f× input, want ≤ 5×", spec.Name, per)
+		}
+	}
+}
+
+// TestRecordOffsetsEdges pins the move pass's exactly-once offset rule
+// at its edges, cell by cell, on poisoned buffers: ragged records short
+// of the column count (the record delimiter ends the columns they do not
+// reach) and past it (clamped), blank lines, trailing records without a
+// closing delimiter (the end of input ends their open field and the
+// columns they do not reach), trailing records pruned by SkipRecords or
+// by a Where on either filter path, and projections that drop the last
+// column. The hand-written tables are what encoding/csv reads, padded
+// with empty fields to the schema's column count; the generated case,
+// whose ragged records and blank lines cross tiles, is checked against
+// referenceParse padded the same way.
+func TestRecordOffsetsEdges(t *testing.T) {
+	notEmpty := func(col int) []convert.Predicate {
+		return []convert.Predicate{{Column: col, Op: convert.PredNotNull}}
+	}
+	var big strings.Builder
+	rng := rand.New(rand.NewSource(23))
+	for r := 0; r < 3000; r++ {
+		for c, n := 0, rng.Intn(6); c < n; c++ {
+			if c > 0 {
+				big.WriteByte(',')
+			}
+			big.WriteString(strings.Repeat("v", rng.Intn(9)))
+		}
+		big.WriteByte('\n')
+	}
+	big.WriteString("x,y") // an unterminated trailing record
+	cases := []struct {
+		name     string
+		in       string
+		cols     int // the schema's column count
+		skip     []int64
+		where    []convert.Predicate
+		noPush   bool
+		sel      []int
+		trailing TrailingMode
+		want     [][]string // nil: referenceParse, padded
+	}{
+		{name: "short-ragged", in: "a,b,c\nd\ne,f\ng,h,i\n", cols: 3,
+			want: [][]string{{"a", "b", "c"}, {"d", "", ""}, {"e", "f", ""}, {"g", "h", "i"}}},
+		{name: "long-ragged", in: "a,b\nc,d,e,f\ng\nh,i\n", cols: 2,
+			want: [][]string{{"a", "b"}, {"c", "d"}, {"g", ""}, {"h", "i"}}},
+		{name: "blank-lines", in: "\na,b\n\n\nc,d\n\n", cols: 2,
+			want: [][]string{{"", ""}, {"a", "b"}, {"", ""}, {"", ""}, {"c", "d"}, {"", ""}}},
+		{name: "trailing-field-delimiter", in: "a,b\nc,", cols: 2,
+			want: [][]string{{"a", "b"}, {"c", ""}}},
+		{name: "trailing-short", in: "a,b,c\nd,e", cols: 3,
+			want: [][]string{{"a", "b", "c"}, {"d", "e", ""}}},
+		{name: "trailing-long", in: "a,b\nc,d,e", cols: 2,
+			want: [][]string{{"a", "b"}, {"c", "d"}}},
+		{name: "trailing-skipped", in: "a,b\nc,d\ne,f", cols: 2, skip: []int64{0, 2},
+			want: [][]string{{"c", "d"}}},
+		{name: "trailing-dropped", in: "a,b\n,x\nc,d\n,f", cols: 2, where: notEmpty(0),
+			want: [][]string{{"a", "b"}, {"c", "d"}}},
+		{name: "trailing-dropped-post", in: "a,b\n,x\nc,d\n,f", cols: 2, where: notEmpty(0), noPush: true,
+			want: [][]string{{"a", "b"}, {"c", "d"}}},
+		{name: "trailing-short-dropped", in: "a,b\nc,d\ne", cols: 2, where: notEmpty(1),
+			want: [][]string{{"a", "b"}, {"c", "d"}}},
+		{name: "select-drops-last", in: "a,b,c\nd,e,f\ng,h,i", cols: 3, sel: []int{1, 0},
+			want: [][]string{{"b", "a"}, {"e", "d"}, {"h", "g"}}},
+		{name: "select-drops-last-ragged", in: "a,b,c\nd\ne,f,g\nh", cols: 3, sel: []int{1, 0},
+			want: [][]string{{"b", "a"}, {"", "d"}, {"f", "e"}, {"", "h"}}},
+		{name: "remainder", in: "a,b\nc\nd,e", cols: 2, trailing: TrailingRemainder,
+			want: [][]string{{"a", "b"}, {"c", ""}}},
+		{name: "generated", in: big.String(), cols: 4},
+	}
+	arena := device.NewArena()
+	for _, c := range cases {
+		want := c.want
+		if want == nil {
+			for _, row := range referenceParse(t, c.in) {
+				row = append(row, make([]string, c.cols)...)
+				want = append(want, row[:c.cols])
+			}
+		}
+		fields := make([]columnar.Field, c.cols)
+		for i := range fields {
+			fields[i] = columnar.Field{Name: fmt.Sprintf("c%d", i), Type: columnar.String}
+		}
+		for _, chunk := range []int{1, 7, 31, 1024} {
+			opts := Options{
+				Device:        device.New(device.Config{Workers: 4}),
+				ChunkSize:     chunk,
+				Schema:        columnar.NewSchema(fields...),
+				SkipRecords:   c.skip,
+				Where:         c.where,
+				NoPushdown:    c.noPush,
+				SelectColumns: c.sel,
+				Trailing:      c.trailing,
+				Arena:         arena,
+			}
+			name := fmt.Sprintf("%s/chunk%d", c.name, chunk)
+			if _, err := Parse([]byte(c.in), opts); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			poisonArena(arena)
+			res, err := Parse([]byte(c.in), opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := tableStrings(res.Table); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("%s: got %q, want %q", name, got, want)
+			}
 		}
 	}
 }

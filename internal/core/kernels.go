@@ -317,9 +317,9 @@ func (p *pipeline) convertColumn(out, orig int, arena *device.Arena, outFields [
 		Data:       p.sortedSyms[lo:hi],
 		Terminator: p.Terminator,
 	}
-	if p.recLens != nil {
-		n := p.numOutRecords
-		cssCol.Lengths = p.recLens[int64(out)*n : int64(out+1)*n]
+	if p.recOffs != nil {
+		stride := p.numOutRecords + 1
+		cssCol.Offsets = p.recOffs[int64(out)*stride : int64(out+1)*stride]
 	}
 	if p.sortedAux != nil {
 		cssCol.Aux = p.sortedAux[lo:hi]

@@ -108,7 +108,7 @@ type pipeline struct {
 	hist       []int64
 	colStart   []int64
 	sortedSyms []byte
-	recLens    []int64 // RecordTagged: symbols per (column, output record), column-major
+	recOffs    []int64 // RecordTagged: numOutRecords+1 field offsets per column, column-major
 	sortedAux  []bool
 
 	table *columnar.Table // the run's output; set by a finishing stage
@@ -209,7 +209,7 @@ func (p *pipeline) alignIndex(cssCol *css.Column, ix *css.Index, out int) error 
 		return nil
 	case got == want-1 && p.trailing:
 		ix.Starts = append(ix.Starts, int64(len(cssCol.Data)))
-		ix.Lengths = append(ix.Lengths, 0)
+		ix.Ends = append(ix.Ends, int64(len(cssCol.Data)))
 		return nil
 	default:
 		return fmt.Errorf("core: column %d: %d fields for %d records in %v mode (inconsistent input; use RecordTagged)",

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/css"
 	"repro/internal/device"
@@ -44,14 +43,31 @@ const tileBytes = 4096
 //	       count
 //	move   (partitionScatter, timed "partition")  every tile walks its
 //	       bytes again and copies each kept data run straight to its
-//	       column cursor, with the mode's payload (per-record lengths,
+//	       column cursor, with the mode's payload (field end offsets,
 //	       inline terminators, or the delimiter vector) written alongside
 //
 // No per-symbol buffer exists between the passes. Within a column the
 // tiles' cursors are ordered by tile and each tile writes in input
 // order, so the result equals the paper's stable partition of the
-// per-symbol tags, and recLens their run-length encoding (§3.3);
-// fused_test.go holds that reference as the oracle.
+// per-symbol tags (§3.3), and recOffs the exclusive prefix sum of
+// their run-length encoding; fused_test.go holds that reference as the
+// oracle.
+//
+// recOffs is the RecordTagged CSS index itself: column k's entries
+// k*(n+1) .. k*(n+1)+n, for n output records, are its fields'
+// boundaries, a leading 0 and then each field's end. A field's end is
+// its column cursor, relative to the column's start, at the delimiter
+// that ends it, so the move pass writes every end exactly once, with a
+// plain store, by the one tile that holds that delimiter:
+//
+//   - a field delimiter ends field col;
+//   - a record delimiter ends field col and every kept column a short
+//     (ragged) record does not reach, each at its cursor, which makes
+//     an empty field;
+//   - the trailing record of TrailingRecord mode has no closing
+//     delimiter, so the last tile ends its open field and the columns
+//     it does not reach at the end of input;
+//   - skipped, pushdown-dropped and remainder records write nothing.
 
 // tagSymbols is the count pass of the fused tag-scatter. It sizes the
 // tiles, fills p.counts in column-major layout counts[key*tiles+tile],
@@ -99,7 +115,7 @@ func (p *pipeline) tagSymbols() error {
 // partitionScatter is the scan and move passes of the fused tag-scatter
 // (§3.3): the scanned counts place every kept column's symbols
 // cohesively in sortedSyms, and the move pass fills it, together with
-// recLens (RecordTagged) or sortedAux (VectorDelimited).
+// recOffs (RecordTagged) or sortedAux (VectorDelimited).
 func (p *pipeline) partitionScatter() error {
 	d, n := p.Device, len(p.input)
 	// The scan turns the counts into the move pass's cursors in place.
@@ -133,9 +149,13 @@ func (p *pipeline) partitionScatter() error {
 	p.sortedSyms = device.AllocDirty[byte](p.Arena, kept)
 	switch p.Mode {
 	case css.RecordTagged:
-		// One symbol count per column and output record, column-major:
-		// the move pass adds to it, so it starts zeroed.
-		p.recLens = device.Alloc[int64](p.Arena, keys*int(p.numOutRecords))
+		// The move pass writes every field's end; only each column's
+		// leading offset is set here.
+		stride := int(p.numOutRecords) + 1
+		p.recOffs = device.AllocDirty[int64](p.Arena, keys*stride)
+		for k := 0; k < keys; k++ {
+			p.recOffs[k*stride] = 0
+		}
 	case css.VectorDelimited:
 		p.sortedAux = device.AllocDirty[bool](p.Arena, kept)
 	}
@@ -162,13 +182,22 @@ func (p *pipeline) walkTile(t int, move bool) {
 			row[k] = p.counts[k*tiles+t]
 		}
 	}
-	syms, lens, aux := p.sortedSyms, p.recLens, p.sortedAux
-	numOut := p.numOutRecords
+	syms, aux := p.sortedSyms, p.sortedAux
+	// offs is recOffs in the move pass of RecordTagged mode, else nil.
+	var offs []int64
+	if move {
+		offs = p.recOffs
+	}
+	colStart, stride := p.colStart, p.numOutRecords+1
 	mode := p.Mode
 	// Delimiters stay in the inline (as the terminator) and vector (as
-	// themselves, marked in aux) CSSs; the per-record lengths make them
-	// redundant in RecordTagged mode (§4.1, Figure 6).
-	delimsKept := mode != css.RecordTagged
+	// themselves, marked in aux) CSSs; the per-record offsets make them
+	// redundant in RecordTagged mode (§4.1, Figure 6), whose move pass
+	// ends a field at each instead. atDelims is whether the pass does
+	// anything at a kept column's delimiter: one flag, so that the
+	// RecordTagged count pass, which shares this walk, tests one value
+	// per delimiter.
+	atDelims := mode != css.RecordTagged || move
 	checkCols := !move && p.RejectInconsistent
 	skip := p.SkipRecords
 	// Under predicate pushdown, records dropped by Where are irrelevant
@@ -182,13 +211,6 @@ func (p *pipeline) walkTile(t int, move bool) {
 
 	rec := p.recBase[c]
 	col := p.colBase[c].Value
-	// Only the records open at this tile's and the next tile's first
-	// byte can be shared with a neighbour: the move pass adds their
-	// lengths atomically, all others plainly (Bitmap.StoreChunkWord's rule).
-	firstRec, lastRec := rec, int64(-1)
-	if next := c + p.tileChunks; next < p.chunks {
-		lastRec = p.recBase[next]
-	}
 	// skipPtr is the lower bound of rec in the skip list; rec - skipPtr
 	// - dropBefore is the output record index.
 	skipPtr := sort.Search(len(skip), func(i int) bool { return skip[i] >= rec })
@@ -206,7 +228,6 @@ func (p *pipeline) walkTile(t int, move bool) {
 		recDropped := dropped != nil && rec < p.numRecords && dropped[rec]
 		irrelevant := inSkipList || recDropped || rec >= p.numRecords
 		outRec := rec - int64(skipPtr) - dropBefore
-		shared := rec == firstRec || rec == lastRec
 		for i < hi {
 			key := p.mapColumn(col, irrelevant)
 			// next is the next structural byte, bit its mask in sc's
@@ -226,15 +247,7 @@ func (p *pipeline) walkTile(t int, move bool) {
 					end := pos + int64(next-i)
 					row[key] = end
 					copy(syms[pos:end], p.input[i:next])
-					switch mode {
-					case css.RecordTagged:
-						l := &lens[int64(key)*numOut+outRec]
-						if shared {
-							atomic.AddInt64(l, int64(next-i))
-						} else {
-							*l += int64(next - i)
-						}
-					case css.VectorDelimited:
+					if mode == css.VectorDelimited {
 						clear(aux[pos:end])
 					}
 				}
@@ -250,10 +263,14 @@ func (p *pipeline) walkTile(t int, move bool) {
 				i++ // control symbol that delimits nothing
 				continue
 			}
-			if delimsKept && key != sentinel {
-				if !move {
+			if atDelims && key != sentinel {
+				switch {
+				case !move:
 					row[key]++
-				} else {
+				case offs != nil:
+					// The delimiter ends field col.
+					offs[int64(key)*stride+outRec+1] = row[key] - colStart[key]
+				default:
 					pos := row[key]
 					row[key] = pos + 1
 					if mode == css.InlineTerminated {
@@ -272,6 +289,9 @@ func (p *pipeline) walkTile(t int, move bool) {
 			if checkCols && !irrelevant && col+1 != p.numColumns {
 				p.rejected[outRec] = true
 			}
+			if offs != nil && !irrelevant && col+1 < len(p.colMap) {
+				p.endFields(row, outRec, col+1)
+			}
 			rec++
 			col = 0
 			if inSkipList {
@@ -286,6 +306,27 @@ func (p *pipeline) walkTile(t int, move bool) {
 	if !move {
 		for k, v := range row {
 			p.counts[k*tiles+t] = v
+		}
+		return
+	}
+	if offs != nil && p.trailing && t == tiles-1 {
+		// rec is the trailing record; the end of input ends it.
+		inSkipList := skipPtr < len(skip) && skip[skipPtr] == rec
+		recDropped := dropped != nil && dropped[rec]
+		if !inSkipList && !recDropped {
+			p.endFields(row, rec-int64(skipPtr)-dropBefore, col)
+		}
+	}
+}
+
+// endFields ends output record outRec's field in every kept column from
+// input column from on, each at the column cursor in row: the fields a
+// record delimiter or the end of input leaves open or unreached.
+func (p *pipeline) endFields(row []int64, outRec int64, from int) {
+	stride := p.numOutRecords + 1
+	for c := max(from, 0); c < len(p.colMap); c++ {
+		if k := p.colMap[c]; k != p.sentinel {
+			p.recOffs[int64(k)*stride+outRec+1] = row[k] - p.colStart[k]
 		}
 	}
 }

@@ -3,16 +3,17 @@
 //
 // After partitioning, all symbols of a column lie cohesively in one CSS
 // buffer. To convert field values, the algorithm needs an *index* into
-// the CSS: the offset and length of every field's symbol string. How that
+// the CSS: where every field's symbol string starts and ends. How that
 // index is derived depends on the tagging mode:
 //
-//   - RecordTagged: the paper gives every symbol a 4-byte record tag
-//     and run-length encodes the tags into per-record lengths. Here the
-//     partition scatter, which knows the record of every data run it
-//     moves, emits those lengths directly (one 8-byte count per field),
-//     so the index is the exclusive prefix sum of the lengths alone.
-//     Robust: tolerates records with varying column counts (a record
-//     without the column has length 0).
+//   - RecordTagged: the paper gives every symbol a 4-byte record tag,
+//     run-length encodes the sorted tags into per-record lengths and
+//     scans the lengths into offsets. Here the partition scatter's move
+//     pass, which holds every field's end as its column cursor at the
+//     field's closing delimiter, writes the offsets themselves (one
+//     8-byte end per field), so the index is two views of that array
+//     and takes no launch. Robust: tolerates records with varying
+//     column counts (a record without the column has an empty field).
 //   - InlineTerminated: field/record delimiters are replaced by a unique
 //     terminator byte inside the CSS (like '\0' for C strings); the index
 //     is the list of terminator positions. Requires the terminator byte
@@ -21,15 +22,17 @@
 //     boolean vector marks them; the index is the list of marked
 //     positions. No reserved byte needed.
 //
-// The mark-based indexes test every CSS byte through a closure, while
-// the RecordTagged index reads one length per field: RecordTagged is
-// the fastest mode here, the reverse of the paper's Figure 11. Convert
-// of 4 MiB (fixed schema, 2-vCPU Xeon) takes 2.3 ms on yelp and 23 ms
-// on taxi record-tagged (6.7 and 30 ms with per-symbol tags), against
-// 21–26 and 53–55 ms in the other two modes.
+// The mark-based indexes read every CSS byte (or aux flag) twice, once
+// to count the marks per tile and once to scatter their positions,
+// while the RecordTagged index reads nothing: RecordTagged is the
+// fastest mode here, the reverse of the paper's Figure 11. Convert of
+// 4 MiB (fixed schema, 2-vCPU Xeon) takes 1.8 ms on yelp and 12 ms on
+// taxi record-tagged, against 2.9 and 23 ms inline and 6.4 and 21 ms
+// vector-delimited.
 package css
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/device"
@@ -71,10 +74,12 @@ type Column struct {
 	Mode Mode
 	// Data is the concatenated symbol string.
 	Data []byte
-	// Lengths holds the number of symbols of every record, in record
-	// order (RecordTagged mode only): the run-length encoding of the
-	// paper's per-symbol record tags. They must sum to len(Data).
-	Lengths []int64
+	// Offsets holds numRecords+1 field boundaries in Data (RecordTagged
+	// mode only): record k's field spans Data[Offsets[k]:Offsets[k+1]].
+	// Offsets[0] is 0 and Offsets[numRecords] is len(Data). They are the
+	// exclusive prefix sum of the run-length encoding of the paper's
+	// per-symbol record tags, which the move pass writes directly.
+	Offsets []int64
 	// Aux marks delimiter positions in Data (VectorDelimited mode only).
 	Aux []bool
 	// Terminator is the in-band field terminator (InlineTerminated only).
@@ -82,12 +87,13 @@ type Column struct {
 }
 
 // Index maps fields to their symbol strings inside a CSS: field k spans
-// Data[Starts[k]:Starts[k]+Lengths[k]]. For RecordTagged columns field k
-// *is* record k (empty fields have length 0); for the other two modes
-// field k is the k-th field of the column in record order.
+// Data[Starts[k]:Ends[k]]. For RecordTagged columns field k *is* record
+// k (empty fields start where they end), and Starts and Ends are two
+// views of the column's Offsets; for the other two modes field k is the
+// k-th field of the column in record order.
 type Index struct {
-	Starts  []int64
-	Lengths []int64
+	Starts []int64
+	Ends   []int64
 }
 
 // NumFields returns the number of indexed fields.
@@ -95,104 +101,121 @@ func (ix *Index) NumFields() int { return len(ix.Starts) }
 
 // Field returns the half-open byte range of field k.
 func (ix *Index) Field(k int) (start, end int64) {
-	return ix.Starts[k], ix.Starts[k] + ix.Lengths[k]
+	return ix.Starts[k], ix.Ends[k]
 }
 
 // BuildIndexArena derives the CSS index for the column on the device,
 // dispatching on the tagging mode. numRecords is required for
-// RecordTagged (the length of Lengths) and ignored otherwise. phase
-// attributes the work to a pipeline timer (part of the convert step in
-// Figure 9's breakdown). The index buffers and scan temporaries come
-// from the arena (the Go heap when nil), so the index is valid until
-// the arena is reset; a RecordTagged index shares the column's Lengths.
-// Distinct columns may build their indexes concurrently as long as each
-// call uses its own arena (the parallel convert stage passes one arena
-// shard per worker); the column itself is read-only here.
+// RecordTagged (one less than the length of Offsets) and ignored
+// otherwise. A RecordTagged index is two views of the column's Offsets:
+// it checks them and makes no launch and no allocation. The mark-based
+// indexes run on the device, with phase attributing the work to a
+// pipeline timer (part of the convert step in Figure 9's breakdown),
+// and draw their buffers from the arena (the Go heap when nil), so the
+// index is valid until the arena is reset. Distinct columns may build
+// their indexes concurrently as long as each call uses its own arena
+// (the parallel convert stage passes one arena shard per worker); the
+// column itself is read-only here.
 func (c *Column) BuildIndexArena(d *device.Device, a *device.Arena, phase string, numRecords int) (*Index, error) {
 	switch c.Mode {
 	case RecordTagged:
-		// §3.3's offsets: the exclusive prefix sum of the lengths.
-		if len(c.Lengths) != numRecords {
-			return nil, fmt.Errorf("css: %d record lengths for %d records", len(c.Lengths), numRecords)
+		offs := c.Offsets
+		if len(offs) != numRecords+1 {
+			return nil, fmt.Errorf("css: %d record offsets for %d records", len(offs), numRecords)
 		}
-		starts := device.AllocDirty[int64](a, numRecords)
-		if total := scan.ExclusiveArena(d, a, phase, scan.Sum[int64](), c.Lengths, starts); total != int64(len(c.Data)) {
-			return nil, fmt.Errorf("css: record lengths sum to %d, data length %d", total, len(c.Data))
+		if offs[0] != 0 {
+			return nil, fmt.Errorf("css: record offsets start at %d, not 0", offs[0])
 		}
-		return &Index{Starts: starts, Lengths: c.Lengths}, nil
+		if offs[numRecords] != int64(len(c.Data)) {
+			return nil, fmt.Errorf("css: record offsets end at %d, data length %d", offs[numRecords], len(c.Data))
+		}
+		return &Index{Starts: offs[:numRecords], Ends: offs[1:]}, nil
 	case InlineTerminated:
-		return indexByMark(d, a, phase, len(c.Data), func(i int) bool { return c.Data[i] == c.Terminator })
+		data, term := c.Data, c.Terminator
+		sep := []byte{term}
+		return indexByMark(d, a, phase, len(data),
+			func(lo, hi int) int64 { return int64(bytes.Count(data[lo:hi], sep)) },
+			func(lo, hi int, ends []int64) {
+				w := 0
+				for i := lo; i < hi; {
+					j := bytes.IndexByte(data[i:hi], term)
+					if j < 0 {
+						return
+					}
+					i += j
+					ends[w] = int64(i)
+					w++
+					i++
+				}
+			})
 	case VectorDelimited:
 		if len(c.Aux) != len(c.Data) {
 			return nil, fmt.Errorf("css: aux vector length %d != data length %d", len(c.Aux), len(c.Data))
 		}
-		return indexByMark(d, a, phase, len(c.Data), func(i int) bool { return c.Aux[i] })
+		aux := c.Aux
+		return indexByMark(d, a, phase, len(aux),
+			func(lo, hi int) int64 {
+				var n int64
+				for _, m := range aux[lo:hi] {
+					if m {
+						n++
+					}
+				}
+				return n
+			},
+			func(lo, hi int, ends []int64) {
+				w := 0
+				for i, m := range aux[lo:hi] {
+					if m {
+						ends[w] = int64(lo + i)
+						w++
+					}
+				}
+			})
 	default:
 		return nil, fmt.Errorf("css: unknown mode %v", c.Mode)
 	}
 }
 
 // indexByMark builds the index for inline-terminated and vector-delimited
-// CSSs: field k spans from just after mark k-1 to mark k. When the CSS
-// does not end with a mark (a trailing record without final delimiter),
-// the tail forms one more field.
-func indexByMark(d *device.Device, a *device.Arena, phase string, n int, marked func(int) bool) (*Index, error) {
-	// Pass 1: per-tile mark counts.
+// CSSs of n bytes: field k spans from just after mark k-1 to mark k.
+// When the CSS does not end with a mark (a trailing record without final
+// delimiter), the tail forms one more field. count returns the marks in
+// bytes [lo, hi), and scatter writes their positions in order to ends.
+// Both run once per 4 KiB tile, so the per-byte work stays inside the
+// mode's own loop.
+func indexByMark(d *device.Device, a *device.Arena, phase string, n int, count func(lo, hi int) int64, scatter func(lo, hi int, ends []int64)) (*Index, error) {
 	const tile = 4096
 	tiles := (n + tile - 1) / tile
-	counts := device.Alloc[int64](a, tiles)
-	d.Launch(phase, tiles, func(t int) {
-		lo, hi := t*tile, (t+1)*tile
-		if hi > n {
-			hi = n
-		}
-		var c int64
-		for i := lo; i < hi; i++ {
-			if marked(i) {
-				c++
-			}
-		}
-		counts[t] = c
-	})
-	offs := device.Alloc[int64](a, tiles)
-	total := scan.ExclusiveArena(d, a, phase, scan.Sum[int64](), counts, offs)
+	bounds := func(t int) (int, int) { return t * tile, min((t+1)*tile, n) }
 
-	// Pass 2: scatter mark positions.
-	marks := device.Alloc[int64](a, int(total))
+	// Pass 1: per-tile mark counts, scanned into each tile's first slot.
+	first := device.AllocDirty[int64](a, tiles)
 	d.Launch(phase, tiles, func(t int) {
-		lo, hi := t*tile, (t+1)*tile
-		if hi > n {
-			hi = n
+		first[t] = count(bounds(t))
+	})
+	marks := scan.ExclusiveArena(d, a, phase, scan.Sum[int64](), first, first)
+
+	// Pass 2: every tile scatters its mark positions to ends, and the
+	// start of the field after each mark to starts, one slot ahead.
+	starts := device.AllocDirty[int64](a, int(marks)+1)
+	ends := device.AllocDirty[int64](a, int(marks)+1)
+	d.Launch(phase, tiles, func(t int) {
+		lo, hi := bounds(t)
+		w, next := first[t], marks
+		if t+1 < tiles {
+			next = first[t+1]
 		}
-		w := offs[t]
-		for i := lo; i < hi; i++ {
-			if marked(i) {
-				marks[w] = int64(i)
-				w++
-			}
+		scatter(lo, hi, ends[w:next])
+		for k := w; k < next; k++ {
+			starts[k+1] = ends[k] + 1
 		}
 	})
-
-	fields := int(total)
-	trailing := false
-	if n > 0 && (fields == 0 || marks[fields-1] != int64(n-1)) {
-		trailing = true
+	starts[0] = 0
+	fields := int(marks)
+	if n > 0 && (marks == 0 || ends[marks-1] != int64(n-1)) {
+		ends[marks] = int64(n)
 		fields++
 	}
-	ix := &Index{Starts: device.Alloc[int64](a, fields), Lengths: device.Alloc[int64](a, fields)}
-	d.Launch(phase, fields, func(k int) {
-		var start int64
-		if k > 0 {
-			start = marks[k-1] + 1
-		}
-		var end int64
-		if trailing && k == fields-1 {
-			end = int64(n)
-		} else {
-			end = marks[k]
-		}
-		ix.Starts[k] = start
-		ix.Lengths[k] = end - start
-	})
-	return ix, nil
+	return &Index{Starts: starts[:fields], Ends: ends[:fields]}, nil
 }

@@ -12,31 +12,39 @@ func dev() *device.Device { return device.New(device.Config{Workers: 4}) }
 // TestFigure6RecordTagged replays the Figure 6 example for column 1 of
 // the sample input 0,"Apples"\n1,\n2,"Pears"\n — record-tagged CSS
 // "ApplesPears" with tags 000000 22222, whose run-length encoding gives
-// the lengths 6,0,5 and the per-record offsets 0,6,6.
+// the lengths 6,0,5 and the offsets 0,6,6,11. The index is two views of
+// those offsets: building it makes no launch and no arena allocation.
 func TestFigure6RecordTagged(t *testing.T) {
 	col := &Column{
 		Mode:    RecordTagged,
 		Data:    []byte("ApplesPears"),
-		Lengths: []int64{6, 0, 5},
+		Offsets: []int64{0, 6, 6, 11},
 	}
-	ix, err := col.BuildIndexArena(dev(), nil, "t", 3)
+	d, a := dev(), device.NewArena()
+	ix, err := col.BuildIndexArena(d, a, "t", 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if total, _ := a.Allocs(); d.Launches() != 0 || total != 0 {
+		t.Errorf("index made %d launches and %d arena allocations, want none", d.Launches(), total)
 	}
 	if ix.NumFields() != 3 {
 		t.Fatalf("fields = %d, want 3", ix.NumFields())
 	}
 	wantStart := []int64{0, 6, 6}
-	wantLen := []int64{6, 0, 5}
+	wantEnd := []int64{6, 6, 11}
 	for k := range wantStart {
-		if ix.Starts[k] != wantStart[k] || ix.Lengths[k] != wantLen[k] {
-			t.Errorf("field %d = (%d,%d), want (%d,%d)", k, ix.Starts[k], ix.Lengths[k], wantStart[k], wantLen[k])
+		if ix.Starts[k] != wantStart[k] || ix.Ends[k] != wantEnd[k] {
+			t.Errorf("field %d = (%d,%d), want (%d,%d)", k, ix.Starts[k], ix.Ends[k], wantStart[k], wantEnd[k])
 		}
 	}
-	if string(col.Data[ix.Starts[0]:ix.Starts[0]+ix.Lengths[0]]) != "Apples" {
+	if &ix.Starts[1] != &col.Offsets[1] || &ix.Ends[0] != &col.Offsets[1] {
+		t.Error("index does not view the column's offsets")
+	}
+	if s, e := ix.Field(0); string(col.Data[s:e]) != "Apples" {
 		t.Error("field 0 content wrong")
 	}
-	if string(col.Data[ix.Starts[2]:ix.Starts[2]+ix.Lengths[2]]) != "Pears" {
+	if s, e := ix.Field(2); string(col.Data[s:e]) != "Pears" {
 		t.Error("field 2 content wrong")
 	}
 }
@@ -110,7 +118,7 @@ func TestInlineTrailingFieldWithoutTerminator(t *testing.T) {
 
 func TestEmptyCSS(t *testing.T) {
 	for _, mode := range []Mode{RecordTagged, InlineTerminated, VectorDelimited} {
-		col := &Column{Mode: mode, Terminator: DefaultTerminator, Aux: []bool{}}
+		col := &Column{Mode: mode, Terminator: DefaultTerminator, Aux: []bool{}, Offsets: []int64{0}}
 		ix, err := col.BuildIndexArena(dev(), nil, "t", 0)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -126,29 +134,34 @@ func TestRecordTaggedSparseRecords(t *testing.T) {
 	col := &Column{
 		Mode:    RecordTagged,
 		Data:    []byte("aabbb"),
-		Lengths: []int64{2, 0, 3, 0},
+		Offsets: []int64{0, 2, 2, 5, 5},
 	}
 	ix, err := col.BuildIndexArena(dev(), nil, "t", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantStart := []int64{0, 2, 2, 5}
-	wantLen := []int64{2, 0, 3, 0}
-	for k, w := range wantLen {
-		if ix.Lengths[k] != w || ix.Starts[k] != wantStart[k] {
-			t.Errorf("record %d = (%d,%d), want (%d,%d)", k, ix.Starts[k], ix.Lengths[k], wantStart[k], w)
+	wantEnd := []int64{2, 2, 5, 5}
+	for k, w := range wantEnd {
+		if ix.Ends[k] != w || ix.Starts[k] != wantStart[k] {
+			t.Errorf("record %d = (%d,%d), want (%d,%d)", k, ix.Starts[k], ix.Ends[k], wantStart[k], w)
 		}
 	}
 }
 
 func TestRecordTaggedErrors(t *testing.T) {
-	col := &Column{Mode: RecordTagged, Data: []byte("ab"), Lengths: []int64{2}}
-	if _, err := col.BuildIndexArena(dev(), nil, "t", 2); err == nil {
-		t.Error("want error for length-count/record-count mismatch")
-	}
-	col = &Column{Mode: RecordTagged, Data: []byte("ab"), Lengths: []int64{1, 0}}
-	if _, err := col.BuildIndexArena(dev(), nil, "t", 2); err == nil {
-		t.Error("want error for lengths not summing to the data length")
+	for _, c := range []struct {
+		offs []int64
+		why  string
+	}{
+		{[]int64{0, 2}, "offset-count/record-count mismatch"},
+		{[]int64{1, 1, 2}, "offsets not starting at 0"},
+		{[]int64{0, 1, 1}, "offsets not ending at the data length"},
+	} {
+		col := &Column{Mode: RecordTagged, Data: []byte("ab"), Offsets: c.offs}
+		if _, err := col.BuildIndexArena(dev(), nil, "t", 2); err == nil {
+			t.Errorf("want error for %s", c.why)
+		}
 	}
 	col2 := &Column{Mode: VectorDelimited, Data: []byte("ab"), Aux: []bool{true}}
 	if _, err := col2.BuildIndexArena(dev(), nil, "t", 0); err == nil {
@@ -156,38 +169,37 @@ func TestRecordTaggedErrors(t *testing.T) {
 	}
 }
 
-// TestRecordTaggedLargeRandom cross-checks the parallel scan index
-// against a sequential construction for more records than one scan
-// tile holds.
+// TestRecordTaggedLargeRandom checks the index of many records, empty
+// ones among them, against the values they were built from.
 func TestRecordTaggedLargeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	numRecords := 5000
 	var data []byte
-	wantLen := make([]int64, numRecords)
+	want := make([]string, numRecords)
+	offs := []int64{0}
 	for r := 0; r < numRecords; r++ {
 		l := rng.Intn(40)
 		if rng.Intn(5) == 0 {
 			l = 0
 		}
-		wantLen[r] = int64(l)
 		for i := 0; i < l; i++ {
 			data = append(data, byte('a'+rng.Intn(26)))
 		}
+		want[r] = string(data[len(data)-l:])
+		offs = append(offs, int64(len(data)))
 	}
-	col := &Column{Mode: RecordTagged, Data: data, Lengths: wantLen}
+	col := &Column{Mode: RecordTagged, Data: data, Offsets: offs}
 	ix, err := col.BuildIndexArena(dev(), nil, "t", numRecords)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var acc int64
-	for r := 0; r < numRecords; r++ {
-		if ix.Lengths[r] != wantLen[r] {
-			t.Fatalf("record %d length = %d, want %d", r, ix.Lengths[r], wantLen[r])
+	if ix.NumFields() != numRecords {
+		t.Fatalf("fields = %d, want %d", ix.NumFields(), numRecords)
+	}
+	for r := range want {
+		if s, e := ix.Field(r); string(data[s:e]) != want[r] {
+			t.Fatalf("record %d = %q, want %q", r, data[s:e], want[r])
 		}
-		if ix.Starts[r] != acc {
-			t.Fatalf("record %d start = %d, want %d", r, ix.Starts[r], acc)
-		}
-		acc += wantLen[r]
 	}
 }
 

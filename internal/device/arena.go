@@ -150,10 +150,11 @@ func Alloc[T any](a *Arena, n int) []T {
 // AllocDirty is Alloc without the zeroing of recycled buffers: the
 // returned buffer may hold arbitrary bytes from a previous run. It is
 // only for buffers whose first writer overwrites every element before
-// any read — the partition scatter's sorted payloads, the parse
-// kernels' per-chunk arrays and the CSS index's scanned starts — where
-// the memclr of a recycled O(input) buffer is pure overhead. Size classing, recycling, and all
-// footprint statistics behave exactly like Alloc.
+// any read — the partition scatter's sorted payloads and field offsets,
+// the parse kernels' per-chunk arrays and the mark-based CSS indexes'
+// positions — where the memclr of a recycled O(input) buffer is pure
+// overhead. Size classing, recycling, and all footprint statistics
+// behave exactly like Alloc.
 func AllocDirty[T any](a *Arena, n int) []T {
 	return alloc[T](a, n, true)
 }
