@@ -8,6 +8,8 @@ package parparaw
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -250,4 +252,71 @@ func TestStreamSteadyStateNoLargeAllocs(t *testing.T) {
 		t.Errorf("device footprint %d exceeds first partition's %d; partitions are not reusing buffers",
 			res.Stats.DeviceBytes, afterFirst)
 	}
+}
+
+// TestTablesOwnTheirBytes pins that a returned table holds its values:
+// the record-tagged index points into the caller's input and into arena
+// memory (the partition buffers and the gathered CSSs), so a table must
+// not change when the caller overwrites the input after Engine.Parse,
+// overwrites the reader's buffer after StreamReader, or runs the same
+// engine again over other bytes, recycling its arenas. Both inputs hold
+// string columns read from the input in place and a column of escaped
+// fields gathered into a CSS of its own.
+func TestTablesOwnTheirBytes(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&sb, "%d,name-%d,\"say \"\"%d\"\" twice\",%d.5\n", i, i, i, i)
+	}
+	text := sb.String()
+	schema := NewSchema(Field{Name: "id", Type: Int64}, Field{Name: "name", Type: String},
+		Field{Name: "quote", Type: String}, Field{Name: "x", Type: Float64})
+	eng, err := NewEngine(Options{Schema: schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clobber := func(b []byte) {
+		for i := range b {
+			if b[i] != '\n' && b[i] != ',' && b[i] != '"' {
+				b[i] = '7'
+			}
+		}
+	}
+
+	input := []byte(text)
+	res, err := eng.Parse(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tableRows(res.Table)
+	clobber(input)
+	if _, err := eng.Parse(input); err != nil {
+		t.Fatal(err)
+	}
+	if got := tableRows(res.Table); !slices.Equal(got, want) {
+		t.Fatalf("Parse: table changed after its input was overwritten and reparsed: row 0 %q, want %q", got[0], want[0])
+	}
+
+	src := []byte(text)
+	streamed, err := eng.StreamReader(bytes.NewReader(src), StreamConfig{PartitionSize: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	combined, err := streamed.Combined()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([][]string, len(streamed.Tables))
+	for i, tbl := range streamed.Tables {
+		parts[i] = tableRows(tbl)
+	}
+	clobber(src)
+	if _, err := eng.StreamReader(bytes.NewReader(src), StreamConfig{PartitionSize: 2 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	for i, tbl := range streamed.Tables {
+		if got := tableRows(tbl); !slices.Equal(got, parts[i]) {
+			t.Fatalf("StreamReader: partition %d's table changed after the source was overwritten and restreamed", i)
+		}
+	}
+	assertTablesEqual(t, "streamed", combined, res.Table)
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/convert"
 	"repro/internal/core"
+	"repro/internal/css"
 	"repro/internal/device"
 	"repro/internal/dfa"
 	"repro/internal/scan"
@@ -150,14 +151,16 @@ func BenchmarkParseSkewed(b *testing.B) {
 // BenchmarkConvertWorkers sweeps the convert-phase column pool on the
 // convert-heavy taxi workload: workers=1 is the sequential per-column
 // loop, the larger counts overlap whole columns across the device's
-// idle workers. On a single-core host the sweep is necessarily flat;
-// the convert-ns metric still records the stage's device time for the
-// BENCH_*.json trajectory.
+// idle workers. The pool converts the inline and vector modes' columns
+// (a record-tagged run walks record blocks across its columns
+// instead), so the sweep parses inline-terminated. On a single-core
+// host the sweep is necessarily flat; the convert-ns metric still
+// records the stage's device time for the BENCH_*.json trajectory.
 func BenchmarkConvertWorkers(b *testing.B) {
 	spec := workload.Taxi()
 	for _, w := range dedupWorkerCounts(1, 2, device.Default().Workers()) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchWorkload(b, spec, core.Options{Schema: spec.Schema, ConvertWorkers: w})
+			benchWorkload(b, spec, core.Options{Schema: spec.Schema, Mode: css.InlineTerminated, ConvertWorkers: w})
 		})
 	}
 }
@@ -502,9 +505,10 @@ func BenchmarkFig10InputSize(b *testing.B) {
 
 // BenchmarkFig11TaggingModes compares the three tagging representations
 // (Figure 11 left). The paper finds record-tagged the slowest, because
-// its tags move the most metadata; here it is the fastest, because the
-// move pass writes its index (one offset per field) while the other two
-// modes index by a pass over their column data.
+// its tags move the most metadata; here it is the fastest, because it
+// moves no data (the partition's index walk writes each field's input
+// start and length) while the other two modes move every kept byte
+// into their CSSs and index them by a pass over the column data.
 func BenchmarkFig11TaggingModes(b *testing.B) {
 	for _, spec := range benchSpecs {
 		for _, mode := range []TaggingMode{RecordTagged, InlineTerminated, VectorDelimited} {

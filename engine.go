@@ -311,11 +311,16 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 	opts := e.plan.Options()
 	inFlight := opts.InFlight
 
+	trimming := base.HasHeader || base.SkipRows > 0
 	rp := &ringParser{
-		plan:     e.plan,
-		base:     base,
-		first:    true,
-		trimming: base.HasHeader || base.SkipRows > 0,
+		plan: e.plan,
+		base: base,
+		// With a fixed schema and no header or skipped rows, nothing the
+		// first partition settles affects a later one, so Boundary
+		// pre-scans the first partition too, and it parses alongside the
+		// second.
+		first:    base.Schema == nil || trimming,
+		trimming: trimming,
 		schema:   base.Schema,
 		direct:   base.Encoding == utfx.ASCII || base.Encoding == utfx.UTF8,
 		ctx:      ctx,
@@ -369,8 +374,12 @@ func streamResultFrom(rp *ringParser, res *stream.Result) *StreamResult {
 		return nil
 	}
 	out := &StreamResult{Header: rp.header, Stats: res.Stats}
-	out.Tables = make([]*Table, len(res.Tables))
-	for i, t := range res.Tables {
+	tables := res.Tables
+	for len(tables) > 0 && rp.rowless[tables[0]] {
+		tables = tables[1:]
+	}
+	out.Tables = make([]*Table, len(tables))
+	for i, t := range tables {
 		out.Tables[i] = &Table{t: t}
 	}
 	return out
@@ -411,15 +420,25 @@ type ringParser struct {
 	first  bool
 	schema *columnar.Schema
 	header []string
+	// rowless holds the rowless tables of the non-final partitions of a
+	// run that starts with first false. Its partitions parse in flight
+	// from the start, so which of them lead is known only in emit order:
+	// streamResultFrom drops the rowless tables before the first table
+	// with rows, as the first-partition path drops them.
+	mu      sync.Mutex
+	rowless map[*columnar.Table]bool
 }
 
 // Boundary pre-scans part's record boundary: a single sequential DFA
 // walk yielding exactly the carry-over a TrailingRemainder parse would
 // report, which is what lets the ring dispatch the partition without
 // waiting for that parse. It declines (serial fallback) while the
-// first partition's header/skip trimming is unsettled — row pruning
-// splits raw lines without DFA context, so a whole-partition walk
-// could disagree — for UTF-16 input, whose remainder is defined on
+// first partition is unsettled: while its header/skip trimming is —
+// row pruning splits raw lines without DFA context, so a
+// whole-partition walk could disagree — and while an inferred schema
+// waits for it to freeze. A fixed-schema run without trimming settles
+// nothing and is pre-scanned from its first partition. It declines
+// for UTF-16 input, whose remainder is defined on
 // the transcoded bytes and mapped back (Plan.Execute), not on a raw
 // walk — and permanently once the engine's boundary-disagreement
 // counter has hit its limit (the learned serial-carry degradation).
@@ -455,6 +474,14 @@ func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (
 	res, err := p.plan.Execute(part.Input, exec)
 	if err != nil {
 		return stream.PartitionResult{}, err
+	}
+	if p.base.Schema != nil && !p.trimming && !part.Final && res.Table.NumRows() == 0 && res.Stats.RowsPruned == 0 {
+		p.mu.Lock()
+		if p.rowless == nil {
+			p.rowless = make(map[*columnar.Table]bool)
+		}
+		p.rowless[res.Table] = true
+		p.mu.Unlock()
 	}
 	if p.first {
 		// RowsPruned > 0 means the partition did hold complete data

@@ -241,3 +241,85 @@ func TestInFlightValidation(t *testing.T) {
 		t.Errorf("modelled-time run used depth %d, want forced serial", modelled.Stats.InFlight)
 	}
 }
+
+// TestFirstPartitionPrescan pins when the boundary pre-scan covers the
+// first partition. A fixed-schema stream without a header or skipped
+// rows settles nothing in its first partition, so no non-final
+// partition takes the serial carry path; a header or an inferred schema
+// still parses the first partition serially. The output matches Parse
+// either way.
+func TestFirstPartitionPrescan(t *testing.T) {
+	spec := workload.Taxi()
+	input := spec.Generate(64<<10, 5)
+	schema := schemaFromInternal(spec.Schema)
+	names := make([]string, schema.NumColumns())
+	for i, f := range schema.Fields {
+		names[i] = f.Name
+	}
+	withHeader := append([]byte(strings.Join(names, ",")+"\n"), input...)
+	for _, tc := range []struct {
+		name     string
+		data     []byte
+		opts     Options
+		prescans bool
+	}{
+		{"fixed", input, Options{Schema: schema}, true},
+		{"header", withHeader, Options{Schema: schema, HasHeader: true}, false},
+		{"inferred", input, Options{}, false},
+	} {
+		whole, err := Parse(tc.data, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range inFlightCounts() {
+			label := fmt.Sprintf("%s/inflight=%d", tc.name, n)
+			res := streamInFlight(t, label, tc.data, tc.opts, 32<<10, n)
+			if fb := res.Stats.SerialFallbacks; (fb == 0) != tc.prescans || res.Stats.Partitions < 3 {
+				t.Errorf("%s: %d serial fallbacks over %d partitions, want none: %v", label, fb, res.Stats.Partitions, tc.prescans)
+			}
+			combined, err := res.Combined()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertTablesEqual(t, label, combined, whole.Table)
+		}
+	}
+}
+
+// TestFirstPartitionPrescanRowlessLead streams a fixed-schema input
+// whose comment lines fill its first partitions. Those partitions parse
+// in flight from the start, yet their rowless tables are dropped as
+// when the first partition is parsed serially: the run emits the same
+// tables, partition for partition, as the same stream with an inferred
+// schema.
+func TestFirstPartitionPrescanRowlessLead(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&sb, "# leading comment %d\n", i)
+	}
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&sb, "%d,%d\n", i, 2*i)
+		if i%50 == 0 {
+			sb.WriteString("# a comment between records\n")
+		}
+	}
+	input := []byte(sb.String())
+	f := NewCSV(CSV{Delimiter: ',', Comment: '#'})
+	schema := NewSchema(Field{Name: "a", Type: Int64}, Field{Name: "b", Type: Int64})
+	for _, n := range inFlightCounts() {
+		fixed := streamInFlight(t, "fixed", input, Options{Format: f, Schema: schema}, 256, n)
+		inferred := streamInFlight(t, "inferred", input, Options{Format: f}, 256, n)
+		if fixed.Stats.SerialFallbacks != 0 {
+			t.Errorf("inflight=%d: %d serial fallbacks on a fixed-schema stream", n, fixed.Stats.SerialFallbacks)
+		}
+		if len(fixed.Tables) == 0 || fixed.Tables[0].NumRows() == 0 || len(fixed.Tables) != len(inferred.Tables) {
+			t.Fatalf("inflight=%d: %d tables, the first of %d rows; inferred schema emits %d",
+				n, len(fixed.Tables), fixed.Tables[0].NumRows(), len(inferred.Tables))
+		}
+		for i, tbl := range fixed.Tables {
+			if tbl.NumRows() != inferred.Tables[i].NumRows() {
+				t.Fatalf("inflight=%d: table %d has %d rows, inferred schema %d", n, i, tbl.NumRows(), inferred.Tables[i].NumRows())
+			}
+		}
+	}
+}

@@ -109,7 +109,22 @@ func (b *Bitmap) PopCountRange(lo, hi int) int {
 // true, or 0 and false when the range has no set bit. §3.2 uses it to
 // find the last record delimiter of a chunk, after which column counting
 // restarts.
-func (b *Bitmap) LastSetInRange(lo, hi int) (int, bool) {
+func (b *Bitmap) LastSetInRange(lo, hi int) (int, bool) { return b.last(lo, hi, 0) }
+
+// LastClearInRange returns the index of the highest clear bit in [lo,
+// hi) and true, or 0 and false when every bit of the range is set.
+func (b *Bitmap) LastClearInRange(lo, hi int) (int, bool) { return b.last(lo, hi, ^uint64(0)) }
+
+// FirstSetInRange returns the index of the lowest set bit in [lo, hi) and
+// true, or 0 and false when the range has no set bit.
+func (b *Bitmap) FirstSetInRange(lo, hi int) (int, bool) { return b.first(lo, hi, 0) }
+
+// FirstClearInRange returns the index of the lowest clear bit in [lo,
+// hi) and true, or 0 and false when every bit of the range is set.
+func (b *Bitmap) FirstClearInRange(lo, hi int) (int, bool) { return b.first(lo, hi, ^uint64(0)) }
+
+// last is LastSetInRange over the words XORed with flip.
+func (b *Bitmap) last(lo, hi int, flip uint64) (int, bool) {
 	if lo < 0 || hi > b.n || lo > hi {
 		panic(fmt.Sprintf("bitmap: bad range [%d,%d) of %d", lo, hi, b.n))
 	}
@@ -119,7 +134,7 @@ func (b *Bitmap) LastSetInRange(lo, hi int) (int, bool) {
 	hiWord := (hi - 1) / wordBits
 	loWord := lo / wordBits
 	for w := hiWord; w >= loWord; w-- {
-		word := b.words[w]
+		word := b.words[w] ^ flip
 		if w == hiWord {
 			word &= ^uint64(0) >> (wordBits - 1 - uint(hi-1)%wordBits)
 		}
@@ -133,30 +148,40 @@ func (b *Bitmap) LastSetInRange(lo, hi int) (int, bool) {
 	return 0, false
 }
 
-// FirstSetInRange returns the index of the lowest set bit in [lo, hi) and
-// true, or 0 and false when the range has no set bit.
-func (b *Bitmap) FirstSetInRange(lo, hi int) (int, bool) {
+// first is FirstSetInRange over the words XORed with flip.
+func (b *Bitmap) first(lo, hi int, flip uint64) (int, bool) {
 	if lo < 0 || hi > b.n || lo > hi {
 		panic(fmt.Sprintf("bitmap: bad range [%d,%d) of %d", lo, hi, b.n))
 	}
 	if lo == hi {
 		return 0, false
 	}
-	loWord := lo / wordBits
-	hiWord := (hi - 1) / wordBits
-	for w := loWord; w <= hiWord; w++ {
-		word := b.words[w]
-		if w == loWord {
-			word &= ^uint64(0) << (uint(lo) % wordBits)
+	w := lo / wordBits
+	x := (b.words[w] ^ flip) &^ (1<<(uint(lo)%wordBits) - 1)
+	for x == 0 {
+		if w++; w*wordBits >= hi {
+			return 0, false
 		}
-		if w == hiWord {
-			word &= ^uint64(0) >> (wordBits - 1 - uint(hi-1)%wordBits)
-		}
-		if word != 0 {
-			return w*wordBits + bits.TrailingZeros64(word), true
-		}
+		x = b.words[w] ^ flip
+	}
+	if i := w*wordBits + bits.TrailingZeros64(x); i < hi {
+		return i, true
 	}
 	return 0, false
+}
+
+// SetOwned sets bit i for a writer that owns bits [lo, hi), the rule of
+// StoreChunkWord: a plain OR when the whole word is the writer's (every
+// bit in [lo, hi) or past Len()), an atomic OR when a neighbouring
+// writer may set other bits of the word concurrently.
+func (b *Bitmap) SetOwned(i, lo, hi int) {
+	w := i / wordBits
+	bit := uint64(1) << (uint(i) % wordBits)
+	if first := w * wordBits; first < lo || (first+wordBits > hi && hi < b.n) {
+		atomic.OrUint64(&b.words[w], bit)
+		return
+	}
+	b.words[w] |= bit
 }
 
 // StoreChunkWord writes x, the bits a chunk covering symbols [lo, hi)

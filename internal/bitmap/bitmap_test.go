@@ -265,3 +265,72 @@ func TestPopCountRangeQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSetOwnedConcurrent sets random bits from concurrent writers that
+// each own an unaligned range of the bitmap, as the vector-delimited
+// move pass sets delimiter bits in its tiles' CSS regions: the words a
+// writer owns outright take plain ORs, the boundary words atomic ones,
+// and the result must equal a serial build (and -race must stay quiet).
+func TestSetOwnedConcurrent(t *testing.T) {
+	const n = 10_000 // the last backing word is partial
+	rng := rand.New(rand.NewSource(9))
+	ref := New(n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			ref.Set(i)
+		}
+	}
+	for _, region := range []int{1, 31, 100, 1024} {
+		b := New(n)
+		var wg sync.WaitGroup
+		for lo := 0; lo < n; lo += region {
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				for i := lo; i < hi; i++ {
+					if ref.Get(i) {
+						b.SetOwned(i, lo, hi)
+					}
+				}
+			}(lo, min(lo+region, n))
+		}
+		wg.Wait()
+		for w := range ref.words {
+			if b.Word(w) != ref.Word(w) {
+				t.Fatalf("region %d: word %d = %#x, want %#x", region, w, b.Word(w), ref.Word(w))
+			}
+		}
+	}
+}
+
+// TestFirstLastClearInRange checks the clear-bit searches against a
+// scan of every range of a random bitmap with long set runs.
+func TestFirstLastClearInRange(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(4))
+	b := New(n)
+	for i := 0; i < n; i++ {
+		if (i/70)%2 == 1 || rng.Intn(5) != 0 {
+			b.Set(i)
+		}
+	}
+	for lo := 0; lo <= n; lo += 7 {
+		for hi := lo; hi <= n; hi += 5 {
+			first, last, any := -1, -1, false
+			for i := lo; i < hi; i++ {
+				if !b.Get(i) {
+					if !any {
+						first = i
+					}
+					last, any = i, true
+				}
+			}
+			if f, ok := b.FirstClearInRange(lo, hi); ok != any || (ok && f != first) {
+				t.Fatalf("FirstClearInRange(%d,%d) = %d,%v, want %d,%v", lo, hi, f, ok, first, any)
+			}
+			if l, ok := b.LastClearInRange(lo, hi); ok != any || (ok && l != last) {
+				t.Fatalf("LastClearInRange(%d,%d) = %d,%v, want %d,%v", lo, hi, l, ok, last, any)
+			}
+		}
+	}
+}

@@ -124,21 +124,50 @@ func (c Class) Type() columnar.Type {
 	}
 }
 
-// InferColumn classifies every field of the column's CSS in parallel and
+// InferColumn classifies every indexed field of a column in parallel and
 // reduces the classes to the column's inferred type (§4.3): "During an
 // initial pass over the column's symbols, threads identify the minimum
 // numerical type being required to back their field value. A subsequent
 // parallel reduction over the minimum type yields the inferred type."
-func InferColumn(d *device.Device, phase string, col *css.Column, ix *css.Index) Class {
-	return InferColumnArena(d, nil, phase, col, ix)
+func InferColumn(d *device.Device, phase string, ix *css.Index) Class {
+	return InferColumnArena(d, nil, phase, ix)
 }
 
 // InferColumnArena is InferColumn with the reduction's per-block partial
-// buffer drawn from the device arena.
-func InferColumnArena(d *device.Device, a *device.Arena, phase string, col *css.Column, ix *css.Index) Class {
-	n := ix.NumFields()
-	return device.ReduceArena(d, a, phase, n, ClassEmpty, func(k int) Class {
-		start, end := ix.Field(k)
-		return Classify(col.Data[start:end])
-	}, Unify)
+// buffer drawn from the device arena. Like Materialize it walks the
+// fields in runs of the device's block size.
+func InferColumnArena(d *device.Device, a *device.Arena, phase string, ix *css.Index) Class {
+	return InferColumns(d, a, phase, []*css.Index{ix}, d.Config().BlockSize)[0]
+}
+
+// InferColumns infers the classes of several columns that share their
+// records, walking the records in blocks of block records across all
+// columns like MaterializeColumns (and with its rule for block): each block reduces every column's
+// classes to one partial, and the partials, drawn from the arena,
+// reduce to each column's class. A column stops classifying a block
+// once its partial reaches the top of the lattice.
+func InferColumns(d *device.Device, a *device.Arena, phase string, ixs []*css.Index, block int) []Class {
+	n := 0
+	if len(ixs) > 0 {
+		n = ixs[0].NumFields()
+	}
+	// One record block per device block (the threads are only counted).
+	blocks, bs := (n+block-1)/block, d.Config().BlockSize
+	partial := device.Alloc[Class](a, blocks*len(ixs))
+	d.LaunchBlocks(phase, blocks*bs, func(b, _, _ int) {
+		lo, hi := b*block, min((b+1)*block, n)
+		for c, ix := range ixs {
+			acc := ClassEmpty
+			starts, lens := ix.Entries(lo, hi)
+			for j := 0; j < len(starts) && acc != ClassString; j++ {
+				acc = Unify(acc, Classify(ix.Data[starts[j]:starts[j]+int64(lens[j])]))
+			}
+			partial[b*len(ixs)+c] = acc
+		}
+	})
+	out := make([]Class, len(ixs))
+	for i, cl := range partial {
+		out[i%len(ixs)] = Unify(out[i%len(ixs)], cl)
+	}
+	return out
 }

@@ -92,17 +92,16 @@ func TestClassType(t *testing.T) {
 	}
 }
 
-func buildTaggedColumn(values []string) (*css.Column, *css.Index) {
-	col := &css.Column{Mode: css.RecordTagged}
+// buildTaggedColumn indexes values as a record-tagged column: one field
+// per record, laid end to end.
+func buildTaggedColumn(values []string) *css.Index {
 	ix := &css.Index{}
-	var off int64
 	for _, v := range values {
-		ix.Starts = append(ix.Starts, off)
-		off += int64(len(v))
-		ix.Ends = append(ix.Ends, off)
-		col.Data = append(col.Data, v...)
+		ix.Starts = append(ix.Starts, int64(len(ix.Data)))
+		ix.Lens = append(ix.Lens, uint32(len(v)))
+		ix.Data = append(ix.Data, v...)
 	}
-	return col, ix
+	return ix
 }
 
 func TestInferColumn(t *testing.T) {
@@ -122,8 +121,8 @@ func TestInferColumn(t *testing.T) {
 		{nil, ClassEmpty},
 	}
 	for _, c := range cases {
-		col, ix := buildTaggedColumn(c.values)
-		if got := InferColumn(d, "t", col, ix); got != c.want {
+		ix := buildTaggedColumn(c.values)
+		if got := InferColumn(d, "t", ix); got != c.want {
 			t.Errorf("InferColumn(%v) = %v, want %v", c.values, got, c.want)
 		}
 	}
@@ -136,8 +135,8 @@ func TestInferColumnLarge(t *testing.T) {
 		values[i] = "12345"
 	}
 	values[7777] = "1.5" // a single float must widen the whole column
-	col, ix := buildTaggedColumn(values)
-	if got := InferColumn(d, "t", col, ix); got != ClassFloat64 {
+	ix := buildTaggedColumn(values)
+	if got := InferColumn(d, "t", ix); got != ClassFloat64 {
 		t.Errorf("inferred %v, want float64", got)
 	}
 }

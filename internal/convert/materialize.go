@@ -26,55 +26,140 @@ type Policy struct {
 	RejectOnError bool
 }
 
-// Materialize converts one column's CSS into a typed columnar column.
-// Field k of the index corresponds to record k (guaranteed by the
-// record-tagged index construction, and by the constant-columns
-// requirement of the inline/vector modes, §4.1). rejected, when non-nil,
-// is a per-record reject vector in the sense of Figure 5; it must only
-// be written through one Materialize call at a time. The sequential
-// convert loop passes the run's shared vector directly; the parallel
-// convert stage gives each worker a private shadow vector and OR-merges
-// the shadows afterwards, which preserves that contract under
-// concurrent column work.
-func Materialize(d *device.Device, phase string, col *css.Column, ix *css.Index, field columnar.Field, pol Policy, rejected []bool) (*columnar.Column, error) {
-	n := ix.NumFields()
-	b := columnar.NewBuilder(field, n)
-	switch field.Type {
-	case columnar.String:
-		materializeString(d, phase, col, ix, b, pol)
-	default:
-		materializeFixed(d, phase, col, ix, b, pol, rejected)
+// Materialize converts one column's indexed fields into a typed
+// columnar column. Field k of the index corresponds to record k
+// (guaranteed by the record-tagged index construction, and by the
+// constant-columns requirement of the inline/vector modes, §4.1). The
+// index's bytes are copied or parsed, never retained: for a
+// record-tagged column they are the caller's input. rejected, when
+// non-nil, is a per-record reject vector in the sense of Figure 5; it
+// must only be written through one Materialize call at a time. The
+// sequential convert loop passes the run's shared vector directly; the
+// parallel convert stage gives each worker a private shadow vector and
+// OR-merges the shadows afterwards, which preserves that contract under
+// concurrent column work. It walks the fields in runs of the device's
+// block size, so a css.Tagged view's blocks must be a multiple of it.
+func Materialize(d *device.Device, phase string, ix *css.Index, field columnar.Field, pol Policy, rejected []bool) (*columnar.Column, error) {
+	cols := MaterializeColumns(d, phase, []*css.Index{ix}, []columnar.Field{field}, []Policy{pol}, rejected, d.Config().BlockSize)
+	return cols[0], nil
+}
+
+// MaterializeColumns converts the indexed fields of several columns
+// that share their records into typed columns, one per index. It walks
+// the records in blocks of block records, every column of a block
+// before the next block, so that the bytes a block's fields lie in — a
+// span of the input, for the columns of a record-tagged partition — are
+// read from the cache by every column rather than streamed from memory
+// once per column. The blocks are the launch's threads, and each must
+// lie in one block of every index (css.Index.Entries). rejected, when
+// non-nil, receives the reject bits of every column (Policy).
+func MaterializeColumns(d *device.Device, phase string, ixs []*css.Index, fields []columnar.Field, pols []Policy, rejected []bool, block int) []*columnar.Column {
+	n := 0
+	if len(ixs) > 0 {
+		n = ixs[0].NumFields()
 	}
-	return b.Finish(), nil
-}
-
-func fieldValue(col *css.Column, ix *css.Index, k int) []byte {
-	start, end := ix.Field(k)
-	return col.Data[start:end]
-}
-
-func materializeFixed(d *device.Device, phase string, col *css.Column, ix *css.Index, b *columnar.Builder, pol Policy, rejected []bool) {
-	n := ix.NumFields()
-	typ := b.Field().Type
-	d.LaunchBlocks(phase, n, func(_, first, limit int) {
-		for k := first; k < limit; k++ {
-			v := fieldValue(col, ix, k)
-			if len(v) == 0 {
-				if pol.Default != nil {
-					v = pol.Default
-				} else {
-					b.SetNull(k)
-					continue
+	// One record block per device block (the threads are only counted).
+	blocks, bs := (n+block-1)/block, d.Config().BlockSize
+	bounds := func(b int) (int, int) { return b * block, min((b+1)*block, n) }
+	builders := make([]*columnar.Builder, len(ixs))
+	var strs []int
+	for c, f := range fields {
+		builders[c] = columnar.NewBuilder(f, n)
+		if f.Type == columnar.String {
+			strs = append(strs, c)
+		}
+	}
+	if len(strs) > 0 {
+		// Stage lengths (empty fields take the default value's length).
+		d.LaunchBlocks(phase, blocks*bs, func(b, _, _ int) {
+			lo, hi := bounds(b)
+			for _, c := range strs {
+				_, lens := ixs[c].Entries(lo, hi)
+				def := pols[c].Default
+				for j, l := range lens {
+					if l == 0 && def != nil {
+						l = uint32(len(def))
+					}
+					builders[c].SetStringLength(lo+j, int(l))
 				}
 			}
-			if err := parseInto(b, typ, k, v); err != nil {
-				if pol.RejectOnError && rejected != nil {
-					rejected[k] = true
-				}
-				b.SetNull(k)
+		})
+		for _, c := range strs {
+			builders[c].Seal()
+		}
+	}
+
+	// String fields longer than a thread copies alone are deferred to
+	// the collaboration levels of materializeLong.
+	var mu sync.Mutex
+	var long []field
+	d.LaunchBlocks(phase, blocks*bs, func(b, _, _ int) {
+		lo, hi := bounds(b)
+		var local []field
+		for c, ix := range ixs {
+			if fields[c].Type == columnar.String {
+				local = copyStrings(ix, builders[c], pols[c], c, lo, hi, local)
+			} else {
+				parseFixed(ix, builders[c], pols[c], lo, hi, rejected)
 			}
 		}
+		if len(local) > 0 {
+			mu.Lock()
+			long = append(long, local...)
+			mu.Unlock()
+		}
 	})
+	materializeLong(d, phase, ixs, builders, pols, long)
+
+	out := make([]*columnar.Column, len(builders))
+	for c, b := range builders {
+		out[c] = b.Finish()
+	}
+	return out
+}
+
+// field names field k of column c.
+type field struct{ c, k int }
+
+// parseFixed parses fields [lo, hi) of a fixed-width column into b.
+func parseFixed(ix *css.Index, b *columnar.Builder, pol Policy, lo, hi int, rejected []bool) {
+	typ := b.Field().Type
+	starts, lens := ix.Entries(lo, hi)
+	for j, s := range starts {
+		k, v := lo+j, ix.Data[s:s+int64(lens[j])]
+		if len(v) == 0 {
+			if pol.Default == nil {
+				b.SetNull(k)
+				continue
+			}
+			v = pol.Default
+		}
+		if err := parseInto(b, typ, k, v); err != nil {
+			if pol.RejectOnError && rejected != nil {
+				rejected[k] = true
+			}
+			b.SetNull(k)
+		}
+	}
+}
+
+// copyStrings copies fields [lo, hi) of string column c into b, each
+// thread-exclusively (§3.3), and appends to long the fields longer
+// than ThreadFieldThreshold, which it leaves for materializeLong.
+func copyStrings(ix *css.Index, b *columnar.Builder, pol Policy, c, lo, hi int, long []field) []field {
+	starts, lens := ix.Entries(lo, hi)
+	for j, s := range starts {
+		k, v := lo+j, ix.Data[s:s+int64(lens[j])]
+		if len(v) == 0 && pol.Default != nil {
+			v = pol.Default
+		}
+		if len(v) > ThreadFieldThreshold {
+			long = append(long, field{c, k})
+			continue
+		}
+		copy(b.StringDst(k), v)
+	}
+	return long
 }
 
 // parseInto parses one field value into builder slot k.
@@ -116,85 +201,54 @@ func parseInto(b *columnar.Builder, typ columnar.Type, k int, v []byte) error {
 	return nil
 }
 
-// materializeString copies field symbol strings into the Arrow data
-// buffer using the three collaboration levels of §3.3: short fields are
-// copied thread-exclusively; fields exceeding ThreadFieldThreshold are
-// deferred to block-level collaboration; fields exceeding the block's
-// shared-memory budget are deferred to device-level collaboration, where
-// the copy itself is data-parallel over the field's bytes — this is what
-// keeps a single 200 MB record from stalling the pipeline (Figure 11).
-func materializeString(d *device.Device, phase string, col *css.Column, ix *css.Index, b *columnar.Builder, pol Policy) {
-	n := ix.NumFields()
-	defaultLen := len(pol.Default)
-
-	// Stage lengths (empty fields take the default value's length).
-	d.LaunchBlocks(phase, n, func(_, first, limit int) {
-		for k := first; k < limit; k++ {
-			l := int(ix.Ends[k] - ix.Starts[k])
-			if l == 0 && pol.Default != nil {
-				l = defaultLen
-			}
-			b.SetStringLength(k, l)
+// materializeLong copies the long string fields copyStrings deferred,
+// using the two upper collaboration levels of §3.3: a field within the
+// block's shared-memory budget is copied by one block's threads
+// cooperatively; a longer one by the whole device, the copy itself
+// data-parallel over the field's bytes — this is what keeps a single
+// 200 MB record from stalling the pipeline (Figure 11).
+func materializeLong(d *device.Device, phase string, ixs []*css.Index, bs []*columnar.Builder, pols []Policy, long []field) {
+	// value is field f's bytes, or its column's default for an empty
+	// field.
+	value := func(f field) []byte {
+		if v := ixs[f.c].Field(f.k); len(v) > 0 {
+			return v
 		}
-	})
-	b.Seal()
-
+		return pols[f.c].Default
+	}
 	blockBudget := d.Config().SharedMemPerBlock
-
-	var mu sync.Mutex
-	var blockDeferred, deviceDeferred []int
-
-	// Level 1: thread-exclusive copies; oversize fields are deferred.
-	d.LaunchBlocks(phase, n, func(_, first, limit int) {
-		var localBlock, localDevice []int
-		for k := first; k < limit; k++ {
-			v := fieldValue(col, ix, k)
-			if len(v) == 0 && pol.Default != nil {
-				v = pol.Default
-			}
-			switch {
-			case len(v) <= ThreadFieldThreshold:
-				copy(b.StringDst(k), v)
-			case len(v) <= blockBudget:
-				localBlock = append(localBlock, k)
-			default:
-				localDevice = append(localDevice, k)
-			}
+	var blockLevel, deviceLevel []field
+	for _, f := range long {
+		if len(value(f)) <= blockBudget {
+			blockLevel = append(blockLevel, f)
+		} else {
+			deviceLevel = append(deviceLevel, f)
 		}
-		if len(localBlock)+len(localDevice) > 0 {
-			mu.Lock()
-			blockDeferred = append(blockDeferred, localBlock...)
-			deviceDeferred = append(deviceDeferred, localDevice...)
-			mu.Unlock()
-		}
-	})
+	}
 
 	// Level 2: one block per deferred field; the block's threads copy the
 	// field cooperatively.
-	if len(blockDeferred) > 0 {
-		bs := d.Config().BlockSize
-		d.LaunchBlocks(phase, len(blockDeferred)*bs, func(block, _, _ int) {
-			if block >= len(blockDeferred) {
+	if len(blockLevel) > 0 {
+		bs0 := d.Config().BlockSize
+		d.LaunchBlocks(phase, len(blockLevel)*bs0, func(block, _, _ int) {
+			if block >= len(blockLevel) {
 				return
 			}
-			k := blockDeferred[block]
-			copy(b.StringDst(k), fieldValue(col, ix, k))
+			f := blockLevel[block]
+			copy(bs[f.c].StringDst(f.k), value(f))
 		})
 	}
 
 	// Level 3: whole-device data-parallel copy per giant field, chunked
 	// exactly like the top-level parsing pass.
-	for _, k := range deviceDeferred {
-		src := fieldValue(col, ix, k)
-		dst := b.StringDst(k)
+	for _, f := range deviceLevel {
+		src := value(f)
+		dst := bs[f.c].StringDst(f.k)
 		const chunk = 64 << 10
 		pieces := (len(src) + chunk - 1) / chunk
 		d.Launch(phase, pieces, func(p int) {
 			lo := p * chunk
-			hi := lo + chunk
-			if hi > len(src) {
-				hi = len(src)
-			}
+			hi := min(lo+chunk, len(src))
 			copy(dst[lo:hi], src[lo:hi])
 		})
 	}

@@ -11,8 +11,8 @@ import (
 func dev() *device.Device { return device.New(device.Config{Workers: 4}) }
 
 func TestMaterializeInt64(t *testing.T) {
-	col, ix := buildTaggedColumn([]string{"1941", "1938", "-5", ""})
-	out, err := Materialize(dev(), "t", col, ix, columnar.Field{Name: "id", Type: columnar.Int64}, Policy{}, nil)
+	ix := buildTaggedColumn([]string{"1941", "1938", "-5", ""})
+	out, err := Materialize(dev(), "t", ix, columnar.Field{Name: "id", Type: columnar.Int64}, Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +28,8 @@ func TestMaterializeInt64(t *testing.T) {
 }
 
 func TestMaterializeDefaultValue(t *testing.T) {
-	col, ix := buildTaggedColumn([]string{"7", ""})
-	out, err := Materialize(dev(), "t", col, ix, columnar.Field{Name: "n", Type: columnar.Int64},
+	ix := buildTaggedColumn([]string{"7", ""})
+	out, err := Materialize(dev(), "t", ix, columnar.Field{Name: "n", Type: columnar.Int64},
 		Policy{Default: []byte("42")}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +40,9 @@ func TestMaterializeDefaultValue(t *testing.T) {
 }
 
 func TestMaterializeRejectOnError(t *testing.T) {
-	col, ix := buildTaggedColumn([]string{"1", "oops", "3"})
+	ix := buildTaggedColumn([]string{"1", "oops", "3"})
 	rejected := make([]bool, 3)
-	out, err := Materialize(dev(), "t", col, ix, columnar.Field{Name: "n", Type: columnar.Int64},
+	out, err := Materialize(dev(), "t", ix, columnar.Field{Name: "n", Type: columnar.Int64},
 		Policy{RejectOnError: true}, rejected)
 	if err != nil {
 		t.Fatal(err)
@@ -56,9 +56,9 @@ func TestMaterializeRejectOnError(t *testing.T) {
 }
 
 func TestMaterializeNullOnErrorWithoutReject(t *testing.T) {
-	col, ix := buildTaggedColumn([]string{"x"})
+	ix := buildTaggedColumn([]string{"x"})
 	rejected := make([]bool, 1)
-	out, err := Materialize(dev(), "t", col, ix, columnar.Field{Name: "n", Type: columnar.Float64},
+	out, err := Materialize(dev(), "t", ix, columnar.Field{Name: "n", Type: columnar.Float64},
 		Policy{}, rejected)
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +73,8 @@ func TestMaterializeNullOnErrorWithoutReject(t *testing.T) {
 
 func TestMaterializeStrings(t *testing.T) {
 	values := []string{"Bookcase", "Frame\n\"Ribba\", black", "", "x"}
-	col, ix := buildTaggedColumn(values)
-	out, err := Materialize(dev(), "t", col, ix, columnar.Field{Name: "s", Type: columnar.String}, Policy{}, nil)
+	ix := buildTaggedColumn(values)
+	out, err := Materialize(dev(), "t", ix, columnar.Field{Name: "s", Type: columnar.String}, Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestMaterializeStrings(t *testing.T) {
 }
 
 func TestMaterializeStringDefault(t *testing.T) {
-	col, ix := buildTaggedColumn([]string{"a", ""})
-	out, err := Materialize(dev(), "t", col, ix, columnar.Field{Name: "s", Type: columnar.String},
+	ix := buildTaggedColumn([]string{"a", ""})
+	out, err := Materialize(dev(), "t", ix, columnar.Field{Name: "s", Type: columnar.String},
 		Policy{Default: []byte("n/a")}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +110,8 @@ func TestMaterializeCollaborationLevels(t *testing.T) {
 	blockLevel := strings.Repeat("b", ThreadFieldThreshold+100)
 	deviceLevel := strings.Repeat("d", 5000) + strings.Repeat("e", 200<<10)
 	values := []string{short, blockLevel, deviceLevel, "after"}
-	col, ix := buildTaggedColumn(values)
-	out, err := Materialize(d, "t", col, ix, columnar.Field{Name: "s", Type: columnar.String}, Policy{}, nil)
+	ix := buildTaggedColumn(values)
+	out, err := Materialize(d, "t", ix, columnar.Field{Name: "s", Type: columnar.String}, Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,8 @@ func TestMaterializeAllTypes(t *testing.T) {
 		{columnar.String, "hi", func(c *columnar.Column) bool { return string(c.StringValue(0)) == "hi" }, "hi"},
 	}
 	for _, c := range cases {
-		col, ix := buildTaggedColumn([]string{c.in})
-		out, err := Materialize(d, "t", col, ix, columnar.Field{Name: "v", Type: c.typ}, Policy{}, nil)
+		ix := buildTaggedColumn([]string{c.in})
+		out, err := Materialize(d, "t", ix, columnar.Field{Name: "v", Type: c.typ}, Policy{}, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", c.typ, err)
 		}
@@ -153,8 +153,8 @@ func TestMaterializeAllTypes(t *testing.T) {
 }
 
 func TestMaterializeEmptyColumn(t *testing.T) {
-	col, ix := buildTaggedColumn(nil)
-	out, err := Materialize(dev(), "t", col, ix, columnar.Field{Name: "v", Type: columnar.Int64}, Policy{}, nil)
+	ix := buildTaggedColumn(nil)
+	out, err := Materialize(dev(), "t", ix, columnar.Field{Name: "v", Type: columnar.Int64}, Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/convert"
 	"repro/internal/css"
 	"repro/internal/device"
+	"repro/internal/dfa"
 	"repro/internal/workload"
 )
 
@@ -45,29 +47,36 @@ func runToPartition(t *testing.T, arena *device.Arena, input []byte, opts Option
 	return p
 }
 
-// poisonArena resets a with every recycled int64 buffer filled with -1.
-// It takes the int64 buffers off the free lists, smallest first, until a
-// take finds none left (and reserves one element, recycled with the
-// rest by the final Reset).
+// poisonArena resets a with every recycled int64 buffer filled with -1
+// and every recycled uint32 buffer with its maximum.
 func poisonArena(a *device.Arena) {
 	a.Reset()
-	for {
-		_, reused := a.Allocs()
-		buf := device.AllocDirty[int64](a, 1)
-		buf = buf[:cap(buf)]
-		for i := range buf {
-			buf[i] = -1
-		}
-		if _, r := a.Allocs(); r == reused {
-			break
-		}
-	}
+	poison[int64](a, -1)
+	poison[uint32](a, math.MaxUint32)
 	a.Reset()
 }
 
+// poison fills a's recycled buffers of T with v. It takes them off the
+// free lists, smallest first, until a take finds none left (and
+// reserves one element, recycled with the rest by the caller's Reset).
+func poison[T any](a *device.Arena, v T) {
+	for {
+		_, reused := a.Allocs()
+		buf := device.AllocDirty[T](a, 1)
+		buf = buf[:cap(buf)]
+		for i := range buf {
+			buf[i] = v
+		}
+		if _, r := a.Allocs(); r == reused {
+			return
+		}
+	}
+}
+
 // runPoisoned is runToPartition on buffers a first run of the same case
-// left behind, poisoned: every field offset the move pass fails to
-// write reads -1, never a stale value that happens to be right.
+// left behind, poisoned: every field start or length the index walk
+// fails to write reads -1 or the largest uint32, never a stale value
+// that happens to be right.
 func runPoisoned(t *testing.T, arena *device.Arena, input []byte, opts Options) *pipeline {
 	t.Helper()
 	runToPartition(t, arena, input, opts)
@@ -255,11 +264,13 @@ func fusedInput(rng *rand.Rand, records, cols int, ragged bool, tail int) []byte
 	return []byte(b.String())
 }
 
-// TestFusedScatterMatchesOracle pins the fused tag-scatter to the
-// paper's per-symbol tagging plus stable radix partition: sortedSyms,
-// sortedAux, hist, colStart, the kept and skipped symbol counts, the
-// reject vector, and recOffs against the scanned run-length encoding of
-// the sorted record tags must be identical across the tagging modes,
+// TestFusedScatterMatchesOracle pins the tag and partition phases to
+// the paper's per-symbol tagging plus stable radix partition: the kept
+// and skipped symbol counts, the reject vector, sortedSyms, sortedAux,
+// hist and colStart of the mark modes, and every RecordTagged field read
+// through the index against the sorted symbols cut at the scanned
+// run-length encoding of the sorted record tags must be identical across
+// the tagging modes,
 // column selection, Where pushdown, SkipRecords, RejectInconsistent on
 // ragged input, chunk sizes that make a tile 4096, 585, 132 and 1
 // chunks, and inputs whose records, quoted fields and trailing record
@@ -330,18 +341,33 @@ func TestFusedScatterMatchesOracle(t *testing.T) {
 					if p == nil {
 						t.Fatalf("%s: run finished before partitioning", name)
 					}
-					compareWithOracle(t, name, p)
+					compareWithOracle(t, name, p, arena)
 				}
 			}
 		}
 	}
 }
 
-func compareWithOracle(t *testing.T, name string, p *pipeline) {
+// compareWithOracle checks p against the oracle: the kept and skipped
+// byte counts and the reject vector in every mode; the CSSs, hist,
+// colStart and aux marks in the mark modes; and in RecordTagged mode
+// every kept field's bytes, read through the column's index (gathered
+// from arena when the column has a field of several data runs).
+func compareWithOracle(t *testing.T, name string, p *pipeline, arena *device.Arena) {
 	t.Helper()
 	want := oracleTagPartition(p)
-	if len(p.sortedSyms) != want.kept || p.stats.BytesSkipped != int64(len(p.input)-p.remainder-want.kept) {
-		t.Fatalf("%s: %d symbols kept, %d skipped; oracle keeps %d of %d", name, len(p.sortedSyms), p.stats.BytesSkipped, want.kept, len(p.input))
+	if p.stats.BytesSkipped != int64(len(p.input)-p.remainder-want.kept) {
+		t.Fatalf("%s: %d bytes skipped; oracle keeps %d of %d", name, p.stats.BytesSkipped, want.kept, len(p.input))
+	}
+	if !slices.Equal(p.rejected, want.rejected) {
+		t.Fatalf("%s: rejected differ at %d", name, firstDiff(p.rejected, want.rejected))
+	}
+	if p.Mode == css.RecordTagged {
+		compareFields(t, name, p, arena, want)
+		return
+	}
+	if len(p.sortedSyms) != want.kept {
+		t.Fatalf("%s: %d symbols kept, oracle %d", name, len(p.sortedSyms), want.kept)
 	}
 	if !slices.Equal(p.hist, want.hist) || !slices.Equal(p.colStart, want.colStart) {
 		t.Fatalf("%s: hist %v colStart %v, oracle %v %v", name, p.hist, p.colStart, want.hist, want.colStart)
@@ -349,21 +375,49 @@ func compareWithOracle(t *testing.T, name string, p *pipeline) {
 	if !slices.Equal(p.sortedSyms, want.syms) {
 		t.Fatalf("%s: sortedSyms differ at %d", name, firstDiff(p.sortedSyms, want.syms))
 	}
-	if !slices.Equal(p.recOffs, want.recOffs) {
-		t.Fatalf("%s: recOffs differ at %d", name, firstDiff(p.recOffs, want.recOffs))
+	if got := auxBools(p); !slices.Equal(got, want.aux) {
+		t.Fatalf("%s: sortedAux differ at %d", name, firstDiff(got, want.aux))
 	}
-	if !slices.Equal(p.sortedAux, want.aux) {
-		t.Fatalf("%s: sortedAux differ at %d", name, firstDiff(p.sortedAux, want.aux))
+}
+
+// compareFields checks every kept field of a RecordTagged run, read
+// through its column's index, against the oracle's partitioned CSS cut
+// at its scanned record offsets.
+func compareFields(t *testing.T, name string, p *pipeline, arena *device.Arena, want oracleScatter) {
+	t.Helper()
+	n := p.numOutRecords
+	for k := int64(0); k < int64(p.sentinel); k++ {
+		ix, err := p.columnIndex(int(k), arena)
+		if err != nil {
+			t.Fatalf("%s: column %d: %v", name, k, err)
+		}
+		offs := want.recOffs[k*(n+1) : (k+1)*(n+1)]
+		for r := int64(0); r < n; r++ {
+			w := want.syms[want.colStart[k]+offs[r] : want.colStart[k]+offs[r+1]]
+			if got := ix.Field(int(r)); !slices.Equal(got, w) {
+				t.Fatalf("%s: column %d record %d = %q, oracle %q", name, k, r, got, w)
+			}
+		}
 	}
-	if !slices.Equal(p.rejected, want.rejected) {
-		t.Fatalf("%s: rejected differ at %d", name, firstDiff(p.rejected, want.rejected))
+}
+
+// auxBools reads the VectorDelimited delimiter bitmap as one flag per
+// CSS byte, nil in the other modes.
+func auxBools(p *pipeline) []bool {
+	if p.sortedAux == nil {
+		return nil
 	}
+	out := make([]bool, p.sortedAux.Len())
+	for i := range out {
+		out[i] = p.sortedAux.Get(i)
+	}
+	return out
 }
 
 // TestFusedScatterSymsOnly pins, by hand, the payload combinations of the
 // delimiter-keeping modes: InlineTerminated moves symbols alone (each
 // field closed by the terminator), VectorDelimited symbols plus the
-// delimiter vector; neither fills recOffs.
+// delimiter bitmap; neither writes the RecordTagged field index.
 func TestFusedScatterSymsOnly(t *testing.T) {
 	input := []byte("ab,c\nde,f\n")
 	cases := []struct {
@@ -389,11 +443,11 @@ func TestFusedScatterSymsOnly(t *testing.T) {
 			if string(p.sortedSyms) != tc.syms {
 				t.Errorf("%v/chunk%d: sortedSyms %q, want %q", tc.mode, chunk, p.sortedSyms, tc.syms)
 			}
-			if !slices.Equal(p.sortedAux, tc.aux) {
-				t.Errorf("%v/chunk%d: sortedAux %v, want %v", tc.mode, chunk, p.sortedAux, tc.aux)
+			if got := auxBools(p); !slices.Equal(got, tc.aux) {
+				t.Errorf("%v/chunk%d: sortedAux %v, want %v", tc.mode, chunk, got, tc.aux)
 			}
-			if p.recOffs != nil {
-				t.Errorf("%v/chunk%d: recOffs filled in a syms-only mode", tc.mode, chunk)
+			if p.fieldStarts != nil || p.fieldLens != nil {
+				t.Errorf("%v/chunk%d: field index written in a syms-only mode", tc.mode, chunk)
 			}
 			if !slices.Equal(p.hist, []int64{6, 4, 0}) || !slices.Equal(p.colStart, []int64{0, 6, 10}) {
 				t.Errorf("%v/chunk%d: hist %v colStart %v, want [6 4 0] [0 6 10]", tc.mode, chunk, p.hist, p.colStart)
@@ -402,12 +456,11 @@ func TestFusedScatterSymsOnly(t *testing.T) {
 	}
 }
 
-// TestFusedScatterSentinelUnmoved pins the partial-move contract that
-// projection pushdown relies on: symbols of unselected columns are
-// counted under the sentinel key but never moved, the kept columns pack
-// into a dense prefix of exactly colStart[sentinel] symbols, and each
-// selected column's CSS and field offsets are the ones a parse without
-// selection builds for that source column.
+// TestFusedScatterSentinelUnmoved pins the partial index that
+// projection pushdown relies on in RecordTagged mode: the fields of
+// unselected columns are never indexed and count as skipped with the
+// structure, and each selected column's fields read the same bytes as a
+// parse without selection reads for that source column.
 func TestFusedScatterSentinelUnmoved(t *testing.T) {
 	const cols = 4
 	input := fusedInput(rand.New(rand.NewSource(37)), 50, cols, false, 0)
@@ -417,36 +470,42 @@ func TestFusedScatterSentinelUnmoved(t *testing.T) {
 			ChunkSize: chunk,
 			Mode:      css.RecordTagged,
 		}
-		full := runPoisoned(t, device.NewArena(), input, opts)
+		fullArena, selArena := device.NewArena(), device.NewArena()
+		full := runPoisoned(t, fullArena, input, opts)
 		opts.SelectColumns = []int{3, 1}
-		sel := runPoisoned(t, device.NewArena(), input, opts)
+		sel := runPoisoned(t, selArena, input, opts)
 		if full == nil || sel == nil {
 			t.Fatalf("chunk%d: run finished before partitioning", chunk)
 		}
-		s := sel.sentinel
-		if int64(len(sel.sortedSyms)) != sel.colStart[s] || sel.hist[s] != int64(len(input))-sel.colStart[s] {
-			t.Fatalf("chunk%d: %d symbols moved, sentinel start %d count %d of %d", chunk, len(sel.sortedSyms), sel.colStart[s], sel.hist[s], len(input))
+		n := sel.numOutRecords
+		if len(sel.fieldStarts)*cols != len(full.fieldStarts)*2 || len(sel.fieldLens) != len(sel.fieldStarts) {
+			t.Fatalf("chunk%d: %d starts and %d lengths for 2 columns, %d starts for %d", chunk, len(sel.fieldStarts), len(sel.fieldLens), len(full.fieldStarts), cols)
 		}
-		if sel.stats.BytesSkipped != sel.hist[s] {
-			t.Fatalf("chunk%d: BytesSkipped %d, sentinel count %d", chunk, sel.stats.BytesSkipped, sel.hist[s])
-		}
-		wantSkipped := full.hist[full.sentinel]
+		wantSkipped := full.stats.BytesSkipped
 		for c := 0; c < cols; c++ {
 			k, kf := sel.colMap[c], full.colMap[c]
-			if k == s {
-				wantSkipped += full.hist[kf]
+			fix, err := full.columnIndex(int(kf), fullArena)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k == sel.sentinel {
+				for r := 0; r < int(n); r++ {
+					wantSkipped += int64(fix.Lens[r])
+				}
 				continue
 			}
-			lo, hi := sel.colStart[k], sel.colStart[k]+sel.hist[k]
-			flo, fhi := full.colStart[kf], full.colStart[kf]+full.hist[kf]
-			n := sel.numOutRecords + 1
-			offs, foffs := sel.recOffs[int64(k)*n:int64(k+1)*n], full.recOffs[int64(kf)*n:int64(kf+1)*n]
-			if !slices.Equal(sel.sortedSyms[lo:hi], full.sortedSyms[flo:fhi]) || !slices.Equal(offs, foffs) {
-				t.Fatalf("chunk%d: column %d's CSS differs from the unselected parse's", chunk, c)
+			ix, err := sel.columnIndex(int(k), selArena)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < int(n); r++ {
+				if !slices.Equal(ix.Field(r), fix.Field(r)) {
+					t.Fatalf("chunk%d: column %d record %d = %q, unselected parse %q", chunk, c, r, ix.Field(r), fix.Field(r))
+				}
 			}
 		}
-		if sel.hist[s] != wantSkipped {
-			t.Fatalf("chunk%d: sentinel count %d, want %d (unselected columns plus structure)", chunk, sel.hist[s], wantSkipped)
+		if sel.stats.BytesSkipped != wantSkipped {
+			t.Fatalf("chunk%d: BytesSkipped %d, want %d (unselected columns plus structure)", chunk, sel.stats.BytesSkipped, wantSkipped)
 		}
 	}
 }
@@ -480,7 +539,7 @@ func firstDiff[T comparable](a, b []T) int {
 }
 
 // TestFusedScatterNoPerSymbolBuffers is the footprint regression test of
-// the fused tag-scatter: the tag stage's arena growth on a 1 MiB
+// the tag and partition phases: the tag stage's arena growth on a 1 MiB
 // RecordTagged parse stays below a quarter of the input, so no O(n)
 // per-symbol tag buffer is left, and the whole parse's device peak per
 // input byte stays under a bound that taxi exceeds with a per-symbol
@@ -498,12 +557,14 @@ func TestFusedScatterNoPerSymbolBuffers(t *testing.T) {
 		if grow := arena.PhasePeak("tagSymbols") - arena.PhasePeak("offsetScans"); grow >= n/4 {
 			t.Errorf("%s: tag stage grew the arena by %d bytes on a %d-byte input; per-symbol tag buffer?", spec.Name, grow, n)
 		}
-		// Measured with the move pass writing one 8-byte offset per
-		// field, which is the CSS index: yelp 2.14×, taxi 3.59× the
-		// input (size-class rounding included). With one 8-byte length
-		// per field scanned into a separate array of starts the peak
-		// was 2.29× and 5.72×; with a 4-byte record tag per kept symbol,
-		// 6.30× and 9.84×.
+		// Measured with the index walk writing each field's 8-byte
+		// input start and 4-byte length, and no CSS but the gathered
+		// one of yelp's escaped text column: yelp 2.14×, taxi 3.46× the
+		// input (size-class rounding included). With the move pass's
+		// CSS and one 8-byte offset per field it was 2.14× and 3.59×;
+		// with one 8-byte length per field scanned into a separate
+		// array of starts, 2.29× and 5.72×; with a 4-byte record tag per
+		// kept symbol, 6.30× and 9.84×.
 		if per := float64(res.Stats.DeviceBytes) / float64(n); per > 5 {
 			t.Errorf("%s: device peak %.2f× input, want ≤ 5×", spec.Name, per)
 		}
@@ -613,6 +674,84 @@ func TestRecordOffsetsEdges(t *testing.T) {
 			if got := tableStrings(res.Table); !slices.EqualFunc(got, want, slices.Equal) {
 				t.Fatalf("%s: got %q, want %q", name, got, want)
 			}
+		}
+	}
+}
+
+// TestFieldIndexEdges pins the RecordTagged index walk at the edges of
+// its lookback and gather, on poisoned buffers, against the per-symbol
+// tag and stable partition oracle at chunk sizes 1, 7, 31 and 1024:
+// fields of several data runs that cross tiles (RFC 4180 "" escapes
+// with LF and CRLF endings, weblog \" escapes, JSONL strings), single-
+// and several-run fields longer than several tiles, a column with
+// exactly one field of several runs, and a projection that drops the
+// column of several-run fields. multi lists the output columns that
+// must be gathered into a CSS of their own.
+func TestFieldIndexEdges(t *testing.T) {
+	jsonl, err := dfa.NewJSONL(dfa.JSONLOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crlf := dfa.NewCSV(dfa.CSVOptions{CarriageReturn: true})
+	var csvLong, csvCRLF, oneMulti strings.Builder
+	for r := 0; r < 40; r++ {
+		fmt.Fprintf(&csvLong, "%d,", r)
+		switch r % 4 {
+		case 0: // several runs, longer than a tile
+			csvLong.WriteString(`"` + strings.Repeat(`xy""`, 1100+r) + `"`)
+		case 1: // one run, longer than several tiles
+			csvLong.WriteString(`"` + strings.Repeat("z,\n", 3000+r) + `"`)
+		case 2: // several short runs
+			csvLong.WriteString(`"a""b""c"`)
+		}
+		fmt.Fprintf(&csvLong, ",%d\n", r*r)
+		fmt.Fprintf(&csvCRLF, "%d,\"q\"\"%s\"\"\",%d\r\n", r, strings.Repeat("w", 37*r), r)
+		quoted := strings.Repeat("v", r)
+		if r == 17 {
+			quoted = `o""ne`
+		}
+		fmt.Fprintf(&oneMulti, "%d,\"%s\",x%d\n", r, quoted, r)
+	}
+	weblog := workload.Weblog().Generate(24<<10, 3)
+	weblog = append(weblog, `10.0.0.1 2020-01-02 03:04:05 GET /x 200 9 0.5 "`+strings.Repeat(`ab\"`, 2500)+"\"\n"...)
+	cases := []struct {
+		name  string
+		in    []byte
+		m     *dfa.Machine
+		sel   []int
+		multi []int
+	}{
+		{"csv-long", []byte(csvLong.String()), nil, nil, []int{1}},
+		{"csv-long-trailing", []byte(strings.TrimSuffix(csvLong.String(), "\n")), nil, nil, []int{1}},
+		{"csv-long-drop-multi", []byte(csvLong.String()), nil, []int{2, 0}, nil},
+		{"csv-crlf", []byte(csvCRLF.String()), crlf, nil, []int{1}},
+		{"one-multi", []byte(oneMulti.String()), nil, nil, []int{1}},
+		{"weblog", weblog, dfa.Weblog(), nil, []int{8}},
+		{"jsonl", workload.JSONLines().Generate(24<<10, 4), jsonl, nil, nil},
+	}
+	arena := device.NewArena()
+	for _, c := range cases {
+		for _, chunk := range []int{1, 7, 31, 1024} {
+			name := fmt.Sprintf("%s/chunk%d", c.name, chunk)
+			p := runPoisoned(t, arena, c.in, Options{
+				Device:        device.New(device.Config{Workers: 4}),
+				Machine:       c.m,
+				ChunkSize:     chunk,
+				SelectColumns: c.sel,
+			})
+			if p == nil {
+				t.Fatalf("%s: run finished before partitioning", name)
+			}
+			var multi []int
+			for k, m := range p.multiRun {
+				if m != 0 {
+					multi = append(multi, k)
+				}
+			}
+			if !slices.Equal(multi, c.multi) {
+				t.Fatalf("%s: columns %v hold fields of several runs, want %v", name, multi, c.multi)
+			}
+			compareWithOracle(t, name, p, arena)
 		}
 	}
 }

@@ -9,7 +9,9 @@ package core
 // allocations are made once and reused.
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -246,8 +248,11 @@ func (p *pipeline) offsetScans() error {
 // Output buffers come from the Go heap — they outlive the run — while
 // index and inference temporaries stay on the arena.
 //
-// Columns are independent of each other (each reads its own slice of the
-// sorted payloads and writes its own output column), so the phase runs
+// A RecordTagged run reads its fields from the input, so it converts
+// record blocks across all columns in device launches
+// (safeConvertTagged) rather than column by column. In the inline and
+// vector modes columns are independent of each other (each reads its
+// own CSS and writes its own output column), so the phase runs
 // them on a pool of Options.ConvertWorkers goroutines — the CPU
 // substitute for the paper's block-level collaboration across a column's
 // field-materialisation kernels: where the GPU fills its cores from
@@ -274,7 +279,13 @@ func (p *pipeline) convertColumns() error {
 	if p.Device.ModelledTime() {
 		workers = 1
 	}
-	if workers <= 1 {
+	switch {
+	case p.Mode == css.RecordTagged:
+		var err error
+		if columns, err = p.safeConvertTagged(outFields); err != nil {
+			return err
+		}
+	case workers <= 1:
 		for out, orig := range p.selected {
 			col, err := p.safeConvertColumn(out, orig, p.Arena, outFields, p.rejected)
 			if err != nil {
@@ -282,8 +293,10 @@ func (p *pipeline) convertColumns() error {
 			}
 			columns[out] = col
 		}
-	} else if err := p.convertColumnsParallel(workers, outFields, columns); err != nil {
-		return err
+	default:
+		if err := p.convertColumnsParallel(workers, outFields, columns); err != nil {
+			return err
+		}
 	}
 
 	rejected := p.rejected
@@ -304,6 +317,90 @@ func (p *pipeline) convertColumns() error {
 	return nil
 }
 
+// convertBlockBytes is the input span one block of the RecordTagged
+// convert launches covers, on average: small enough to stay in a core's
+// cache while every column reads its fields from it.
+const convertBlockBytes = 64 << 10
+
+// safeConvertTagged is the convert phase of a RecordTagged run. Every
+// column's index views the partition's field entries in the input
+// (gathering a column with fields of several data runs into its own
+// CSS first), and then inference and materialisation walk the records
+// in blocks across all columns (convert.InferColumns,
+// convert.MaterializeColumns) instead of streaming the input once per
+// column. A panic anywhere here, the chaos suite's convert hook
+// included, is recovered into a typed parparawerr.InternalError, as on
+// the column path.
+func (p *pipeline) safeConvertTagged(outFields []columnar.Field) (columns []*columnar.Column, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &parparawerr.InternalError{
+				Partition: p.partition,
+				Stage:     "convert",
+				Value:     r,
+				Stack:     debug.Stack(),
+			}
+		}
+	}()
+	d := p.Device
+	ixs := make([]*css.Index, len(p.selected))
+	pols := make([]convert.Policy, len(p.selected))
+	for out, orig := range p.selected {
+		faultinject.ConvertColumn(out)
+		ix, err := p.columnIndex(out, p.Arena)
+		if err != nil {
+			return nil, err
+		}
+		p.countPostSkipped(ix)
+		ixs[out], pols[out] = ix, p.policy(orig)
+	}
+	// Blocks of a power of two records, at most one block of the index:
+	// about convertBlockBytes of input, and at least four per device
+	// worker.
+	n := int64(p.numOutRecords)
+	want := max(1, min(n*convertBlockBytes/int64(len(p.input)+1), n/int64(4*d.Workers())))
+	block := 1 << min(p.fieldShift, uint(bits.Len64(uint64(want))-1))
+	if p.Schema == nil {
+		for out, cl := range convert.InferColumns(d, p.Arena, "convert", ixs, block) {
+			outFields[out].Type = cl.Type()
+		}
+	}
+	return convert.MaterializeColumns(d, "convert", ixs, outFields, pols, p.rejected, block), nil
+}
+
+// policy is the convert policy of input column orig.
+func (p *pipeline) policy(orig int) convert.Policy {
+	pol := convert.Policy{RejectOnError: p.RejectMalformed}
+	if def, ok := p.DefaultValues[orig]; ok {
+		pol.Default = []byte(def)
+	}
+	return pol
+}
+
+// countPostSkipped adds the bytes the post filter drops from the
+// column indexed by ix to postSkipped (postFilter only). The dropped
+// rows were indexed; they count as skipped all the same, as under
+// pushdown: each dropped field's data plus, in the inline and vector
+// modes, the delimiter kept after it in the CSS.
+func (p *pipeline) countPostSkipped(ix *css.Index) {
+	if p.keep == nil {
+		return
+	}
+	var dropped int64
+	for r, k := range p.keep {
+		switch {
+		case k:
+		case p.Mode == css.RecordTagged:
+			dropped += int64(ix.Len(r))
+		case r+1 < ix.NumFields():
+			dropped += ix.Start(r+1) - ix.Start(r)
+		default:
+			dropped += int64(len(ix.Data)) - ix.Start(r)
+		}
+	}
+	p.postSkipped.Add(dropped)
+}
+
 // convertColumn converts one output column: CSS slice, index, inferred
 // or fixed type, materialisation. arena supplies the device memory (the
 // run arena in the sequential path, a worker's shard in the parallel
@@ -311,54 +408,51 @@ func (p *pipeline) convertColumns() error {
 // sequential path, a worker-private shadow in the parallel one).
 func (p *pipeline) convertColumn(out, orig int, arena *device.Arena, outFields []columnar.Field, rejected []bool) (*columnar.Column, error) {
 	d := p.Device
-	lo, hi := p.colStart[out], p.colStart[out]+p.hist[out]
-	cssCol := &css.Column{
-		Mode:       p.Mode,
-		Data:       p.sortedSyms[lo:hi],
-		Terminator: p.Terminator,
-	}
-	if p.recOffs != nil {
-		stride := p.numOutRecords + 1
-		cssCol.Offsets = p.recOffs[int64(out)*stride : int64(out+1)*stride]
-	}
-	if p.sortedAux != nil {
-		cssCol.Aux = p.sortedAux[lo:hi]
-	}
-	ix, err := cssCol.BuildIndexArena(d, arena, "convert", int(p.numOutRecords))
+	ix, err := p.columnIndex(out, arena)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.alignIndex(cssCol, ix, out); err != nil {
-		return nil, err
-	}
-	if p.keep != nil {
-		// The post filter drops rows whose bytes the move pass moved;
-		// they count as skipped all the same, as under pushdown: each
-		// dropped field's span up to the next field's start, which is
-		// its data plus, in the inline and vector modes, the delimiter
-		// kept after it.
-		var dropped int64
-		for r, k := range p.keep {
-			if !k {
-				end := int64(len(cssCol.Data))
-				if r+1 < ix.NumFields() {
-					end = ix.Starts[r+1]
-				}
-				dropped += end - ix.Starts[r]
-			}
-		}
-		p.postSkipped.Add(dropped)
-	}
+	p.countPostSkipped(ix)
 	field := outFields[out]
 	if p.Schema == nil {
-		field.Type = convert.InferColumnArena(d, arena, "convert", cssCol, ix).Type()
+		field.Type = convert.InferColumnArena(d, arena, "convert", ix).Type()
 		outFields[out] = field
 	}
-	pol := convert.Policy{RejectOnError: p.RejectMalformed}
-	if def, ok := p.DefaultValues[orig]; ok {
-		pol.Default = []byte(def)
+	return convert.Materialize(d, "convert", ix, field, p.policy(orig), rejected)
+}
+
+// columnIndex returns output column out's CSS index. A RecordTagged
+// column views the partition's field starts and lengths in the input,
+// unless one of its fields spans several data runs: then the column's
+// fields are gathered into a CSS of its own. A mark-mode column indexes
+// its CSS's terminators or aux marks.
+func (p *pipeline) columnIndex(out int, arena *device.Arena) (*css.Index, error) {
+	d := p.Device
+	if p.Mode == css.RecordTagged {
+		first := p.fieldEntry(uint32(out), 0)
+		stride := int(p.sentinel) << p.fieldShift
+		ix, err := css.Tagged(p.input, p.fieldStarts[first:], p.fieldLens[first:], int(p.numOutRecords), p.fieldShift, stride)
+		if err != nil || p.multiRun[out] == 0 {
+			return ix, err
+		}
+		return css.Gather(d, arena, "convert", ix, p.bitmaps.Control), nil
 	}
-	return convert.Materialize(d, "convert", cssCol, ix, field, pol, rejected)
+	lo, hi := p.colStart[out], p.colStart[out]+p.hist[out]
+	col := &css.Column{
+		Mode:       p.Mode,
+		Data:       p.sortedSyms[lo:hi],
+		Aux:        p.sortedAux,
+		AuxBase:    int(lo),
+		Terminator: p.Terminator,
+	}
+	ix, err := col.BuildIndexArena(d, arena, "convert")
+	if errors.Is(err, css.ErrFieldTooLong) {
+		return nil, p.fieldTooLong(err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ix, p.alignIndex(ix, out)
 }
 
 // safeConvertColumn is convertColumn with panic containment: a panic in

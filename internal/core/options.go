@@ -10,13 +10,21 @@
 //	          true start state through tiles of chunks, and the in-place
 //	          record/column offset scans
 //	tag       counting, per tile of the input, the symbols each output
-//	          column receives (the count pass of the fused tag-scatter)
-//	partition moving every kept data run straight into its column's
-//	          concatenated symbol string, with the tagging mode's record
-//	          tags, inline terminators, or delimiter vector
-//	convert   CSS index construction and typed columnar materialisation
+//	          column receives (the count pass of the tag-scatter); in
+//	          RecordTagged mode nothing, so the phase reads 0
+//	partition in RecordTagged mode, the index walk: every kept field's
+//	          input start and data length, written once at the
+//	          delimiter that ends it; in the inline and vector modes,
+//	          moving every kept data run straight into its column's
+//	          concatenated symbol string, with the inline terminators
+//	          or the delimiter bitmap
+//	convert   CSS index construction (for RecordTagged, a view of the
+//	          field index, with a gathered CSS only for a column holding
+//	          a field of several data runs) and typed columnar
+//	          materialisation
 //
-// These five phase names match the series of Figure 9 and Figure 11.
+// These five phase names match the series of Figure 9 and Figure 11,
+// which, like the ablation, print the RecordTagged tag phase as 0.
 package core
 
 import (
@@ -69,11 +77,13 @@ type Options struct {
 	ChunkSize int
 	// Mode selects the tagging representation (§4.1). RecordTagged (the
 	// zero value) is robust to records with varying column counts and
-	// is the fastest: the partition pass writes its index, one offset
-	// per field. InlineTerminated and VectorDelimited require a
-	// consistent column count and index by two passes over the column
-	// data (on 4 MiB, taxi 115–118 MB/s against tagged 139, yelp
-	// 317–441 against 472).
+	// is the fastest: the partition phase writes each field's input
+	// start and length and moves no data, and convert reads the fields
+	// in place. InlineTerminated and VectorDelimited require a
+	// consistent column count, move every kept byte into their CSSs and
+	// index them by two passes over the column data (on 4 MiB at two
+	// cores, taxi 77–79 MB/s against tagged 117, yelp 268–286 against
+	// 337).
 	Mode css.Mode
 	// Terminator is the in-band terminator byte for InlineTerminated
 	// mode. 0 means css.DefaultTerminator. It must not occur in field
@@ -129,9 +139,12 @@ type Options struct {
 	// Result.Stats.InvalidInput records the condition instead.
 	Validate bool
 	// ConvertWorkers is the number of concurrent column workers of the
-	// convert phase (§3.3): index construction, type inference, and
-	// materialisation of distinct columns run on a pool of this many
-	// goroutines, each drawing device memory from its own arena shard.
+	// convert phase (§3.3) in the InlineTerminated and VectorDelimited
+	// modes: index construction, type inference, and materialisation of
+	// distinct columns run on a pool of this many goroutines, each
+	// drawing device memory from its own arena shard. A RecordTagged run
+	// converts record blocks across all its columns in device launches
+	// instead, and reads no pool width.
 	// 0 means min(runtime.GOMAXPROCS(0), Device.Workers()), so a device
 	// with one worker parses single-threaded throughout; 1 forces the
 	// sequential per-column loop. Output is byte-identical at every

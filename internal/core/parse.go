@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitmap"
 	"repro/internal/columnar"
 	"repro/internal/css"
 	"repro/internal/device"
@@ -96,7 +97,8 @@ type pipeline struct {
 	// rows, over the columns the convert workers finish (postFilter only).
 	postSkipped atomic.Int64
 
-	// tagSymbols → partitionScatter (the fused tag-scatter of tag.go).
+	// tagSymbols → partitionScatter (tag.go). counts and tileRows serve
+	// only the mark modes' tag-scatter.
 	tileChunks int     // chunks per tile
 	tiles      int     // tiles covering the input
 	counts     []int64 // per-(column, tile) kept symbols, column-major
@@ -104,12 +106,19 @@ type pipeline struct {
 	rowStride  int     // tileRows elements per tile
 	rejected   []bool
 
-	// partitionScatter → convertColumns.
-	hist       []int64
-	colStart   []int64
-	sortedSyms []byte
-	recOffs    []int64 // RecordTagged: numOutRecords+1 field offsets per column, column-major
-	sortedAux  []bool
+	// partitionScatter → convertColumns. RecordTagged: every kept
+	// field's input start and data length, in blocks of 1<<fieldShift
+	// records per column (fieldEntry), and per column whether a field
+	// spans several data runs. The mark modes: the CSSs and, for
+	// VectorDelimited, the delimiter bitmap.
+	fieldStarts []int64
+	fieldLens   []uint32
+	fieldShift  uint
+	multiRun    []uint32
+	hist        []int64
+	colStart    []int64
+	sortedSyms  []byte
+	sortedAux   *bitmap.Bitmap
 
 	table *columnar.Table // the run's output; set by a finishing stage
 }
@@ -195,21 +204,19 @@ func (p *pipeline) resolveSelection() error {
 	return nil
 }
 
-// alignIndex reconciles the CSS index field count with the output record
-// count. Inline/vector CSSs lose the final empty field when the input's
-// trailing record has no closing delimiter; that one field is restored.
-func (p *pipeline) alignIndex(cssCol *css.Column, ix *css.Index, out int) error {
-	if p.Mode == css.RecordTagged {
-		return nil // indexed by record id directly
-	}
+// alignIndex reconciles a mark index's field count with the output
+// record count. Inline/vector CSSs lose the final empty field when the
+// input's trailing record has no closing delimiter; that one field is
+// restored.
+func (p *pipeline) alignIndex(ix *css.Index, out int) error {
 	want := int(p.numOutRecords)
 	got := ix.NumFields()
 	switch {
 	case got == want:
 		return nil
 	case got == want-1 && p.trailing:
-		ix.Starts = append(ix.Starts, int64(len(cssCol.Data)))
-		ix.Ends = append(ix.Ends, int64(len(cssCol.Data)))
+		ix.Starts = append(ix.Starts, int64(len(ix.Data)))
+		ix.Lens = append(ix.Lens, 0)
 		return nil
 	default:
 		return fmt.Errorf("core: column %d: %d fields for %d records in %v mode (inconsistent input; use RecordTagged)",

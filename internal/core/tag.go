@@ -1,14 +1,18 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"sort"
+	"sync/atomic"
 
+	"repro/internal/bitmap"
 	"repro/internal/css"
 	"repro/internal/device"
 	"repro/internal/dfa"
 	"repro/internal/offsets"
 	"repro/internal/scan"
+	"repro/parparawerr"
 )
 
 // chunkMeta is the per-chunk column-count metadata collected by the
@@ -31,92 +35,118 @@ const tileBytes = 4096
 // (§3.3) reads them back to move each symbol into its column's
 // concatenated symbol string (CSS). Within one data run — a clear run of
 // the control bitmap — the record, column, skip and drop context cannot
-// change, so the host pipeline fuses the two phases into a two-pass
-// tag-scatter over tiles instead:
+// change, so the host pipeline walks the control bitmap from structural
+// byte to structural byte, per tile of whole chunks, instead of tagging
+// symbols.
 //
-//	count  (tagSymbols, timed "tag")  every tile walks structural byte to
-//	       structural byte and adds each kept data run's length to a
-//	       per-(tile, column) count; RejectInconsistent bits are set here
+// RecordTagged mode moves nothing. One index walk (indexFields, timed
+// "partition") writes every kept field's input start and data length,
+// once, at the delimiter that ends the field, and the tag phase does no
+// work. The CSS index views those arrays, so the convert step reads
+// fields where they lie in the input; only a column holding a field of
+// several data runs gets a CSS of its own (css.Gather). The rules:
+//
+//   - a field delimiter ends field col;
+//   - a record delimiter ends field col and every kept column a short
+//     (ragged) record does not reach, each as an empty field;
+//   - the trailing record of TrailingRecord mode has no closing
+//     delimiter, so the last tile ends its open field, and the columns
+//     it does not reach, at the end of input;
+//   - skipped, pushdown-dropped and remainder records write nothing.
+//
+// A field that began in an earlier tile is looked back for only by the
+// tile holding its closing delimiter (fieldHead): a tile inside a long
+// field does no work for it.
+//
+// InlineTerminated and VectorDelimited keep the paper's Figure 6 CSSs,
+// built by a two-pass tag-scatter:
+//
+//	count  (tagSymbols, timed "tag")  every tile adds each kept data
+//	       run's length, and each kept delimiter, to a per-(tile, column)
+//	       count; RejectInconsistent bits are set here
 //	scan   (partitionScatter, timed "partition")  one exclusive scan over
 //	       the counts in column-major order gives every tile its cursor
 //	       into every column's CSS, plus hist, colStart and the kept-symbol
 //	       count
 //	move   (partitionScatter, timed "partition")  every tile walks its
 //	       bytes again and copies each kept data run straight to its
-//	       column cursor, with the mode's payload (field end offsets,
-//	       inline terminators, or the delimiter vector) written alongside
+//	       column cursor, with the mode's delimiter payload (the inline
+//	       terminator, or the delimiter and its aux bit) alongside
 //
 // No per-symbol buffer exists between the passes. Within a column the
 // tiles' cursors are ordered by tile and each tile writes in input
 // order, so the result equals the paper's stable partition of the
-// per-symbol tags (§3.3), and recOffs the exclusive prefix sum of
-// their run-length encoding; fused_test.go holds that reference as the
-// oracle.
-//
-// recOffs is the RecordTagged CSS index itself: column k's entries
-// k*(n+1) .. k*(n+1)+n, for n output records, are its fields'
-// boundaries, a leading 0 and then each field's end. A field's end is
-// its column cursor, relative to the column's start, at the delimiter
-// that ends it, so the move pass writes every end exactly once, with a
-// plain store, by the one tile that holds that delimiter:
-//
-//   - a field delimiter ends field col;
-//   - a record delimiter ends field col and every kept column a short
-//     (ragged) record does not reach, each at its cursor, which makes
-//     an empty field;
-//   - the trailing record of TrailingRecord mode has no closing
-//     delimiter, so the last tile ends its open field and the columns
-//     it does not reach at the end of input;
-//   - skipped, pushdown-dropped and remainder records write nothing.
+// per-symbol tags (§3.3); fused_test.go holds that reference as the
+// oracle, for the index walk too.
 
-// tagSymbols is the count pass of the fused tag-scatter. It sizes the
-// tiles, fills p.counts in column-major layout counts[key*tiles+tile],
-// and allocates the reject vector, flagging records whose column count
+// tagSymbols sizes the tiles and allocates the reject vector. In
+// RecordTagged mode it only allocates the per-column flags the index
+// walk sets for fields of several data runs: the walk checks the column
+// counts too, and the tag phase reads 0. For the mark modes it is the
+// count pass of the tag-scatter: it fills p.counts in column-major
+// layout counts[key*tiles+tile] and flags records whose column count
 // deviates from the expected count (when RejectInconsistent).
 func (p *pipeline) tagSymbols() error {
 	keys := int(p.sentinel)
 	p.tileChunks = max(1, tileBytes/p.ChunkSize)
 	p.tiles = (p.chunks + p.tileChunks - 1) / p.tileChunks
+	// The reject vector escapes into the output table, so it must come
+	// from the Go heap, not the recycled device arena.
+	if p.RejectInconsistent || p.RejectMalformed {
+		p.rejected = make([]bool, p.numOutRecords)
+	}
+	if p.Mode == css.RecordTagged {
+		p.multiRun = device.Alloc[uint32](p.Arena, keys)
+		return nil
+	}
 	p.counts = device.Alloc[int64](p.Arena, keys*p.tiles)
 	// A tile counts into (and later moves from) its own row of tileRows:
 	// walking the column-major counts directly would stride by the tile
 	// count — a power of two for power-of-two inputs, so every column's
 	// counter falls into one cache set — and would share cache lines
 	// with the neighbouring tiles another worker is walking. Rows are
-	// padded to whole 64-byte lines.
-	p.rowStride = (keys + 7) &^ 7
-	p.tileRows = device.Alloc[int64](p.Arena, p.rowStride*p.tiles)
-
-	// The reject vector escapes into the output table, so it must come
-	// from the Go heap, not the recycled device arena.
-	if p.RejectInconsistent || p.RejectMalformed {
-		p.rejected = make([]bool, p.numOutRecords)
+	// padded to whole 64-byte lines. A VectorDelimited tile has two rows
+	// more, for the bounds of its regions of sortedAux (walkTile).
+	rows := 1
+	if p.Mode == css.VectorDelimited {
+		rows = 3
 	}
+	p.rowStride = rows * ((keys + 7) &^ 7)
+	p.tileRows = device.Alloc[int64](p.Arena, p.rowStride*p.tiles)
 	bs := p.Device.Config().BlockSize
 	p.Device.LaunchBlocks("tag", p.tiles*bs, func(t, _, _ int) {
 		p.walkTile(t, false)
 	})
-
-	// The trailing record has no closing delimiter, so its column count
-	// is checked against the final column-offset state here. A skipped or
-	// pushdown-dropped trailing record is absent from the output and
-	// checks nothing.
-	if p.RejectInconsistent && p.trailing {
-		skip := p.SkipRecords
-		lastSkipped := len(skip) > 0 && skip[len(skip)-1] == p.numRecords-1
-		lastDropped := p.pushdown && p.dropped[p.numRecords-1]
-		if !lastSkipped && !lastDropped && p.colTotal.Value+1 != p.numColumns {
-			p.rejected[p.numOutRecords-1] = true
-		}
-	}
+	p.checkTrailingColumns()
 	return nil
 }
 
-// partitionScatter is the scan and move passes of the fused tag-scatter
-// (§3.3): the scanned counts place every kept column's symbols
-// cohesively in sortedSyms, and the move pass fills it, together with
-// recOffs (RecordTagged) or sortedAux (VectorDelimited).
+// checkTrailingColumns checks the trailing record's column count, which
+// no closing delimiter lets a walk check, against the final
+// column-offset state (RejectInconsistent). A skipped or
+// pushdown-dropped trailing record is absent from the output and checks
+// nothing.
+func (p *pipeline) checkTrailingColumns() {
+	if !p.RejectInconsistent || !p.trailing {
+		return
+	}
+	skip := p.SkipRecords
+	lastSkipped := len(skip) > 0 && skip[len(skip)-1] == p.numRecords-1
+	lastDropped := p.pushdown && p.dropped[p.numRecords-1]
+	if !lastSkipped && !lastDropped && p.colTotal.Value+1 != p.numColumns {
+		p.rejected[p.numOutRecords-1] = true
+	}
+}
+
+// partitionScatter is the partition phase (§3.3). In RecordTagged mode
+// it is the index walk; in the mark modes it is the scan and move passes
+// of the tag-scatter: the scanned counts place every kept column's
+// symbols cohesively in sortedSyms, and the move pass fills it, together
+// with sortedAux (VectorDelimited).
 func (p *pipeline) partitionScatter() error {
+	if p.Mode == css.RecordTagged {
+		return p.indexFields()
+	}
 	d, n := p.Device, len(p.input)
 	// The scan turns the counts into the move pass's cursors in place.
 	kept := int(scan.ExclusiveArena(d, p.Arena, "partition", scan.Sum[int64](), p.counts, p.counts))
@@ -143,21 +173,13 @@ func (p *pipeline) partitionScatter() error {
 	// completes its record counts those bytes.
 	p.stats.BytesSkipped = int64(n - p.remainder - kept)
 
-	// The move pass writes every position of every sorted buffer exactly
-	// once, so they skip the recycled-memory zeroing (the memclr was ~7%
-	// of a steady-state taxi parse).
+	// The move pass writes every byte of sortedSyms exactly once, so it
+	// skips the recycled-memory zeroing (the memclr was ~7% of a
+	// steady-state taxi parse). The aux bitmap starts zeroed, and the
+	// move pass sets only the delimiters' bits.
 	p.sortedSyms = device.AllocDirty[byte](p.Arena, kept)
-	switch p.Mode {
-	case css.RecordTagged:
-		// The move pass writes every field's end; only each column's
-		// leading offset is set here.
-		stride := int(p.numOutRecords) + 1
-		p.recOffs = device.AllocDirty[int64](p.Arena, keys*stride)
-		for k := 0; k < keys; k++ {
-			p.recOffs[k*stride] = 0
-		}
-	case css.VectorDelimited:
-		p.sortedAux = device.AllocDirty[bool](p.Arena, kept)
+	if p.Mode == css.VectorDelimited {
+		p.sortedAux = bitmap.FromWords(device.Alloc[uint64](p.Arena, bitmap.WordsFor(kept)), kept)
 	}
 	bs := d.Config().BlockSize
 	d.LaunchBlocks("partition", p.tiles*bs, func(t, _, _ int) {
@@ -167,37 +189,42 @@ func (p *pipeline) partitionScatter() error {
 }
 
 // walkTile is one tile of the count pass (move false) or the move pass
-// (move true). It walks the control bitmap from structural byte to
-// structural byte: every non-data symbol carries the control bit, so the
-// clear runs between set bits are exactly the data runs.
+// (move true) of the mark modes. It walks the control bitmap from
+// structural byte to structural byte: every non-data symbol carries the
+// control bit, so the clear runs between set bits are exactly the data
+// runs.
 func (p *pipeline) walkTile(t int, move bool) {
 	c := t * p.tileChunks
 	lo := c * p.ChunkSize
 	hi := min(lo+p.tileChunks*p.ChunkSize, len(p.input))
 	sentinel := p.sentinel
 	keys, tiles := int(sentinel), p.tiles
-	row := p.tileRows[t*p.rowStride : t*p.rowStride+keys]
+	rows := p.tileRows[t*p.rowStride : (t+1)*p.rowStride]
+	row := rows[:keys]
+	syms, aux := p.sortedSyms, p.sortedAux
+	// auxLo and auxHi bound the tile's region of each column's CSS
+	// (VectorDelimited move pass): the tile owns the column's positions
+	// from its cursor to the next tile's, and the scanned counts are
+	// column-major, so the entry after the last tile's is the next
+	// column's start. It shares with a neighbour only the aux words its
+	// regions' ends fall in.
+	var auxLo, auxHi []int64
 	if move {
 		for k := range row {
 			row[k] = p.counts[k*tiles+t]
 		}
+		if aux != nil {
+			width := len(rows) / 3
+			auxLo, auxHi = rows[width:width+keys], rows[2*width:2*width+keys]
+			for k := range row {
+				auxLo[k], auxHi[k] = row[k], int64(aux.Len())
+				if at := k*tiles + t + 1; at < len(p.counts) {
+					auxHi[k] = p.counts[at]
+				}
+			}
+		}
 	}
-	syms, aux := p.sortedSyms, p.sortedAux
-	// offs is recOffs in the move pass of RecordTagged mode, else nil.
-	var offs []int64
-	if move {
-		offs = p.recOffs
-	}
-	colStart, stride := p.colStart, p.numOutRecords+1
-	mode := p.Mode
-	// Delimiters stay in the inline (as the terminator) and vector (as
-	// themselves, marked in aux) CSSs; the per-record offsets make them
-	// redundant in RecordTagged mode (§4.1, Figure 6), whose move pass
-	// ends a field at each instead. atDelims is whether the pass does
-	// anything at a kept column's delimiter: one flag, so that the
-	// RecordTagged count pass, which shares this walk, tests one value
-	// per delimiter.
-	atDelims := mode != css.RecordTagged || move
+	inline := p.Mode == css.InlineTerminated
 	checkCols := !move && p.RejectInconsistent
 	skip := p.SkipRecords
 	// Under predicate pushdown, records dropped by Where are irrelevant
@@ -244,12 +271,8 @@ func (p *pipeline) walkTile(t int, move bool) {
 					row[key] += int64(next - i)
 				} else {
 					pos := row[key]
-					end := pos + int64(next-i)
-					row[key] = end
-					copy(syms[pos:end], p.input[i:next])
-					if mode == css.VectorDelimited {
-						clear(aux[pos:end])
-					}
+					row[key] = pos + int64(next-i)
+					copy(syms[pos:row[key]], p.input[i:next])
 				}
 			}
 			i = next
@@ -263,22 +286,18 @@ func (p *pipeline) walkTile(t int, move bool) {
 				i++ // control symbol that delimits nothing
 				continue
 			}
-			if atDelims && key != sentinel {
+			if key != sentinel {
+				// The delimiter stays in the CSS: as the terminator, or
+				// as itself with its aux bit set.
+				pos := row[key]
+				row[key] = pos + 1
 				switch {
 				case !move:
-					row[key]++
-				case offs != nil:
-					// The delimiter ends field col.
-					offs[int64(key)*stride+outRec+1] = row[key] - colStart[key]
+				case inline:
+					syms[pos] = p.Terminator
 				default:
-					pos := row[key]
-					row[key] = pos + 1
-					if mode == css.InlineTerminated {
-						syms[pos] = p.Terminator
-					} else {
-						syms[pos] = p.input[i]
-						aux[pos] = true
-					}
+					syms[pos] = p.input[i]
+					aux.SetOwned(int(pos), int(auxLo[key]), int(auxHi[key]))
 				}
 			}
 			i++
@@ -288,9 +307,6 @@ func (p *pipeline) walkTile(t int, move bool) {
 			}
 			if checkCols && !irrelevant && col+1 != p.numColumns {
 				p.rejected[outRec] = true
-			}
-			if offs != nil && !irrelevant && col+1 < len(p.colMap) {
-				p.endFields(row, outRec, col+1)
 			}
 			rec++
 			col = 0
@@ -307,28 +323,244 @@ func (p *pipeline) walkTile(t int, move bool) {
 		for k, v := range row {
 			p.counts[k*tiles+t] = v
 		}
-		return
 	}
-	if offs != nil && p.trailing && t == tiles-1 {
+}
+
+// indexFields is the RecordTagged partition phase: one launch over the
+// tiles writes every kept field's input start and data length, and the
+// kept data bytes give BytesSkipped. The entries skip the
+// recycled-memory zeroing, since each is written exactly once. They lie
+// in blocks of 1<<fieldShift records per kept column, column after
+// column (see indexShift), so a tile's stores fall into one window of
+// the arrays, not into one stream per column.
+func (p *pipeline) indexFields() error {
+	keys := int64(p.sentinel)
+	p.fieldShift = indexShift(int(keys), p.numOutRecords)
+	block := int64(1) << p.fieldShift
+	size := int((p.numOutRecords + block - 1) / block * block * keys)
+	p.fieldStarts = device.AllocDirty[int64](p.Arena, size)
+	p.fieldLens = device.AllocDirty[uint32](p.Arena, size)
+	var kept, tooLong atomic.Int64
+	bs := p.Device.Config().BlockSize
+	p.Device.LaunchBlocks("partition", p.tiles*bs, func(t, _, _ int) {
+		k, long := p.indexTile(t)
+		kept.Add(k)
+		if long > 0 {
+			tooLong.Store(long)
+		}
+	})
+	if l := tooLong.Load(); l > 0 {
+		return p.fieldTooLong(css.FieldTooLong(l))
+	}
+	p.checkTrailingColumns()
+	p.stats.BytesSkipped = int64(len(p.input)-p.remainder) - kept.Load()
+	return nil
+}
+
+// indexShift returns the log2 of the records per block of the
+// RecordTagged index: blocks of about 16 Ki entries, 192 KiB across all
+// kept columns, which the walk fills in input order from the cache, and
+// of at most an eighth of the records, so that padding the last block
+// adds at most an eighth to the index.
+func indexShift(keys int, records int64) uint {
+	b := min(max(16384/max(keys, 1), 64), 1024, int(max(records/8, 1)))
+	return uint(bits.Len(uint(b)) - 1)
+}
+
+// fieldEntry is the position of column key's entry for output record
+// outRec in fieldStarts and fieldLens.
+func (p *pipeline) fieldEntry(key uint32, outRec int64) int64 {
+	s := p.fieldShift
+	return outRec>>s*int64(p.sentinel)<<s + int64(key)<<s + outRec&(1<<s-1)
+}
+
+// fieldTooLong types an index's field-limit error for the caller.
+func (p *pipeline) fieldTooLong(err error) error {
+	return &parparawerr.MalformedError{Partition: p.partition, Detail: err.Error()}
+}
+
+// indexTile is one tile of the index walk. It returns the data bytes of
+// the kept fields it ends, and the length of a field too long to index
+// (0 when there is none).
+func (p *pipeline) indexTile(t int) (kept, tooLong int64) {
+	c := t * p.tileChunks
+	lo := c * p.ChunkSize
+	hi := min(lo+p.tileChunks*p.ChunkSize, len(p.input))
+	sentinel := p.sentinel
+	starts, lens := p.fieldStarts, p.fieldLens
+	checkCols := p.RejectInconsistent
+	skip := p.SkipRecords
+	var dropped []bool
+	if p.pushdown {
+		dropped = p.dropped
+	}
+	rec := p.recBase[c]
+	col := p.colBase[c].Value
+	skipPtr := sort.Search(len(skip), func(i int) bool { return skip[i] >= rec })
+	var dropBefore int64
+	if dropped != nil {
+		dropBefore = p.dropRank[rec]
+	}
+	sc := newStructCursor(p.bitmaps, lo, hi)
+	shift := p.fieldShift
+	stride, mask := int64(sentinel)<<shift, int64(1)<<shift-1
+
+	// The open field: fs is its first data byte, fe the end of its last
+	// data run and fl its data length, all within this tile (fs = fe
+	// while fl is 0). head is whether it began before the tile, with
+	// that part not yet looked up. A field that began in the tile and
+	// is one data run is written inline; writeField does the rest.
+	fs, fe, fl := lo, lo, 0
+	head := lo > 0
+	for i := lo; i < hi; {
+		inSkipList := skipPtr < len(skip) && skip[skipPtr] == rec
+		recDropped := dropped != nil && rec < p.numRecords && dropped[rec]
+		irrelevant := inSkipList || recDropped || rec >= p.numRecords
+		outRec := rec - int64(skipPtr) - dropBefore
+		// The record's entry in column 0's block (fieldEntry).
+		recEntry := outRec>>shift*stride + outRec&mask
+		for i < hi {
+			next, bit := hi, uint64(0)
+			if sc.pend != 0 || sc.advance() {
+				bit = sc.pend & -sc.pend
+				sc.pend ^= bit
+				next = sc.cw<<6 + bits.TrailingZeros64(bit)
+			}
+			if next > i {
+				// Data run [i, next).
+				if fl == 0 {
+					fs = i
+				}
+				fl += next - i
+				fe = next
+			}
+			i = next
+			if i >= hi {
+				break
+			}
+			isRec := sc.rec&bit != 0
+			if !isRec && sc.fld&bit == 0 {
+				i++ // control symbol that delimits nothing
+				continue
+			}
+			// Delimiter i ends field col.
+			if key := p.mapColumn(col, irrelevant); key != sentinel {
+				if !head && fe-fs == fl && int64(fl) <= math.MaxUint32 {
+					e := recEntry + int64(key)<<shift
+					starts[e], lens[e] = int64(fs), uint32(fl)
+					kept += int64(fl)
+				} else if l, ok := p.writeField(key, outRec, lo, fs, fe, fl, head); ok {
+					kept += l
+				} else {
+					tooLong = l
+				}
+			}
+			i++
+			head, fs, fe, fl = false, i, i, 0
+			if !isRec {
+				col++
+				continue
+			}
+			if checkCols && !irrelevant && col+1 != p.numColumns {
+				p.rejected[outRec] = true
+			}
+			if !irrelevant && col+1 < len(p.colMap) {
+				p.emptyFields(outRec, col+1, i)
+			}
+			rec++
+			col = 0
+			if inSkipList {
+				skipPtr++
+			}
+			if recDropped {
+				dropBefore++
+			}
+			break
+		}
+	}
+	if p.trailing && t == p.tiles-1 {
 		// rec is the trailing record; the end of input ends it.
 		inSkipList := skipPtr < len(skip) && skip[skipPtr] == rec
 		recDropped := dropped != nil && dropped[rec]
 		if !inSkipList && !recDropped {
-			p.endFields(row, rec-int64(skipPtr)-dropBefore, col)
+			outRec := rec - int64(skipPtr) - dropBefore
+			if key := p.mapColumn(col, false); key != sentinel {
+				if l, ok := p.writeField(key, outRec, lo, fs, fe, fl, head); ok {
+					kept += l
+				} else {
+					tooLong = l
+				}
+			}
+			p.emptyFields(outRec, col+1, hi)
+		}
+	}
+	return kept, tooLong
+}
+
+// writeField writes a kept field as column key's entry for output record
+// outRec and returns its data length, with false when the length does
+// not fit an entry. In the tile starting at lo, the field's data is fl
+// bytes from fs, its last data run ending at fe (fs = fe when fl is 0),
+// and head is whether it began before lo. A field whose data bytes are
+// not contiguous marks its column for a CSS of its own.
+func (p *pipeline) writeField(key uint32, outRec int64, lo, fs, fe, fl int, head bool) (int64, bool) {
+	if head {
+		if hs, he, hl := p.fieldHead(lo); hl > 0 {
+			if fl == 0 {
+				fe = he
+			}
+			fs, fl = hs, fl+hl
+		}
+	}
+	if fe-fs != fl && atomic.LoadUint32(&p.multiRun[key]) == 0 {
+		atomic.StoreUint32(&p.multiRun[key], 1)
+	}
+	if int64(fl) > math.MaxUint32 {
+		return int64(fl), false
+	}
+	e := p.fieldEntry(key, outRec)
+	p.fieldStarts[e], p.fieldLens[e] = int64(fs), uint32(fl)
+	return int64(fl), true
+}
+
+// emptyFields writes an empty field, at input offset at, for output
+// record outRec in every kept column from input column from on: the
+// columns a short record's delimiter, or the end of input, leaves
+// unreached.
+func (p *pipeline) emptyFields(outRec int64, from, at int) {
+	for c := max(from, 0); c < len(p.colMap); c++ {
+		if k := p.colMap[c]; k != p.sentinel {
+			e := p.fieldEntry(k, outRec)
+			p.fieldStarts[e], p.fieldLens[e] = int64(at), 0
 		}
 	}
 }
 
-// endFields ends output record outRec's field in every kept column from
-// input column from on, each at the column cursor in row: the fields a
-// record delimiter or the end of input leaves open or unreached.
-func (p *pipeline) endFields(row []int64, outRec int64, from int) {
-	stride := p.numOutRecords + 1
-	for c := max(from, 0); c < len(p.colMap); c++ {
-		if k := p.colMap[c]; k != p.sentinel {
-			p.recOffs[int64(k)*stride+outRec+1] = row[k] - p.colStart[k]
+// fieldHead looks back from lo, a tile start, for the part of the field
+// open at lo that lies before it: the field began after the last field
+// or record delimiter before lo. It returns that part's first data
+// byte, the end of its last data run and its data length (0 when the
+// part holds no data).
+func (p *pipeline) fieldHead(lo int) (s, e, l int) {
+	bm := p.bitmaps
+	from := 0
+	top := (lo - 1) >> 6
+	for w := top; w >= 0; w-- {
+		x := bm.Record.Word(w) | bm.Field.Word(w)
+		if w == top {
+			x &= ^uint64(0) >> uint(63-(lo-1)&63)
+		}
+		if x != 0 {
+			from = w<<6 + 64 - bits.LeadingZeros64(x)
+			break
 		}
 	}
+	if l = lo - from - bm.Control.PopCountRange(from, lo); l == 0 {
+		return 0, 0, 0
+	}
+	s, _ = bm.Control.FirstClearInRange(from, lo)
+	e, _ = bm.Control.LastClearInRange(from, lo)
+	return s, e + 1, l
 }
 
 // structCursor holds the structural-byte walk's position: the control

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/css"
 	"repro/internal/device"
 	"repro/internal/dfa"
 	"repro/internal/scan"
@@ -110,7 +111,10 @@ func ablationFastPath(cfg Config) error {
 
 // ablationConvertWorkers quantifies the parallel convert stage: the
 // sequential per-column loop against the ConvertWorkers column pool.
-// This axis is measured wall-clock on the real host device — in
+// The pool converts the columns of the inline and vector modes, so the
+// sweep parses inline-terminated; a record-tagged run converts record
+// blocks across all its columns on the device instead, which the last
+// row times. This axis is measured wall-clock on the real host device — in
 // modelled-time mode the convert stage serialises its columns by design
 // (the paper's kernel launches serialise on the device stream), so the
 // pool is a host-substrate optimisation with nothing to model. The
@@ -127,18 +131,23 @@ func ablationConvertWorkers(cfg Config) error {
 	if reps < 1 {
 		reps = 1
 	}
-	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
+	counts := []int{1, 2, runtime.GOMAXPROCS(0), 0}
 	seen := map[int]bool{}
 	for _, w := range counts {
 		if seen[w] {
 			continue
 		}
 		seen[w] = true
+		label, mode := fmt.Sprintf("workers=%d", w), css.InlineTerminated
+		if w == 0 {
+			label, mode = "tagged", css.RecordTagged
+		}
 		var bestWall, bestConvert time.Duration
 		for r := 0; r < reps; r++ {
 			res, err := core.Parse(input, core.Options{
 				Schema:         spec.Schema,
 				Device:         device.New(device.Config{Workers: cfg.Workers}),
+				Mode:           mode,
 				ConvertWorkers: w,
 			})
 			if err != nil {
@@ -149,8 +158,8 @@ func ablationConvertWorkers(cfg Config) error {
 				bestConvert = res.Stats.Phases["convert"]
 			}
 		}
-		fmt.Fprintf(cfg.Out, "workers=%-4d convert(device) %10sms   total(wall) %10sms\n",
-			w, ms(bestConvert), ms(bestWall))
+		fmt.Fprintf(cfg.Out, "%-12s convert(device) %10sms   total(wall) %10sms\n",
+			label, ms(bestConvert), ms(bestWall))
 	}
 	return nil
 }

@@ -72,14 +72,17 @@ func Fig10(cfg Config) error {
 // Fig11 reproduces Figure 11: the per-step breakdown for the three
 // tagging modes (left) and for skewed inputs containing one giant
 // record (right). The paper finds record-tagged the slowest mode; here
-// it is the fastest, in convert above all: the partition pass writes
-// its index, one offset per field, while the other two index by two
-// passes over the column data. 4 MiB wall-clock parses (fixed schema,
-// 2-vCPU Xeon), tagged / inline / delimited MB/s: taxi 70 / 59 / 57,
-// yelp 216 / 142 / 138 with per-symbol tags; taxi 69 / 57 / 57, yelp
-// 303 / 121 / 117 with lengths; taxi 139 / 115 / 118, yelp 472 / 441 /
-// 317 with offsets and word-at-a-time mark indexes, on a later parse
-// phase. A single record of ~40% of the input does not break
+// it is the fastest: its partition phase writes each field's input
+// start and length and moves no data, so its tag phase reads 0, while
+// the other two move every kept byte and index by two passes over the
+// column data. 4 MiB wall-clock parses (fixed schema, 2-vCPU Xeon),
+// tagged / inline / delimited MB/s: taxi 70 / 59 / 57, yelp 216 / 142 /
+// 138 with per-symbol tags; taxi 69 / 57 / 57, yelp 303 / 121 / 117
+// with lengths; taxi 139 / 115 / 118, yelp 472 / 441 / 317 with
+// offsets and word-at-a-time mark indexes, on a later parse phase; taxi
+// 117 / 79 / 77, yelp 337 / 286 / 268 with fields indexed in the input,
+// in a slower period of the host (the offsets' tagged taxi read 82
+// there). A single record of ~40% of the input does not break
 // throughput.
 func Fig11(cfg Config) error {
 	modes := []css.Mode{css.RecordTagged, css.InlineTerminated, css.VectorDelimited}

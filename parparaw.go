@@ -45,23 +45,24 @@ import (
 // TaggingMode selects the representation used to associate symbols with
 // their records during partitioning (§4.1). Unlike in the paper, the
 // default is also the fastest mode here: parsing 4 MiB with a fixed
-// schema on a 2-vCPU Xeon gave, in MB/s, tagged / inline / delimited:
-// taxi 139 / 115 / 118, yelp 472 / 441 / 317.
+// schema on a 2-vCPU Xeon (GOMAXPROCS=2) gave, in MB/s, tagged /
+// inline / delimited: taxi 117 / 79 / 77, yelp 337 / 286 / 268.
 type TaggingMode int
 
 const (
-	// RecordTagged stores one offset per field, the prefix sum of the
-	// run-length encoding of the paper's 4-byte record tag per symbol.
-	// The partition pass writes each field's end when it reaches the
-	// delimiter that ends the field, and those offsets are the column's
-	// index. It is the robust default, resilient even to records with
-	// varying column counts.
+	// RecordTagged stands for the paper's 4-byte record tag per symbol
+	// with each field's input start and data length, which the partition
+	// phase writes when it reaches the delimiter that ends the field. No
+	// data moves: the columns are converted from the input, and only a
+	// column holding a field of several data runs (an escaped quote) is
+	// gathered into a buffer of its own. It is the robust default,
+	// resilient even to records with varying column counts.
 	RecordTagged TaggingMode = iota
 	// InlineTerminated replaces delimiters with an in-band terminator
 	// byte in the column data. It requires that the terminator never
 	// occur in field values and a constant column count.
 	InlineTerminated
-	// VectorDelimited marks field boundaries in an auxiliary boolean
+	// VectorDelimited marks field boundaries in an auxiliary bit
 	// vector. It tolerates arbitrary field bytes but requires a constant
 	// column count.
 	VectorDelimited
