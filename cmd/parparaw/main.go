@@ -248,13 +248,10 @@ func run(ctx context.Context, formatName string, header bool, delim, comment str
 			res.Stats.Partitions, res.Stats.InFlight, res.Stats.MaxCarryOver, res.Stats.InputBytes, res.Stats.OutputBytes, res.Stats.DeviceBytes)
 		if verbose {
 			s := res.Stats
-			stats += fmt.Sprintf("\nstage busy over %v wall: read %v, boundary pre-scan %v, parse %v, emit %v",
+			stats += fmt.Sprintf("\nstage busy over %v wall: read %v, boundary wait %v, parse %v, emit %v",
 				s.Duration, s.ReadBusy, s.BoundaryBusy, s.ParseBusy, s.EmitBusy)
-			if idle := s.Duration - s.ReadBusy - s.BoundaryBusy - s.EmitBusy; idle > 0 {
-				stats += fmt.Sprintf(" (spine idle %v)", idle)
-			}
 			if s.SerialFallbacks > 0 {
-				stats += fmt.Sprintf("\nboundary pre-scan fell back to serial carry on %d/%d partitions",
+				stats += fmt.Sprintf("\nnext partition waited for the whole parse on %d/%d partitions (no published boundary)",
 					s.SerialFallbacks, s.Partitions)
 			}
 			if s.RowsPruned > 0 || s.BytesSkipped > 0 {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/columnar"
 	"repro/internal/core"
@@ -38,20 +37,7 @@ import (
 type Engine struct {
 	plan   *core.Plan
 	arenas arenaPool
-	// boundaryMistrust counts streaming runs that failed on a boundary
-	// pre-scan / parse disagreement — a pipeline invariant violation
-	// that, within a run, cannot be recovered (the wrong carry is
-	// already committed downstream). Once it reaches
-	// boundaryMistrustLimit, the engine stops trusting the pre-scan:
-	// every later run's partitions take the serial carry path, trading
-	// the ring's overlap for correctness — the degradation a long-lived
-	// service wants instead of failing every run the same way.
-	boundaryMistrust atomic.Int32
 }
-
-// boundaryMistrustLimit is the number of boundary-disagreement failures
-// after which an engine permanently falls back to serial carry.
-const boundaryMistrustLimit = 2
 
 // NewEngine compiles opts into a reusable Engine. Configuration errors
 // (duplicate column selections, unsorted skip lists, …) are reported
@@ -70,10 +56,9 @@ func NewEngine(opts Options) (*Engine, error) {
 }
 
 // newEngineSharedPlan returns a fresh Engine over an already-compiled
-// plan: same parsing rules, but a private arena pool (and private
-// boundary-mistrust state). It is how the serving layer gives each
-// tenant its own recycled device memory while still paying plan
-// compilation once per configuration.
+// plan: same parsing rules, but a private arena pool. It is how the
+// serving layer gives each tenant its own recycled device memory while
+// still paying plan compilation once per configuration.
 func newEngineSharedPlan(src *Engine) *Engine { return &Engine{plan: src.plan} }
 
 // Close drains the engine's arena pool: idle recycled arenas are
@@ -316,15 +301,14 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 		plan: e.plan,
 		base: base,
 		// With a fixed schema and no header or skipped rows, nothing the
-		// first partition settles affects a later one, so Boundary
-		// pre-scans the first partition too, and it parses alongside the
-		// second.
+		// first partition settles affects a later one, so the first
+		// partition publishes its boundary too, and it parses alongside
+		// the second.
 		first:    base.Schema == nil || trimming,
 		trimming: trimming,
 		schema:   base.Schema,
 		direct:   base.Encoding == utfx.ASCII || base.Encoding == utfx.UTF8,
 		ctx:      ctx,
-		mistrust: &e.boundaryMistrust,
 	}
 	scfg := stream.Config{
 		PartitionSize:     partSize,
@@ -351,19 +335,7 @@ func (e *Engine) StreamReaderContext(ctx context.Context, r io.Reader, cfg Strea
 	}
 
 	res, err := stream.Run(scfg, rp, stream.NewSource(r))
-	if err != nil {
-		// A boundary pre-scan / parse disagreement is unrecoverable
-		// within the run (the wrong carry is already committed), but a
-		// long-lived engine learns from it: after boundaryMistrustLimit
-		// such failures, Boundary permanently declines and every later
-		// run takes the serial carry path.
-		var ie *parparawerr.InternalError
-		if errors.As(err, &ie) && ie.Stage == "boundary" {
-			e.boundaryMistrust.Add(1)
-		}
-		return streamResultFrom(rp, res), err
-	}
-	return streamResultFrom(rp, res), nil
+	return streamResultFrom(rp, res), err
 }
 
 // streamResultFrom converts the internal pipeline result (possibly the
@@ -394,8 +366,9 @@ func (p enginePool) Put(a *device.Arena) { p.e.release(a) }
 
 // ringParser adapts the engine's compiled plan to the streaming
 // pipeline's Parser contract. One value serves a whole run: the ring
-// calls Boundary to finalise each next partition's input and
-// ParseInFlight to parse partitions on their slots' arenas.
+// calls ParseInFlight to parse partitions on their slots' arenas, each
+// publishing its carry boundary from the core emit stage, and Boundary
+// only to recover the boundary of a quarantined partition.
 type ringParser struct {
 	plan *core.Plan
 	base core.Exec
@@ -405,18 +378,15 @@ type ringParser struct {
 	convertWorkers int
 	// ctx cancels partition parses between kernel stages.
 	ctx context.Context
-	// mistrust points at the engine's boundary-disagreement counter:
-	// at boundaryMistrustLimit the pre-scan is permanently distrusted
-	// and Boundary declines, forcing the serial carry path.
-	mistrust *atomic.Int32
 	// direct reports that partitions parse their raw bytes directly —
-	// no UTF-16 transcode — so the DFA boundary pre-scan is exact.
+	// no UTF-16 transcode — so a DFA walk of the raw bytes finds the
+	// parse's boundary.
 	direct   bool
 	trimming bool
 	// First-partition state. Written only by parses running while first
-	// is true; the scheduler serialises those (Boundary reports !ok
-	// until first turns false), so concurrent in-flight parses only
-	// ever read the frozen values.
+	// is true; those publish no boundary, so the ring waits for each of
+	// them to finish before it dispatches the next partition, and
+	// concurrent in-flight parses only ever read the frozen values.
 	first  bool
 	schema *columnar.Schema
 	header []string
@@ -429,34 +399,33 @@ type ringParser struct {
 	rowless map[*columnar.Table]bool
 }
 
-// Boundary pre-scans part's record boundary: a single sequential DFA
-// walk yielding exactly the carry-over a TrailingRemainder parse would
-// report, which is what lets the ring dispatch the partition without
-// waiting for that parse. It declines (serial fallback) while the
-// first partition is unsettled: while its header/skip trimming is —
-// row pruning splits raw lines without DFA context, so a
-// whole-partition walk could disagree — and while an inferred schema
-// waits for it to freeze. A fixed-schema run without trimming settles
-// nothing and is pre-scanned from its first partition. It declines
-// for UTF-16 input, whose remainder is defined on
-// the transcoded bytes and mapped back (Plan.Execute), not on a raw
-// walk — and permanently once the engine's boundary-disagreement
-// counter has hit its limit (the learned serial-carry degradation).
+// Boundary finds part's record boundary by a single sequential DFA
+// walk: exactly the carry-over a TrailingRemainder parse would report.
+// The ring calls it only to recover the boundary of a partition whose
+// parse failed before publishing and is quarantined. It declines while
+// the first partition is unsettled — row pruning splits raw lines
+// without DFA context, and an inferred schema waits for the first
+// partition to freeze — and for UTF-16 input, whose remainder is
+// defined on the transcoded bytes and mapped back (Plan.Execute), not
+// on a raw walk. The ring then drops the pending carry instead.
 func (p *ringParser) Boundary(part []byte) (int, bool) {
 	if p.first || !p.direct {
-		return 0, false
-	}
-	if p.mistrust != nil && p.mistrust.Load() >= boundaryMistrustLimit {
 		return 0, false
 	}
 	return p.plan.ScanRemainder(part), true
 }
 
 // ParseInFlight parses one partition on its own arena, concurrently
-// with other partitions.
+// with other partitions. Once the first partition has settled, the
+// parse publishes its carry boundary from the emit stage
+// (core.Exec.OnRemainder; core skips it on UTF-16 input), so the ring
+// dispatches the next partition while this one finishes.
 func (p *ringParser) ParseInFlight(arena *device.Arena, part stream.Partition) (stream.PartitionResult, error) {
 	exec := p.base
 	exec.Arena = arena
+	if !p.first {
+		exec.OnRemainder = part.OnBoundary
+	}
 	exec.Trailing = core.TrailingRemainder
 	if part.Final {
 		exec.Trailing = core.TrailingRecord

@@ -9,8 +9,7 @@ import (
 
 // ErrUnstreamable: the engine's Format cannot be streamed — a record-
 // delimiter transition of its DFA does not return to the start state,
-// so no partition-at-a-time parse (pre-scan or serial carry) is
-// correct. Only FormatBuilder grammars can trip this; every built-in
+// so no partition-at-a-time parse is correct. Only FormatBuilder grammars can trip this; every built-in
 // dialect is streamable (Format.Streamable). Parse the input whole
 // instead.
 var ErrUnstreamable = errors.New("parparaw: format is not streamable: a record-delimiter transition does not return to the start state")

@@ -195,7 +195,8 @@ func (p *pipeline) scanStates() error {
 // the chunks whose guess the scan proved wrong walk again, each first
 // clearing the bits its guessed lane set; a run that took no guess
 // walks every chunk. In remainder mode it also locates the carry-over
-// boundary.
+// boundary and publishes it (Exec.OnRemainder), so a streaming caller
+// can assemble the next partition while this one finishes.
 func (p *pipeline) emitBitmapsStage() error {
 	p.emitBitmaps()
 	if p.Trailing == TrailingRemainder {
@@ -204,6 +205,9 @@ func (p *pipeline) emitBitmapsStage() error {
 			p.remainder = n - last - 1
 		} else {
 			p.remainder = n
+		}
+		if p.onRemainder != nil {
+			p.onRemainder(p.remainder)
 		}
 	}
 	return nil

@@ -56,11 +56,13 @@ type pipeline struct {
 
 	// Per-execution failure-model parameters (Exec): cancellation
 	// context, partition identity for typed errors, and the bad-record
-	// divert channel with its offset base.
+	// divert channel with its offset base. onRemainder publishes the
+	// carry-over boundary (Exec.OnRemainder; nil on transcoded input).
 	ctx         context.Context
 	partition   int
 	baseOffset  int64
 	onBadRecord func(BadRecord)
+	onRemainder func(int)
 
 	chunks     int
 	words      []statevec.Word // parseVectors → scanStates

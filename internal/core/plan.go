@@ -135,6 +135,15 @@ type Exec struct {
 	// runs on the executing goroutine after the kernel stages complete;
 	// the Raw slice is only valid for the duration of the call.
 	OnBadRecord func(BadRecord)
+	// OnRemainder, when non-nil, is called once with the remainder
+	// Result.Remainder will carry, as soon as the emit stage has found
+	// it: before tagging, partitioning and conversion run. The streaming
+	// ring assembles the next partition from it while this one finishes.
+	// It is called only in TrailingRemainder mode on untranscoded input
+	// (a UTF-16 remainder is mapped back to raw bytes after the kernels),
+	// on the goroutine running Execute. A run that fails before its emit
+	// stage never calls it.
+	OnRemainder func(remainder int)
 }
 
 // BaseExec returns the plan's own per-run parameters with the given
@@ -154,11 +163,12 @@ func (p *Plan) BaseExec(arena *device.Arena) Exec {
 // ScanRemainder returns the carry-over a TrailingRemainder parse of
 // input would report — the trailing bytes after the last
 // record-delimiter emission — via a single sequential DFA walk instead
-// of a full pipeline run. It is the streaming ring's record-boundary
-// pre-scan: partition i+1's input is finalised from this without
-// waiting for partition i's parse. It is exact for inputs the pipeline
-// parses directly (no pending header/skip trimming, no transcoding);
-// callers in those modes must fall back to the serial carry path.
+// of a full pipeline run. A streamed partition's parse publishes that
+// boundary itself (Exec.OnRemainder), so the ring walks a partition
+// only to recover the boundary of a parse that failed before publishing
+// and is quarantined. It is exact for inputs the pipeline parses
+// directly (no pending header/skip trimming, no transcoding); callers
+// in those modes must drop the carry instead.
 func (p *Plan) ScanRemainder(input []byte) int {
 	return p.opts.Machine.RecordRemainder(input)
 }
@@ -167,11 +177,10 @@ func (p *Plan) ScanRemainder(input []byte) int {
 // for this plan's machine: every record-delimiter transition must
 // return to the start state, so an input cut at a record boundary
 // parses from the start state exactly as it would mid-stream. This
-// covers both the ring's record-boundary pre-scan (ScanRemainder) and
-// the serial carry path — when it is false, no streaming mode is
-// correct and callers must parse the input whole. Every grammar the
-// dfa package ships satisfies it; only Builder-assembled machines can
-// fail it.
+// covers every carry the ring takes, published by a parse or recovered
+// by ScanRemainder — when it is false, no streaming mode is correct and
+// callers must parse the input whole. Every grammar the dfa package
+// ships satisfies it; only Builder-assembled machines can fail it.
 func (p *Plan) BoundarySound() bool {
 	return p.opts.Machine.ResetsOnRecordDelim()
 }
@@ -249,6 +258,9 @@ func (p *Plan) Execute(input []byte, exec Exec) (*Result, error) {
 		partition:   exec.Partition,
 		baseOffset:  exec.BaseOffset + frontTrim,
 		onBadRecord: exec.OnBadRecord,
+	}
+	if !transcoded {
+		pl.onRemainder = exec.OnRemainder
 	}
 	table, err := pl.run()
 	if err != nil {

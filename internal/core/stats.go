@@ -86,11 +86,12 @@ type Stats struct {
 	// MaxCarryOver is the largest record fragment carried between
 	// partitions (bytes).
 	MaxCarryOver int
-	// SerialFallbacks counts the non-final partitions whose record
-	// boundary could not be pre-scanned (first-partition trimming
-	// unsettled, UTF-16 input) and that therefore parsed inline on the
-	// ring's scheduler, the serial carry path. It is counted at every
-	// depth, 1 included.
+	// SerialFallbacks counts the non-final partitions whose successor
+	// waited for the whole parse: their parse published no boundary
+	// (the first partition while its header, skipped rows or inferred
+	// schema are unsettled, UTF-16 input), so the ring cut the next
+	// carry from the finished parse's CompleteBytes. It is counted at
+	// every depth, 1 included.
 	SerialFallbacks int
 	// Retries is the number of input read attempts that failed and were
 	// retried under the run's retry policy; RetriedBytes is the bytes
@@ -100,11 +101,13 @@ type Stats struct {
 	// quarantined (SkipBadPartitions) instead of failing the run.
 	QuarantinedPartitions int
 	// ReadBusy, BoundaryBusy, ParseBusy and EmitBusy are the time the
-	// ring spent reading input from its source, pre-scanning record
-	// boundaries, parsing partitions, and emitting them (folding each
-	// partition's Stats and appending its table). ParseBusy sums
-	// concurrent partition parses, so it may exceed Duration when
-	// InFlight > 1.
+	// ring spent reading input from its source, waiting for partition
+	// boundaries (the scheduler's wait, from dispatching a partition to
+	// its published boundary or, for a serial fallback, its finished
+	// parse), parsing partitions, and emitting them (folding each
+	// partition's Stats and appending its table). The boundary wait
+	// overlaps the parse it waits on. ParseBusy sums concurrent
+	// partition parses, so it may exceed Duration when InFlight > 1.
 	ReadBusy, BoundaryBusy, ParseBusy, EmitBusy time.Duration
 }
 

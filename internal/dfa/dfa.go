@@ -123,8 +123,8 @@ func (m *Machine) Kind() string { return m.kind }
 // transition targets the start state. This is the property that makes
 // partition-at-a-time streaming sound: the carry-over contract cuts the
 // stream at record boundaries and parses each partition from the start
-// state, and the ring's record-boundary pre-scan (RecordRemainder)
-// additionally walks each partition from the start state. All machines
+// state, and the ring's quarantine recovery (RecordRemainder)
+// additionally walks a partition from the start state. All machines
 // built by this package's grammar constructors satisfy it; a
 // Builder-assembled grammar that does not must be parsed whole, never
 // streamed.

@@ -220,12 +220,14 @@ func (m *Machine) advanceVectorFused(v []uint8, chunk []byte) {
 // number of trailing bytes after the last record-delimiter emission —
 // exactly the carry-over the pipeline's TrailingRemainder mode reports
 // (emitBitmapsStage: remainder = n - last - 1, or n with no delimiter).
-// It is the streaming ring scheduler's record-boundary pre-scan: the
-// walk uses the fused tables and skip scanners unconditionally (both
-// are always compiled; skippable states only self-loop over data bytes,
-// which never delimit a record), so the result matches the full parse
-// byte for byte regardless of the ablation toggles, at one table load
-// per interesting byte.
+// The streaming ring calls it only to recover the carry of a partition
+// whose parse failed before publishing its boundary and is quarantined;
+// every other carry comes from the parse itself. The walk uses the
+// fused tables and skip scanners unconditionally (both are always
+// compiled; skippable states only self-loop over data bytes, which
+// never delimit a record), so the result matches the full parse byte
+// for byte regardless of the ablation toggles, at one table load per
+// interesting byte.
 func (m *Machine) RecordRemainder(input []byte) int {
 	ns := m.numStates
 	s := m.start

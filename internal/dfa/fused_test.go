@@ -192,12 +192,12 @@ func TestFastPathTogglesIndependent(t *testing.T) {
 	}
 }
 
-// TestRecordRemainderMatchesReferenceWalk checks the streaming boundary
-// pre-scan against a naive split-table walk that mirrors the emit
-// kernel's remainder definition: bytes after the last record-delimiter
-// emission, or the whole input when no delimiter was emitted. Ablation
-// toggles must not change the result — the pre-scan always takes the
-// fused path.
+// TestRecordRemainderMatchesReferenceWalk checks the streaming ring's
+// quarantine-recovery walk against a naive split-table walk that
+// mirrors the emit kernel's remainder definition: bytes after the last
+// record-delimiter emission, or the whole input when no delimiter was
+// emitted. Ablation toggles must not change the result — the walk
+// always takes the fused path.
 func TestRecordRemainderMatchesReferenceWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	inputs := fusedTestInputs(rng)

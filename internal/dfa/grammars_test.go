@@ -270,7 +270,7 @@ func TestWeblogFields(t *testing.T) {
 // TestGrammarMetadata pins the dialect-dispatch and streaming-soundness
 // metadata every shipped grammar must expose: a Kind for the dialect
 // layer, and record-delimiter transitions that reset to the start state
-// so the boundary pre-scan stays exact.
+// so every partition's carry boundary stays exact.
 func TestGrammarMetadata(t *testing.T) {
 	kinds := map[string]string{
 		"rfc4180": "csv", "rfc4180-table": "csv", "comment-crlf": "csv",

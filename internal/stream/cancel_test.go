@@ -13,15 +13,18 @@ import (
 )
 
 // slowRingParser wraps ringLineParser with a per-parse delay so a
-// cancellation has real work to land in the middle of.
+// cancellation has real work to land in the middle of. The inner parse,
+// which publishes the boundary, runs first: the delay stands for the
+// stages a real parse runs after publishing.
 type slowRingParser struct {
 	*ringLineParser
 	delay time.Duration
 }
 
 func (p *slowRingParser) ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error) {
+	res, err := p.ringLineParser.ParseInFlight(arena, part)
 	time.Sleep(p.delay)
-	return p.ringLineParser.ParseInFlight(arena, part)
+	return res, err
 }
 
 // TestCancelMidStream cancels runs at randomized points across the

@@ -5,21 +5,24 @@
 //
 // The enabler is breaking the carry-over dependency: partition i+1's
 // input cannot be assembled until it is known how many of partition i's
-// bytes belong to complete records. The scheduler runs a record-boundary
-// pre-scan (Parser.Boundary — a sequential walk of the parsing DFA over
-// the partition) that yields the same carry length at a fraction of the
-// parse's cost, so it finalises partition i+1's input and dispatches
-// partition i to a worker without waiting. Whenever the boundary is not
-// determinable without the full parse (first-partition header/skip
-// trimming still unsettled, input needing transcoding before record
-// boundaries exist), the partition falls back to the serial carry path:
-// it parses inline on the scheduler, and partition i+1 waits for it.
+// bytes belong to complete records. The parse finds that boundary in
+// its emit stage, before it tags, partitions and converts, and
+// publishes it there (Partition.OnBoundary). The scheduler dispatches
+// partition i, waits for that one boundary message, and assembles and
+// dispatches partition i+1 while partition i finishes: no goroutine
+// walks a partition a second time to learn its successor's context. A
+// parse that publishes nothing (an unsettled first partition, whose
+// header, skipped rows or inferred schema are still open, or UTF-16
+// input, whose remainder is mapped back to raw bytes only at the end)
+// sends its CompleteBytes when it finishes, and its successor waits for
+// the whole parse (Stats.SerialFallbacks).
 //
 // At depth 1 the ring is Figure 7's double buffer, the schedule
 // Simulate models: the scheduler's read of partition i+1 (host buffer)
-// overlaps the parse of partition i (the slot's arena), so the read of
-// i+2 waits on parse i; the emit of partition i overlaps the parse of
-// partition i+1, so parse i+2 waits on emit i.
+// overlaps the rest of partition i's parse (the slot's arena) once i
+// has published its boundary, so the read of i+2 waits on parse i; the
+// emit of partition i overlaps the parse of partition i+1, so parse i+2
+// waits on emit i.
 //
 // Memory stays bounded at ring depth × partition footprint: at most
 // InFlight partitions hold an arena at once (arenas recycle through a
@@ -28,12 +31,14 @@
 //
 // Failure containment (PR 8): worker panics are recovered into typed
 // parparawerr.InternalError values (safeParse), a canceled context
-// unblocks both the scheduler's slot wait and the budget's admission
-// wait, and every exit path still drains the results channel — so
-// arenas and slots are recycled and no goroutine leaks, whatever the
-// failure. Partitions whose record boundary was pre-scanned can be
-// quarantined under Config.SkipBadPartitions without disturbing their
-// neighbours: the carry chain was finalised before the worker ran.
+// unblocks the scheduler's slot and boundary waits and the budget's
+// admission wait, and every exit path still drains the results channel
+// — so arenas and slots are recycled and no goroutine leaks, whatever
+// the failure. Under Config.SkipBadPartitions a failed partition is
+// quarantined without disturbing its neighbours when its parse had
+// published its boundary; one that failed before publishing has its
+// boundary recovered by one Parser.Boundary walk, or drops its carry
+// where Boundary declines.
 
 package stream
 
@@ -58,45 +63,76 @@ type parsedPart struct {
 	est   int64 // device-budget charge taken at dispatch
 	dur   time.Duration
 	err   error
-	// boundaryKnown marks partitions whose carry boundary was finalised
-	// by the pre-scan before the parse ran: their failure cannot corrupt
-	// the carry chain, so they are candidates for quarantine.
-	boundaryKnown bool
-	// skipped marks a partition already quarantined by the scheduler
-	// (inline serial-carry path); the emit stage only counts it.
-	skipped bool
 }
 
-// job is one partition dispatched to a worker. want is the complete-byte
-// count of the boundary pre-scan, which the parse must reproduce (unused
-// for the final partition, which has no successor).
+// job is one partition dispatched to a worker.
 type job struct {
 	part  Partition
 	arena *device.Arena
 	est   int64 // device-budget charge taken at dispatch
-	want  int
 }
 
-// parseJob runs one dispatched parse and cross-checks it against the
-// pre-scan. The partition's successor was assembled without waiting for
-// this parse (or, for the final partition, does not exist), so a failure
-// here cannot corrupt the carry chain: the result is a quarantine
-// candidate.
-func parseJob(parser Parser, j job) parsedPart {
+// boundary is a non-final partition's one message to the scheduler:
+// the prefix of its input covered by complete records, published early
+// by the parse or taken from the finished parse, or the error of a
+// parse that failed before publishing.
+type boundary struct {
+	complete int
+	early    bool // published before the parse finished
+	err      error
+}
+
+// parseJob runs one dispatched parse. A non-final partition sends
+// exactly one boundary message on bounds: the boundary the parse
+// publishes, or, when it publishes none, the finished parse's
+// CompleteBytes or error. A boundary outside the input fails the
+// partition before the scheduler can slice with it. A published
+// boundary that the finished parse contradicts fails the partition
+// too, and that failure is not quarantinable: the next partition's
+// input already holds the published carry.
+func parseJob(parser Parser, j job, bounds chan<- boundary) parsedPart {
+	part, n := j.part, len(j.part.Input)
+	idx := part.Index
+	inRange := func(complete int) error {
+		if complete < 0 || complete > n {
+			return fmt.Errorf("complete bytes %d outside [0,%d]: %w", complete, n,
+				&parparawerr.InternalError{Partition: idx, Stage: "ring"})
+		}
+		return nil
+	}
+	published, early := false, 0
+	var earlyErr error
+	if !part.Final {
+		part.OnBoundary = func(rem int) {
+			if published {
+				return
+			}
+			published, early = true, n-rem
+			earlyErr = inRange(early)
+			bounds <- boundary{complete: early, early: true, err: earlyErr}
+		}
+	}
 	ps := time.Now()
-	res, err := safeParse(parser, j.arena, j.part)
+	res, err := safeParse(parser, j.arena, part)
 	dur := time.Since(ps)
-	idx := j.part.Index
-	if err == nil && !j.part.Final && res.CompleteBytes != j.want {
-		// The pre-scan and the parse must agree by construction; a
-		// mismatch means corrupt output, so fail loudly instead.
-		err = fmt.Errorf("boundary pre-scan found %d complete bytes, parse found %d: %w",
-			j.want, res.CompleteBytes, &parparawerr.InternalError{Partition: idx, Stage: "boundary"})
+	if !part.Final {
+		switch {
+		case !published:
+			if err == nil {
+				err = inRange(res.CompleteBytes)
+			}
+			bounds <- boundary{complete: res.CompleteBytes, err: err}
+		case earlyErr != nil:
+			err = earlyErr
+		case err == nil && res.CompleteBytes != early:
+			err = fmt.Errorf("boundary pre-scan published by the parse found %d complete bytes, the finished parse %d: %w",
+				early, res.CompleteBytes, &parparawerr.InternalError{Partition: idx, Stage: "boundary"})
+		}
 	}
 	if err != nil {
 		err = fmt.Errorf("stream: partition %d: %w", idx, err)
 	}
-	return parsedPart{idx: idx, res: res, arena: j.arena, est: j.est, dur: dur, err: err, boundaryKnown: true}
+	return parsedPart{idx: idx, res: res, arena: j.arena, est: j.est, dur: dur, err: err}
 }
 
 // deviceBudget gates partition admission on estimated in-flight device
@@ -188,13 +224,14 @@ func (b *deviceBudget) refund(est, arenaPeak int64) {
 // failure — partial progress a caller can still report.
 //
 // Output does not depend on the depth: the carry chain is the same at
-// every depth (the pre-scan computes the very remainder the parse would
-// report, and dispatched parses are cross-checked against it), every
-// partition parses the same input bytes, and ordered emit preserves
-// input order. Each partition's parse input is carry + fresh bytes
-// sized to PartitionSize (NextFresh), so the recycled arenas stay in
-// one size class; only a carry of PartitionSize or more (one record
-// larger than a partition) grows the parse buffer beyond it.
+// every depth (each carry is the remainder the partition's own parse
+// reports, published early or taken from its result, and a published
+// one is checked against the finished parse), every partition parses
+// the same input bytes, and ordered emit preserves input order. Each
+// partition's parse input is carry + fresh bytes sized to PartitionSize
+// (NextFresh), so the recycled arenas stay in one size class; only a
+// carry of PartitionSize or more (one record larger than a partition)
+// grows the parse buffer beyond it.
 func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 	if cfg.PartitionSize <= 0 {
 		return nil, errors.New("stream: partition size must be positive")
@@ -218,15 +255,19 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 	}
 	arenaFree := make(chan *device.Arena, inFlight) // retired arenas awaiting reuse
 	results := make(chan parsedPart, inFlight+1)
+	// bounds carries each non-final partition's one boundary message.
+	// The scheduler receives it before it dispatches the next partition,
+	// so at most one is ever outstanding and a worker never blocks on it.
+	bounds := make(chan boundary, 1)
 	quit := make(chan struct{})
 	var quitOnce sync.Once
 	stop := func() { quitOnce.Do(func() { close(quit) }) }
 	budget := newDeviceBudget(cfg.DeviceBudget, cfg.StrictBudget)
 
 	// Cancellation watcher: a canceled context must unblock the
-	// scheduler wherever it waits — the slot select (quit) and the
-	// budget's admission wait (budget.cancel). The watcher itself is
-	// joined before Run returns.
+	// scheduler wherever it waits — the slot and boundary selects (quit)
+	// and the budget's admission wait (budget.cancel). The watcher
+	// itself is joined before Run returns.
 	if ctx.Done() != nil {
 		watchDone := make(chan struct{})
 		defer close(watchDone)
@@ -257,7 +298,7 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 	worker := func() {
 		defer wg.Done()
 		for j := range jobs {
-			results <- parseJob(parser, j)
+			results <- parseJob(parser, j, bounds)
 		}
 	}
 	for w := 0; w < inFlight; w++ {
@@ -266,9 +307,8 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 
 	// Scheduler: the single sequential spine. It reads each partition's
 	// fresh bytes, assembles carry + fresh in a per-partition arena
-	// buffer, pre-scans the record boundary to finalise the next
-	// partition's carry, and hands the parse to a worker — falling back
-	// to parsing inline when the boundary is ambiguous.
+	// buffer, hands the parse to a worker, and waits for the partition's
+	// boundary message to cut the next partition's carry.
 	go func() {
 		defer func() {
 			close(jobs)
@@ -311,7 +351,6 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 				return
 			}
 			sched.InputBytes += int64(len(data))
-			final := last
 
 			select {
 			case <-slots:
@@ -335,94 +374,64 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 			sched.Partitions++
 			base := nextBase
 
-			dispatched := false
-			if !final {
-				bb := time.Now()
-				rem, ok := parser.Boundary(buf)
-				sched.BoundaryBusy += time.Since(bb)
-				if ok && rem >= 0 && rem <= len(buf) {
-					// The next partition's input is now finalised without
-					// the parse: copy the carry tail out (buf is arena
-					// memory owned by the worker from here) and dispatch.
-					carry = append(carry[:0], buf[len(buf)-rem:]...)
-					sched.MaxCarryOver = max(sched.MaxCarryOver, len(carry))
-					want := len(buf) - rem
-					nextBase = base + int64(want)
-					est, err := budget.charge(i, len(buf))
-					if err != nil {
-						results <- parsedPart{idx: i, arena: arena,
-							err: fmt.Errorf("stream: partition %d: %w", i, err)}
-						return
-					}
-					jobs <- job{part: Partition{Index: i, Base: base, Input: buf}, arena: arena, est: est, want: want}
-					dispatched = true
-				} else {
-					sched.SerialFallbacks++
-				}
-			}
-			if !dispatched {
-				// Serial carry path: the boundary needs the full parse, or
-				// this is the final partition, which has no successor to
-				// assemble and goes straight to a worker.
-				est, err := budget.charge(i, len(buf))
-				if err != nil {
-					results <- parsedPart{idx: i, arena: arena,
-						err: fmt.Errorf("stream: partition %d: %w", i, err)}
-					return
-				}
-				if final {
-					jobs <- job{part: Partition{Index: i, Base: base, Input: buf, Final: true}, arena: arena, est: est}
-					return
-				}
-				ps := time.Now()
-				res, err := safeParse(parser, arena, Partition{Index: i, Base: base, Input: buf})
-				dur := time.Since(ps)
-				if err == nil && (res.CompleteBytes < 0 || res.CompleteBytes > len(buf)) {
-					err = fmt.Errorf("complete bytes %d outside [0,%d]: %w", res.CompleteBytes, len(buf),
-						&parparawerr.InternalError{Partition: i, Stage: "ring"})
-				}
-				if err != nil {
-					if cfg.SkipBadPartitions && quarantinable(err) {
-						// Quarantine on the serial carry path: the
-						// partition's boundary was never determined, so
-						// the pending carry is dropped with it and the
-						// next partition starts fresh. The emit stage
-						// counts the skip.
-						nextBase = base + int64(len(buf))
-						carry = carry[:0]
-						results <- parsedPart{idx: i, arena: arena, est: est, dur: dur, skipped: true}
-						continue
-					}
-					results <- parsedPart{idx: i, res: res, arena: arena, est: est, dur: dur,
-						err: fmt.Errorf("stream: partition %d: %w", i, err)}
-					return
-				}
-				nextBase = base + int64(res.CompleteBytes)
-				carry = append(carry[:0], buf[res.CompleteBytes:]...)
-				sched.MaxCarryOver = max(sched.MaxCarryOver, len(carry))
-				results <- parsedPart{idx: i, res: res, arena: arena, est: est, dur: dur}
-			}
-			if final {
+			est, err := budget.charge(i, len(buf))
+			if err != nil {
+				results <- parsedPart{idx: i, arena: arena,
+					err: fmt.Errorf("stream: partition %d: %w", i, err)}
 				return
 			}
+			jobs <- job{part: Partition{Index: i, Base: base, Input: buf, Final: last}, arena: arena, est: est}
+			if last {
+				return
+			}
+
+			// The worker owns buf from here and only reads it; the
+			// scheduler reads it too, to copy the carry out, and its arena
+			// is reset only when the scheduler draws it again.
+			bw := time.Now()
+			var b boundary
+			select {
+			case b = <-bounds:
+			case <-quit:
+				canceled()
+				return
+			}
+			sched.BoundaryBusy += time.Since(bw)
+			if !b.early {
+				sched.SerialFallbacks++
+			}
+			complete := b.complete
+			if b.err != nil {
+				if !cfg.SkipBadPartitions || !quarantinable(b.err) {
+					return // the worker's result carries the error to the emit stage
+				}
+				// The emit stage quarantines the partition. Recover its
+				// boundary with one walk so the carry chain survives it;
+				// where the walk is unsound, drop the pending carry with
+				// the partition and start the next one fresh.
+				complete = len(buf)
+				if rem, ok := parser.Boundary(buf); ok && rem >= 0 && rem <= len(buf) {
+					complete = len(buf) - rem
+				}
+			}
+			carry = append(carry[:0], buf[complete:]...)
+			sched.MaxCarryOver = max(sched.MaxCarryOver, len(carry))
+			nextBase = base + int64(complete)
 		}
 	}()
 
 	// Emit stage, on the caller's goroutine: retires partitions as they
 	// arrive — recycling their arena and slot immediately, since tables
 	// live on the host heap — and releases tables in input order.
-	// Quarantine decisions for dispatched partitions are made here, where
-	// the typed error is first seen. results closes once the scheduler
-	// and every worker have finished.
+	// Quarantine decisions are made here, where the typed error is first
+	// seen; the scheduler takes the same decision for the carry chain.
+	// results closes once the scheduler and every worker have finished.
 	var tables []*columnar.Table
 	var firstErr error
 	errIdx := -1
 	pending := make(map[int]parsedPart)
 	next := 0
 	emit := func(p parsedPart) {
-		if p.skipped {
-			return
-		}
 		eb := time.Now()
 		// Folding at emit keeps Records equal to the emitted tables'
 		// rows, on partial results too.
@@ -443,26 +452,19 @@ func Run(cfg Config, parser Parser, src *Source) (*Result, error) {
 		}
 		stats.ParseBusy += p.dur
 		if p.err != nil {
-			if cfg.SkipBadPartitions && p.boundaryKnown && quarantinable(p.err) {
-				// The carry chain was finalised before this parse
-				// ran, so dropping the partition affects no
-				// neighbour; the skipped branch below counts it.
-				p.err = nil
-				p.res = PartitionResult{}
-				p.skipped = true
-			} else {
+			if !cfg.SkipBadPartitions || !quarantinable(p.err) {
 				if firstErr == nil || p.idx < errIdx {
 					firstErr, errIdx = p.err, p.idx
 				}
 				stop()
 				continue
 			}
-		}
-		if p.skipped {
-			// Covers both quarantine paths: dispatched failures
-			// converted above, and inline serial-carry failures the
-			// scheduler already converted. Counting here keeps the
-			// counter single-writer.
+			// Quarantine: the carry chain is intact (the boundary was
+			// published, recovered or dropped by the scheduler), so the
+			// partition's output is dropped and ordered emit passes over
+			// its empty result. Counting here keeps the counter
+			// single-writer.
+			p.err, p.res = nil, PartitionResult{}
 			stats.QuarantinedPartitions++
 		}
 		if firstErr != nil {

@@ -35,22 +35,27 @@ func (p *testArenaPool) Put(a *device.Arena) {
 }
 
 // ringLineParser is the toy parser: '\n'-terminated records, one string
-// column, with a boundary pre-scan that mirrors the parse's
-// complete-prefix rule. ambiguous forces the serial fallback; failAt
-// injects an error on a chosen parse; inputs records every parse's
-// input (carry included) in parse order.
+// column. Like the core pipeline, it publishes its boundary
+// (Partition.OnBoundary) once it has found it and before it builds the
+// table, and its Boundary walk mirrors the parse's complete-prefix
+// rule. ambiguous publishes nothing, so every successor waits for the
+// whole parse; failAt injects an error on a chosen parse, before it
+// publishes; inputs records every parse's input (carry included) in
+// parse order, and boundaries counts the Boundary calls.
 type ringLineParser struct {
 	ambiguous bool
 	failAt    int // -1 disables
 
-	mu     sync.Mutex
-	parses int
-	inputs [][]byte
+	mu         sync.Mutex
+	parses     int
+	boundaries int
+	inputs     [][]byte
 }
 
 func newRingLineParser() *ringLineParser { return &ringLineParser{failAt: -1} }
 
-func (p *ringLineParser) parse(input []byte, final bool) (PartitionResult, error) {
+func (p *ringLineParser) parse(part Partition) (PartitionResult, error) {
+	input := part.Input
 	p.mu.Lock()
 	n := p.parses
 	p.parses++
@@ -60,8 +65,11 @@ func (p *ringLineParser) parse(input []byte, final bool) (PartitionResult, error
 		return PartitionResult{}, errors.New("injected parse failure")
 	}
 	complete := bytes.LastIndexByte(input, '\n') + 1
-	if final {
+	if part.Final {
 		complete = len(input)
+	}
+	if !p.ambiguous && part.OnBoundary != nil {
+		part.OnBoundary(len(input) - complete)
 	}
 	var lines []string
 	for _, l := range bytes.Split(input[:complete], []byte{'\n'}) {
@@ -81,10 +89,13 @@ func (p *ringLineParser) parse(input []byte, final bool) (PartitionResult, error
 func (p *ringLineParser) ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error) {
 	// Touch the arena so the footprint stats have something to sum.
 	_ = device.Alloc[byte](arena, len(part.Input))
-	return p.parse(part.Input, part.Final)
+	return p.parse(part)
 }
 
 func (p *ringLineParser) Boundary(input []byte) (int, bool) {
+	p.mu.Lock()
+	p.boundaries++
+	p.mu.Unlock()
 	if p.ambiguous {
 		return 0, false
 	}
@@ -181,8 +192,9 @@ func TestRingMatchesSerialOrdered(t *testing.T) {
 	}
 }
 
-// TestRingSerialFallback forces every boundary ambiguous: the ring must
-// degrade to the serial carry path — same records, fallbacks counted.
+// TestRingSerialFallback has no partition publish its boundary: every
+// successor waits for the whole parse — same records, fallbacks
+// counted.
 func TestRingSerialFallback(t *testing.T) {
 	input, want := ringTestInput(100)
 	p := newRingLineParser()
@@ -263,8 +275,8 @@ func TestRingParserError(t *testing.T) {
 }
 
 // TestRingBoundaryParseDisagreement pins the defensive cross-check: a
-// boundary pre-scan that disagrees with the parse must fail the run
-// loudly instead of corrupting the carry chain.
+// published boundary that disagrees with the finished parse must fail
+// the run loudly instead of corrupting the carry chain.
 func TestRingBoundaryParseDisagreement(t *testing.T) {
 	input, _ := ringTestInput(100)
 	p := &lyingBoundaryParser{inner: newRingLineParser()}
@@ -278,15 +290,23 @@ func TestRingBoundaryParseDisagreement(t *testing.T) {
 	}
 }
 
+// lyingBoundaryParser publishes a boundary one byte short of the one
+// its parse reports.
 type lyingBoundaryParser struct{ inner *ringLineParser }
 
 func (p *lyingBoundaryParser) ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error) {
-	return p.inner.ParseInFlight(arena, part)
+	publish := part.OnBoundary
+	part.OnBoundary = nil
+	res, err := p.inner.ParseInFlight(arena, part)
+	if err == nil && publish != nil {
+		publish(len(part.Input) - res.CompleteBytes + 1) // off by one: the parse will disagree
+	}
+	return res, err
 }
 
 func (p *lyingBoundaryParser) Boundary(input []byte) (int, bool) {
 	rem, _ := p.inner.Boundary(input)
-	return rem + 1, true // off by one: the parse will disagree
+	return rem + 1, true
 }
 
 // TestRingEmptyInput mirrors the depth-1 degenerate case: one empty

@@ -10,9 +10,11 @@
 //
 // The carry-over handles records straddling partition boundaries: the
 // incomplete tail of partition i is prepended to partition i+1's input.
-// A record-boundary pre-scan (Parser.Boundary) yields that tail without
-// the full parse, so partition i+1's input is known before partition i
-// has parsed.
+// Partition i's parse publishes that tail's length as soon as it has
+// found it (Partition.OnBoundary), so partition i+1's input is
+// assembled, and its parse started, while partition i is still
+// tagging, partitioning and converting. Nothing walks a partition
+// ahead of its parse to find the tail.
 //
 // Run is one pipeline at every depth: a bounded ring of Config.InFlight
 // slots, each holding one partition and its device arena (ring.go).
@@ -81,6 +83,15 @@ type Partition struct {
 	Input []byte
 	// Final marks the last partition (CompleteBytes is then ignored).
 	Final bool
+	// OnBoundary, set by the ring on every non-final partition, takes
+	// the carry-over tail length (len(Input) - CompleteBytes) the parse
+	// will report, as soon as the parser knows it: the ring assembles
+	// and dispatches the next partition from it while this parse
+	// finishes, and fails the partition if the finished parse reports
+	// another. A parser calls it at most once, on the goroutine running
+	// ParseInFlight. One that never calls it makes the next partition
+	// wait for the whole parse (Stats.SerialFallbacks).
+	OnBoundary func(remainder int)
 }
 
 // PartitionResult is what parsing one partition yields.
@@ -96,18 +107,22 @@ type PartitionResult struct {
 	Stats core.Stats
 }
 
-// Parser is the pipeline's parser contract: it must (a) pre-scan a
-// partition's record boundary so the next partition's input can be
-// finalised without waiting for the full parse, and (b) parse on a
-// caller-supplied arena so partitions can be in flight at once.
+// Parser is the pipeline's parser contract: it parses a partition on
+// a caller-supplied arena, so partitions can be in flight at once, and
+// publishes the partition's carry-over boundary through
+// Partition.OnBoundary as soon as it knows it, so the next partition
+// can be assembled without waiting for the whole parse.
 // ParseInFlight must be safe for concurrent calls on distinct arenas
-// whenever Boundary reported ok for the partitions involved.
+// once the earlier partitions have published their boundaries.
 type Parser interface {
 	// Boundary returns the carry-over tail length a parse of input
-	// would report, when that is determinable without a full parse
-	// (ok=false falls the partition back to the serial carry path —
-	// e.g. while first-partition trimming is unsettled or the input
-	// needs transcoding before record boundaries exist).
+	// would report, found by walking input alone (ok=false when that
+	// walk is unsound, e.g. while first-partition trimming is unsettled
+	// or the input needs transcoding before record boundaries exist).
+	// The ring calls it only to recover the boundary of a partition
+	// whose parse failed before publishing and is quarantined
+	// (Config.SkipBadPartitions); where it declines, the pending carry
+	// is dropped with the partition.
 	Boundary(input []byte) (remainder int, ok bool)
 	// ParseInFlight parses one partition on the given arena.
 	ParseInFlight(arena *device.Arena, part Partition) (PartitionResult, error)
@@ -146,12 +161,15 @@ type Config struct {
 	// SkipBadPartitions quarantines parse-side failures (contained
 	// panics, validation errors) instead of failing the run: the
 	// partition's output is dropped, Stats.QuarantinedPartitions
-	// counts it, and the stream continues. When the failed partition's
-	// record boundary was pre-scanned the carry chain is intact and no
-	// neighbouring record is affected. Only a serial-carry fallback
-	// partition (Boundary declined) drops the pending carry with it, so
-	// a record straddling into it may also lose its head. Reader
-	// failures and cancellation are never quarantined.
+	// counts it, and the stream continues. When the failed parse had
+	// published its boundary, the carry chain is intact and no
+	// neighbouring record is affected. When it failed before
+	// publishing, the ring recovers the boundary with one
+	// Parser.Boundary walk; only where Boundary declines (an unsettled
+	// first partition, UTF-16 input) is the pending carry dropped with
+	// the partition, so a record straddling into it may also lose its
+	// head. Reader failures, cancellation and boundary disagreements
+	// are never quarantined.
 	SkipBadPartitions bool
 	// Arenas supplies the ring's per-slot arenas. Every arena acquired
 	// during the run is returned before Run returns. Nil draws a fresh

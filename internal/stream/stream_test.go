@@ -10,8 +10,8 @@ import (
 	"repro/internal/device"
 )
 
-// parseFunc adapts a function to Parser. Its Boundary declines, so
-// every partition parses on the serial carry path.
+// parseFunc adapts a function to Parser. It publishes no boundary, so
+// every successor waits for the whole parse, and its Boundary declines.
 type parseFunc func(part Partition) (PartitionResult, error)
 
 func (f parseFunc) Boundary([]byte) (int, bool) { return 0, false }

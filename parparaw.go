@@ -115,10 +115,10 @@ type Options struct {
 	VirtualWorkers int
 	// InFlight is the depth of the streaming ring (§4.4 extended across
 	// partitions): the number of partitions parsed concurrently, each
-	// running the whole kernel pipeline on its own device arena, while a
-	// record-boundary pre-scan finalises partition i+1's input without
-	// waiting for partition i's parse and an emit stage releases tables
-	// in input order. 0 uses a GOMAXPROCS-derived default; 1 parses one
+	// running the whole kernel pipeline on its own device arena, while
+	// the record boundary partition i's parse publishes from its emit
+	// stage finalises partition i+1's input before partition i's parse
+	// ends, and an emit stage releases tables in input order. 0 uses a GOMAXPROCS-derived default; 1 parses one
 	// partition at a time on one recycled arena, still overlapping the
 	// read of the next partition with its parse (Figure 7). Output is
 	// byte-identical at every setting; only Parse paths that stream

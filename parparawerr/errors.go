@@ -20,9 +20,10 @@
 //	              errors.Is(err, context.Canceled) also matches.
 //	ErrInternal   a contained panic in a pipeline worker (ring partition
 //	              parse, convert-pool column, device kernel) or a
-//	              pipeline invariant violation (boundary pre-scan /
-//	              parse disagreement); InternalError carries the
-//	              partition, the recovered value, and the stack.
+//	              pipeline invariant violation (a published boundary
+//	              that the finished parse contradicts); InternalError
+//	              carries the partition, the recovered value, and the
+//	              stack.
 //	ErrConfig     the options were rejected before any input was read
 //	              (a negative or duplicate selected column, a predicate
 //	              outside the schema); ConfigError carries the reason.

@@ -630,7 +630,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("parparawd_retried_bytes_total", "Bytes recovered by retried reads.", t.RetriedBytes)
 	counter("parparawd_quarantined_partitions_total", "Partitions quarantined.", int64(t.QuarantinedPartitions))
 	counter("parparawd_quarantined_records_total", "Malformed records diverted.", t.QuarantinedRecords)
-	counter("parparawd_serial_fallbacks_total", "Partitions parsed on the serial carry path.", int64(t.SerialFallbacks))
+	counter("parparawd_serial_fallbacks_total", "Partitions whose successor waited for the whole parse (no published boundary).", int64(t.SerialFallbacks))
 	counter("parparawd_reemitted_chunks_total", "Chunks emitted again after a wrong start-state guess.", int64(t.ReemittedChunks))
 	counter("parparawd_invalid_inputs_total", "Runs whose DFA flagged invalid input.", s.m.invalidInputs.Load())
 	counter("parparawd_admission_rejects_total", "Requests rejected by the device-bytes budget.", s.m.admissionRejects.Load())

@@ -104,13 +104,15 @@ type StreamConfig struct {
 	// SkipBadPartitions quarantines partitions whose parse fails with a
 	// contained panic or a validation error, instead of failing the run:
 	// the partition's output is dropped, counted in
-	// Stats.QuarantinedPartitions, and the stream continues. When
-	// the failed partition's record boundary was pre-scanned (at any
-	// depth) the carry chain is intact and no neighbouring record is
-	// affected. Only a serial-carry fallback partition — an unsettled
-	// first partition, or UTF-16 input — drops the pending carry with
-	// it, so a record straddling into it may also lose its head. Reader
-	// failures and cancellation are never quarantined.
+	// Stats.QuarantinedPartitions, and the stream continues. When the
+	// failed parse had published its record boundary, or failed before
+	// publishing and one walk of the partition recovers the boundary
+	// (at any depth), the carry chain is intact and no neighbouring
+	// record is affected. Only where that walk is unsound — an
+	// unsettled first partition, or UTF-16 input — is the pending
+	// carry dropped with the partition, so a record straddling into it
+	// may also lose its head. Reader failures and cancellation are
+	// never quarantined.
 	SkipBadPartitions bool
 }
 
